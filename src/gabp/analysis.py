@@ -112,9 +112,6 @@ class StackedOperator:
             raise ValueError("block dims do not match the operator layout")
         return cones.block_diag(blocks)
 
-    def apply(self, c):
-        return apply_stacked_operator(self, c)
-
 
 def build_stacked(net):
     """Assemble the stacked operator for a network.

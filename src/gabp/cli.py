@@ -103,7 +103,6 @@ def _common_run_args(p, tol, iters):
         default="zero",
         help="zero | identity[:scale] | file:PATH (messages from a run summary)",
     )
-    p.add_argument("--workers", type=int, default=1)
 
 
 def main(argv=None):
@@ -183,7 +182,10 @@ def _cmd_gen(args):
     return 0
 
 
-def _load_for_run(args):
+def _run_instance(args):
+    """Load the instance, run message passing, and start the output
+    document with the header that summary.json, analysis.json and
+    compare.json share."""
     net = network.load(args.instance)
     instance_hash = _sha256_file(args.instance)
     init, init_scale = _parse_init(args.init, net)
@@ -192,13 +194,25 @@ def _load_for_run(args):
         tol_frobenius=args.tol,
         init=init,
         init_scale=init_scale,
-        workers=args.workers,
     )
     log.info(
         "loaded %s: %d nodes, %d directed edges", args.instance, net.num_nodes,
         len(net.directed_edges),
     )
-    return net, instance_hash, config
+    os.makedirs(args.out_dir, exist_ok=True)
+    result = engine.run(net, config)
+    doc = {
+        "command": args.command,
+        "tool": "gabp",
+        "version": __version__,
+        "seed": getattr(args, "seed", None),
+        "instance": args.instance,
+        "instance_sha256": instance_hash,
+        "schedule": _schedule_doc(args, config),
+        "converged": result.converged,
+        "iterations": result.iterations,
+    }
+    return net, result, doc
 
 
 def _parse_init(spec, net):
@@ -243,9 +257,7 @@ def _load_init_state(path, net):
 
 
 def _cmd_run(args):
-    net, instance_hash, config = _load_for_run(args)
-    os.makedirs(args.out_dir, exist_ok=True)
-    result = engine.run(net, config)
+    net, result, doc = _run_instance(args)
     log.info(
         "run finished: converged=%s after %d iterations", result.converged,
         result.iterations,
@@ -259,17 +271,8 @@ def _cmd_run(args):
         analysis.annotate_trace(result.trace, bounds, result.state.info_blocks())
     analysis.write_trace_csv(result.trace, os.path.join(args.out_dir, "trace.csv"))
     last = result.trace.records[-1]
-    doc = {
-        "command": "run",
-        "tool": "gabp",
-        "version": __version__,
-        "seed": None,
-        "instance": args.instance,
-        "instance_sha256": instance_hash,
-        "schedule": _schedule_doc(args, config),
-        "converged": result.converged,
+    doc.update({
         "mean_converged": result.mean_converged,
-        "iterations": result.iterations,
         "final_frobenius_delta": _jsonable(last.frobenius_delta),
         "final_mean_delta": _jsonable(last.mean_delta),
         "fixed_point_hash": _hash_state(result.state) if result.converged else None,
@@ -282,12 +285,11 @@ def _cmd_run(args):
             }
             for i in net.ids
         ],
-    }
-    _write_json(os.path.join(args.out_dir, "summary.json"), doc)
-    _write_manifest(args, instance_hash, ["summary.json", "trace.csv"])
+    })
+    _write_outputs(args, "summary.json", doc, "trace.csv")
     if not result.converged:
         print(
-            f"did not converge within {config.max_iterations} iterations "
+            f"did not converge within {args.max_iters} iterations "
             f"(last delta {last.frobenius_delta:.3e})",
             file=sys.stderr,
         )
@@ -300,29 +302,15 @@ def _cmd_run(args):
 
 
 def _cmd_analyze(args):
-    net, instance_hash, config = _load_for_run(args)
-    os.makedirs(args.out_dir, exist_ok=True)
-    result = engine.run(net, config)
+    net, result, doc = _run_instance(args)
     op = analysis.build_stacked(net)
-    doc = {
-        "command": "analyze",
-        "tool": "gabp",
-        "version": __version__,
-        "seed": args.seed,
-        "instance": args.instance,
-        "instance_sha256": instance_hash,
-        "schedule": _schedule_doc(args, config),
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "phi": op.phi,
-        "fixed_point_hash": _hash_state(result.state) if result.converged else None,
-    }
+    doc["phi"] = op.phi
+    doc["fixed_point_hash"] = _hash_state(result.state) if result.converged else None
     if not result.converged:
         analysis.write_trace_csv(result.trace, os.path.join(args.out_dir, "trace.csv"))
-        _write_json(os.path.join(args.out_dir, "analysis.json"), doc)
-        _write_manifest(args, instance_hash, ["analysis.json", "trace.csv"])
+        _write_outputs(args, "analysis.json", doc, "trace.csv")
         print(
-            f"did not converge within {config.max_iterations} iterations; "
+            f"did not converge within {args.max_iters} iterations; "
             "diagnostics need a fixed point",
             file=sys.stderr,
         )
@@ -335,10 +323,11 @@ def _cmd_analyze(args):
     log.info("stacked operator residual at the engine fixed point: %.3e", residual)
 
     quantitative_failures = []
-    bounds = None
-    if not args.no_bounds:
+    if not (args.no_bounds and args.no_rate):
+        # The rate fit reads the part distances that annotation fills in.
         bounds = analysis.bounds_ul(op)
         analysis.annotate_trace(result.trace, bounds, star_blocks)
+    if not args.no_bounds:
         in_bounds = [r.in_bounds for r in result.trace.records if r.in_bounds is not None]
         doc["bounds"] = {
             "l_min_eig": cones.min_eigenvalue(bounds.l),
@@ -349,9 +338,6 @@ def _cmd_analyze(args):
             quantitative_failures.append("trace left the [L, U] interval")
 
     if not args.no_rate:
-        if bounds is None:
-            bounds = analysis.bounds_ul(op)
-            analysis.annotate_trace(result.trace, bounds, star_blocks)
         rate = analysis.rate_analysis(result.trace, epsilon=args.epsilon)
         doc["rate"] = {
             "c_estimate": rate.c_estimate,
@@ -406,8 +392,7 @@ def _cmd_analyze(args):
 
     analysis.write_trace_csv(result.trace, os.path.join(args.out_dir, "trace.csv"))
     doc["quantitative_failures"] = quantitative_failures
-    _write_json(os.path.join(args.out_dir, "analysis.json"), doc)
-    _write_manifest(args, instance_hash, ["analysis.json", "trace.csv"])
+    _write_outputs(args, "analysis.json", doc, "trace.csv")
     if quantitative_failures:
         for f in quantitative_failures:
             print(f"check failed: {f}", file=sys.stderr)
@@ -420,32 +405,20 @@ def _cmd_analyze(args):
 
 
 def _cmd_compare(args):
-    net, instance_hash, config = _load_for_run(args)
-    os.makedirs(args.out_dir, exist_ok=True)
-    result = engine.run(net, config)
+    net, result, doc = _run_instance(args)
     report = oracle.compare(net, result.beliefs, converged=result.converged)
     within = None
     if report.applicable:
         within = report.max_mean_error <= args.mean_tol and (
             not report.cov_comparable or report.max_cov_error <= args.cov_tol
         )
-    doc = {
-        "command": "compare",
-        "tool": "gabp",
-        "version": __version__,
-        "seed": None,
-        "instance": args.instance,
-        "instance_sha256": instance_hash,
-        "schedule": _schedule_doc(args, config),
-        "converged": result.converged,
-        "iterations": result.iterations,
+    doc.update({
         "mean_tol": args.mean_tol,
         "cov_tol": args.cov_tol,
         "within_tolerance": within,
         "report": report.to_dict(),
-    }
-    _write_json(os.path.join(args.out_dir, "compare.json"), doc)
-    _write_manifest(args, instance_hash, ["compare.json"])
+    })
+    _write_outputs(args, "compare.json", doc)
     if not result.converged:
         print("comparison is not applicable: run did not converge", file=sys.stderr)
         return 3
@@ -480,7 +453,6 @@ def _schedule_doc(args, config):
         "tol_frobenius": config.tol_frobenius,
         "init": init,
         "init_scale": config.init_scale,
-        "workers": config.workers,
     }
 
 
@@ -503,22 +475,25 @@ def _hash_state(state):
     return _sha256_text(_canonical(doc))
 
 
-def _write_manifest(args, instance_hash, outputs):
-    doc = {
+def _write_outputs(args, name, doc, *others):
+    """Write ``doc`` as ``name`` into the output directory, then
+    manifest.json listing it and the already written ``others``."""
+    _write_json(os.path.join(args.out_dir, name), doc)
+    manifest = {
         "command": args.command,
         "tool": "gabp",
         "version": __version__,
         "instance": args.instance,
-        "instance_sha256": instance_hash,
+        "instance_sha256": doc["instance_sha256"],
         "out_dir": args.out_dir,
-        "outputs": outputs,
+        "outputs": [name, *others],
         "options": {
             k: _jsonable(v)
             for k, v in sorted(vars(args).items())
             if k not in ("command",)
         },
     }
-    _write_json(os.path.join(args.out_dir, "manifest.json"), doc)
+    _write_json(os.path.join(args.out_dir, "manifest.json"), manifest)
 
 
 def _write_json(path, doc):

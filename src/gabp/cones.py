@@ -89,7 +89,6 @@ def min_eigenvalue(x):
 
 def is_psd(x, tol=None):
     """True if ``x`` is symmetric positive semidefinite up to ``tol``."""
-    x = symmetrize(x)
     if tol is None:
         tol = default_tolerance(x)
     return min_eigenvalue(x) >= -tol
@@ -97,7 +96,6 @@ def is_psd(x, tol=None):
 
 def is_pd(x, tol=None):
     """True if ``x`` is symmetric positive definite (min eigenvalue > tol)."""
-    x = symmetrize(x)
     if tol is None:
         tol = default_tolerance(x)
     return min_eigenvalue(x) > tol
@@ -105,8 +103,8 @@ def is_pd(x, tol=None):
 
 def loewner_geq(x, y, tol=None):
     """True if ``x >= y`` in the Loewner order, up to ``tol``."""
-    x = symmetrize(x)
-    y = symmetrize(y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     if tol is None:
@@ -190,11 +188,11 @@ def split_blocks(x, dims):
 def cho_factor_pd(x, context="matrix"):
     """Cholesky factorization that raises NumericalError with context.
 
+    ``x`` must be symmetric: only its lower triangle is read.
     ``context`` should say what the matrix is ("factor 3 innovation
     covariance", ...) so failures deep inside an iteration are
     attributable.
     """
-    x = symmetrize(x)
     try:
         return scipy.linalg.cho_factor(x, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -205,14 +203,20 @@ def cho_factor_pd(x, context="matrix"):
 
 
 def solve_pd(x, b, context="matrix"):
-    """Solve ``x @ z = b`` for positive definite ``x`` via Cholesky."""
+    """Solve ``x @ z = b`` for positive definite ``x`` via Cholesky.
+
+    ``x`` must be symmetric: only its lower triangle is read.
+    """
     factor = cho_factor_pd(x, context=context)
     return scipy.linalg.cho_solve(factor, np.asarray(b, dtype=float))
 
 
 def inv_pd(x, context="matrix"):
-    """Inverse of a positive definite matrix, symmetrized on the way out."""
-    x = symmetrize(x)
+    """Inverse of a positive definite matrix, symmetrized on the way out.
+
+    ``x`` must be symmetric: only its lower triangle is read.
+    """
+    x = np.asarray(x, dtype=float)
     out = solve_pd(x, np.eye(x.shape[0]), context=context)
     return symmetrize(out)
 

@@ -15,12 +15,11 @@ corresponding mean estimate.  One iteration is the two-stage composition
       mean solves info @ mean = A[n][i]^T S^{-1} (y_n - sum A[n][j] mean_{j -> f_n})
 
 All factors update from the same previous state (Jacobi schedule), sums
-run in ascending node id order, and nothing here depends on wall clock or
-thread count, so a run is a pure function of (instance, config).
+run in ascending node id order, and nothing here depends on wall clock,
+so a run is a pure function of (instance, config).
 """
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg
@@ -93,9 +92,6 @@ class MessageState:
         """Info matrices in ascending (factor, variable) edge order."""
         return [self.messages[e].info for e in self._order]
 
-    def mean_vectors(self):
-        return [self.messages[e].mean for e in self._order]
-
     def stacked(self):
         """Block diagonal of all info blocks, ascending edge order.
 
@@ -126,15 +122,12 @@ class ScheduleConfig:
     tol_frobenius: float = 1e-10
     init: object = "zero"
     init_scale: float = 1.0
-    workers: int = 1
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.tol_frobenius <= 0:
             raise ValueError("tol_frobenius must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if isinstance(self.init, str):
             if self.init not in ("zero", "identity"):
                 raise ValueError(f"unknown init {self.init!r}")
@@ -173,9 +166,6 @@ class ConvergenceTrace:
     records: list
     info_blocks: list
     fixed_point_blocks: list = None
-
-    def stacked(self, index):
-        return cones.block_diag(self.info_blocks[index])
 
     def __len__(self):
         return len(self.records)
@@ -240,6 +230,8 @@ def check_init_state(net, state):
             raise ValueError(
                 f"init mean for edge {tuple(edge)} has length {mean.shape[0]}, expected {d}"
             )
+        if not np.all(np.isfinite(info)):
+            raise ValueError(f"init info for edge {tuple(edge)} has non-finite entries")
         if not np.allclose(info, info.T, atol=1e-12 * (1.0 + np.abs(info).max())):
             raise ValueError(f"init info for edge {tuple(edge)} is not symmetric")
         if not cones.is_psd(info):
@@ -269,7 +261,7 @@ def var_to_factor(net, state, variable, factor):
         msg = state.messages[DirectedEdge(k, variable)]
         info += msg.info
         rhs += msg.info @ msg.mean
-    info = cones.symmetrize(info)
+    # A sum of exactly symmetric blocks is exactly symmetric.
     cov = cones.inv_pd(
         info, context=f"variable {variable} -> factor {factor} information"
     )
@@ -308,9 +300,9 @@ def factor_to_var(net, incoming, factor, variable):
         s, context=f"factor {factor} innovation covariance (invariant breach)"
     )
     a_i = node.coeff[variable]
-    s_inv_a = _cho_solve(s_factor, a_i)
+    s_inv_a = scipy.linalg.cho_solve(s_factor, a_i)
     info = cones.symmetrize(a_i.T @ s_inv_a)
-    h = a_i.T @ _cho_solve(s_factor, resid)
+    h = a_i.T @ scipy.linalg.cho_solve(s_factor, resid)
     mean = cones.solve_pd(
         info,
         h,
@@ -322,41 +314,19 @@ def factor_to_var(net, incoming, factor, variable):
     return EdgeMessage(DirectedEdge(factor, variable), info, mean)
 
 
-def _cho_solve(factor, b):
-    return scipy.linalg.cho_solve(factor, np.asarray(b, dtype=float))
-
-
-def combined_update(net, state, workers=1):
+def combined_update(net, state):
     """One full synchronous sweep: all stage-1 then all stage-2 updates.
 
-    With ``workers > 1`` the per-edge updates are farmed out to a thread
-    pool.  Each update reads only the previous state, so the result is
-    identical for any worker count; the pool just trades Python overhead
-    for BLAS concurrency on larger blocks.
+    Every update reads only the previous state (Jacobi schedule).
     """
-    stage1_keys = [
-        (j, n) for n in net.ids for j in net.factor_scope(n)
+    incoming = {
+        n: {j: var_to_factor(net, state, j, n) for j in net.factor_scope(n)}
+        for n in net.ids
+    }
+    outputs = [
+        factor_to_var(net, incoming[e.factor], e.factor, e.variable)
+        for e in net.directed_edges
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stage1_vals = list(
-                pool.map(lambda jn: var_to_factor(net, state, jn[0], jn[1]), stage1_keys)
-            )
-    else:
-        stage1_vals = [var_to_factor(net, state, j, n) for j, n in stage1_keys]
-    incoming = {}
-    for (j, n), msg in zip(stage1_keys, stage1_vals):
-        incoming.setdefault(n, {})[j] = msg
-
-    def one_edge(edge):
-        return factor_to_var(net, incoming[edge.factor], edge.factor, edge.variable)
-
-    edges = net.directed_edges
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(one_edge, edges))
-    else:
-        outputs = [one_edge(e) for e in edges]
     return MessageState(state.iteration + 1, {m.edge: m for m in outputs})
 
 
@@ -368,9 +338,7 @@ def compute_belief(net, state, variable):
         msg = state.messages[DirectedEdge(k, variable)]
         info += msg.info
         rhs += msg.info @ msg.mean
-    cov = cones.inv_pd(
-        cones.symmetrize(info), context=f"belief information for variable {variable}"
-    )
+    cov = cones.inv_pd(info, context=f"belief information for variable {variable}")
     return Belief(variable, cov @ rhs, cov)
 
 
@@ -413,7 +381,7 @@ def run(net, config=None):
     converged = False
     mean_converged = False
     for _ in range(config.max_iterations):
-        new = combined_update(net, state, workers=config.workers)
+        new = combined_update(net, state)
         df, dm = _state_deltas(new, state)
         records.append(TraceRecord(new.iteration, df, dm))
         snapshots.append([b.copy() for b in new.info_blocks()])

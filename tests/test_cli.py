@@ -166,20 +166,34 @@ class TestInitOption:
         # warm start at the fixed point: nothing left to do
         assert read_json(warm / "summary.json")["iterations"] <= 2
 
-    def test_file_init_rejects_non_psd(self, golden_instance, tmp_path, capsys):
+    @staticmethod
+    def run_with_tampered_info(golden_instance, tmp_path, info):
+        """Warm start from a run summary whose first info block is replaced."""
         first = tmp_path / "first"
         run_cli("run", "--instance", golden_instance, "--out-dir", str(first))
         doc = read_json(first / "summary.json")
-        doc["messages"][0]["info"] = [[-1.0]]
+        doc["messages"][0]["info"] = info
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        code = run_cli(
-            "run", "--instance", golden_instance, "--out-dir", str(out),
+        return run_cli(
+            "run", "--instance", golden_instance, "--out-dir", str(tmp_path / "out"),
             "--init", f"file:{tampered}",
         )
-        assert code == 1
+
+    def test_file_init_rejects_non_psd(self, golden_instance, tmp_path, capsys):
+        assert self.run_with_tampered_info(golden_instance, tmp_path, [[-1.0]]) == 1
         assert "positive semidefinite" in capsys.readouterr().err
+
+    def test_file_init_rejects_nan(self, golden_instance, tmp_path, capsys):
+        code = self.run_with_tampered_info(golden_instance, tmp_path, [[float("nan")]])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_workers_flag_is_a_usage_error(self, golden_instance, tmp_path):
+        assert run_cli(
+            "run", "--instance", golden_instance,
+            "--out-dir", str(tmp_path / "o"), "--workers", "2",
+        ) == 1
 
     def test_unknown_init_spec(self, golden_instance, tmp_path):
         assert run_cli(
@@ -219,6 +233,19 @@ class TestAnalyze:
         doc = read_json(out / "analysis.json")
         assert "rate" not in doc and "harness" not in doc and "sandwich" not in doc
         assert "bounds" in doc
+
+    def test_rate_without_bounds_section(self, golden_instance, tmp_path):
+        # The rate fit needs the annotated trace even when --no-bounds
+        # drops the bounds section.
+        out = tmp_path / "out"
+        code = run_cli(
+            "analyze", "--instance", golden_instance, "--out-dir", str(out),
+            "--no-bounds", "--no-properties", "--no-sandwich",
+        )
+        assert code == 0
+        doc = read_json(out / "analysis.json")
+        assert "bounds" not in doc
+        assert doc["rate"]["c_estimate"] == pytest.approx(0.146, abs=0.02)
 
     def test_non_convergence_exit_3(self, golden_instance, tmp_path):
         out = tmp_path / "out"
@@ -283,11 +310,11 @@ class TestManifest:
     def test_records_command_and_options(self, golden_instance, tmp_path):
         out = tmp_path / "out"
         run_cli("run", "--instance", golden_instance, "--out-dir", str(out),
-                "--workers", "2")
+                "--max-iters", "77")
         doc = read_json(out / "manifest.json")
         assert doc["command"] == "run"
         assert doc["outputs"] == ["summary.json", "trace.csv"]
-        assert doc["options"]["workers"] == 2
+        assert doc["options"]["max_iters"] == 77
         assert doc["instance_sha256"] == cli._sha256_file(golden_instance)
 
 

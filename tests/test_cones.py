@@ -268,6 +268,17 @@ class TestSolvers:
         assert np.array_equal(xi, xi.T)
         assert np.allclose(x @ xi, np.eye(5), atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.eye(2)
+        x[1, 0] = x[0, 1] = bad
+        with pytest.raises(ValueError):
+            cones.cho_factor_pd(x)
+        with pytest.raises(ValueError):
+            cones.solve_pd(x, np.ones(2))
+        with pytest.raises(ValueError):
+            cones.inv_pd(x)
+
     def test_failure_carries_context_and_condition(self):
         bad = np.diag([1.0, -1.0])
         with pytest.raises(cones.NumericalError) as err:

@@ -99,7 +99,6 @@ class TestScheduleConfig:
         [
             {"max_iterations": -1},
             {"tol_frobenius": 0.0},
-            {"workers": 0},
             {"init": "ones"},
             {"init": 42},
         ],
@@ -301,16 +300,6 @@ class TestDeterminism:
         for e in r1.state.edges:
             assert np.array_equal(r1.state.messages[e].info, r2.state.messages[e].info)
             assert np.array_equal(r1.state.messages[e].mean, r2.state.messages[e].mean)
-
-    def test_workers_do_not_change_results(self):
-        net = network.generate_random(34, 6, "er")
-        r1 = engine.run(net, ScheduleConfig(max_iterations=25, tol_frobenius=1e-15))
-        r4 = engine.run(
-            net, ScheduleConfig(max_iterations=25, tol_frobenius=1e-15, workers=4)
-        )
-        for e in r1.state.edges:
-            assert np.array_equal(r1.state.messages[e].info, r4.state.messages[e].info)
-            assert np.array_equal(r1.state.messages[e].mean, r4.state.messages[e].mean)
 
 
 class TestObservationIndependence:
