@@ -15,16 +15,19 @@ variable j) slot, the info blocks of all other factors feeding j out of
 its own replica of C.  Everything downstream (bounds, monotonicity,
 contraction rate, sandwich sequences) is phrased in terms of F.
 
-This module deliberately does not reuse the engine's message loop: it
-assembles the global matrices and applies dense/sparse linear algebra, so
-agreement between the two is a real cross-check, not a tautology.
+F is evaluated block by block with one batched Cholesky per block size:
+T_nj = H_nj (Psi_j + Xi_nj C Xi_nj^T)^{-1} H_nj^T per (n, j), then
+A_ni^T (R_n + sum_{j != i} T_nj)^{-1} A_ni per edge (n, i).  This does not
+reuse the engine's message loop: the blocks come from the assembled
+matrices above, so agreement between the two is a real cross-check.
 """
 
+import collections
 import csv
 import dataclasses
+import itertools
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from . import cones
@@ -51,6 +54,9 @@ __all__ = [
 
 ORDER_TOL = 1e-9
 
+# One batch of equally shaped blocks of a layer of F (see ``_stage``).
+_Batch = collections.namedtuple("_Batch", "base operand route labels out")
+
 
 @dataclasses.dataclass(frozen=True)
 class StackedOperator:
@@ -69,6 +75,10 @@ class StackedOperator:
     for block diagonal C.  K's row blocks are exactly these selections
     shifted into their own replica, which is what makes the Kronecker form
     equal the per-edge recursion.
+
+    ``c_groups`` holds (edge positions, index arrays) of C's blocks per
+    block size; ``inner`` (one block per (n, j), from psi and h.T) and
+    ``middle`` (one per edge, from omega and a) are F's two layers.
     """
 
     edge_order: tuple
@@ -84,6 +94,9 @@ class StackedOperator:
     psi: np.ndarray
     k: scipy.sparse.csr_matrix
     xi: dict
+    c_groups: list
+    inner: list
+    middle: list
 
     def __post_init__(self):
         if self.a.shape != (self.dim_obs, self.dim_c):
@@ -107,10 +120,13 @@ class StackedOperator:
 
     def stack(self, blocks):
         """Assemble per-edge blocks into the stacked form."""
-        blocks = list(blocks)
-        if [b.shape[0] for b in blocks] != list(self.block_dims):
+        blocks = [np.asarray(b, dtype=float) for b in blocks]
+        if [b.shape for b in blocks] != [(d, d) for d in self.block_dims]:
             raise ValueError("block dims do not match the operator layout")
-        return cones.block_diag(blocks)
+        out = np.zeros((self.dim_c, self.dim_c))
+        for pos, idx in self.c_groups:
+            out[idx] = [blocks[k] for k in pos]
+        return out
 
 
 def build_stacked(net):
@@ -160,10 +176,12 @@ def build_stacked(net):
 
     row = 0
     pair_idx = 0
+    row_starts = {}
     for e in edges:
         node = net.node(e.factor)
         m = node.obs_dim
         rows = slice(row, row + m)
+        row_starts[e] = row
         a[rows, col_spans[e]] = node.coeff[e.variable]
         omega[rows, rows] = node.noise_cov
         for j in net.factor_scope(e.factor):
@@ -175,27 +193,57 @@ def build_stacked(net):
             pair_idx += 1
         row += m
 
+    # Xi_{n,j}: an identity block over the column span of every edge (f, j)
+    # with f a factor of j other than n.
     xi = {}
-    k_rows = []
-    k_cols = []
-    for t, (e, j) in enumerate(pairs):
-        key = (e.factor, j)
-        if key not in xi:
-            xi[key] = _selection_matrix(net, col_spans, dim_c, e.factor, j)
-        sel = xi[key].tocoo()
-        k_rows.append(sel.row + inner_spans[t].start)
-        k_cols.append(sel.col + t * dim_c)
+    for e, j in pairs:
+        n, d = e.factor, net.var_dim(j)
+        if (n, j) not in xi:
+            starts = np.array([col_spans[(f, j)].start for f in net.var_factors(j) if f != n], int)
+            xi[(n, j)] = scipy.sparse.csr_matrix(
+                (np.ones(starts.size * d),
+                 (np.tile(np.arange(d), starts.size), np.add.outer(starts, np.arange(d)).ravel())),
+                shape=(d, dim_c),
+            )
     if pairs:
-        rows_all = np.concatenate(k_rows)
-        cols_all = np.concatenate(k_cols)
-        data = np.ones(rows_all.shape[0])
+        k = scipy.sparse.block_diag([xi[(e.factor, j)] for e, j in pairs], format="csr")
     else:
-        rows_all = np.zeros(0, dtype=int)
-        cols_all = np.zeros(0, dtype=int)
-        data = np.zeros(0)
-    k = scipy.sparse.coo_matrix(
-        (data, (rows_all, cols_all)), shape=(dim_inner, phi * dim_c)
-    ).tocsr()
+        k = scipy.sparse.csr_matrix((0, 0))
+
+    # Layer index data, sorted so that equal block shapes are contiguous.
+    # Inner: one block per (n, j), read at its first slot and fed by the C
+    # blocks that Xi_{n,j} selects.  Middle: one block per edge (n, i), fed
+    # by the inner outputs T_nj of the factor's other variables.  Each
+    # layer's input is flat, C blocks by size then edge, T blocks by key.
+    c_groups = []
+    c_flat = {}
+    off = 0
+    for d in sorted(set(block_dims)):
+        pos = [x for x, dx in enumerate(block_dims) if dx == d]
+        c_groups.append((pos, _block_index([(col_spans[edges[x]].start, d) * 2 for x in pos])))
+        c_flat.update((edges[x], off + i * d * d) for i, x in enumerate(pos))
+        off += len(pos) * d * d
+    slot = {}
+    for (e, j), span in zip(pairs, inner_spans):
+        slot.setdefault((e.factor, j), (span.start, row_starts[e]))
+    keys = sorted(slot, key=lambda q: (net.var_dim(q[1]), net.obs_dim(q[0])))
+    t_sizes = [net.obs_dim(n) ** 2 for n, _ in keys]
+    t_flat = dict(zip(keys, np.cumsum([0] + t_sizes)))
+    inner = _stage(
+        [(slot[q][0], net.var_dim(q[1]), slot[q][1], net.obs_dim(q[0])) for q in keys],
+        [[c_flat[(f, j)] for f in net.var_factors(j) if f != n] for n, j in keys],
+        off,
+        [f"factor {n} / variable {j} inner matrix" for n, j in keys],
+    )
+    mid = sorted(edges, key=lambda e: (net.obs_dim(e.factor), net.var_dim(e.variable)))
+    middle = _stage(
+        [(row_starts[e], net.obs_dim(e.factor), col_spans[e].start, net.var_dim(e.variable))
+         for e in mid],
+        [[t_flat[(e.factor, j)] for j in net.factor_scope(e.factor) if j != e.variable]
+         for e in mid],
+        sum(t_sizes),
+        [f"edge ({e.factor}, {e.variable}) middle matrix" for e in mid],
+    )
 
     return StackedOperator(
         edge_order=tuple(edges),
@@ -211,32 +259,67 @@ def build_stacked(net):
         psi=psi,
         k=k,
         xi=xi,
+        c_groups=c_groups,
+        inner=inner,
+        middle=middle,
     )
 
 
-def _selection_matrix(net, col_spans, dim_c, n, j):
-    """Xi_{n,j}: (dim of x_j) x dim_c, with an identity block over the
-    column span of every edge (k, j) with k a factor of j other than n."""
-    from .network import DirectedEdge
+def _block_index(spans):
+    """Index arrays that read equally shaped blocks, ``spans`` listing
+    (row, p, col, q) per block, out of a matrix as one (count, p, q) array."""
+    rows, _, cols, _ = np.array(spans).T
+    _, p, _, q = spans[0]
+    return rows[:, None, None] + np.arange(p)[:, None], cols[:, None, None] + np.arange(q)
 
-    d = net.var_dim(j)
-    rows = []
-    cols = []
-    for k in net.var_factors(j):
-        if k == n:
-            continue
-        span = col_spans[DirectedEdge(k, j)]
-        rows.append(np.arange(d))
-        cols.append(np.arange(span.start, span.stop))
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = np.zeros(0, dtype=int)
-        c = np.zeros(0, dtype=int)
-    return scipy.sparse.coo_matrix(
-        (np.ones(r.shape[0]), (r, c)), shape=(d, dim_c)
-    ).tocsr()
+
+def _stage(spans, sources, width, labels):
+    """Batches of one layer of F: out_k = G_k^T B_k^{-1} G_k, with G_k the
+    operand block at spans[k] = (row, p, col, q) and B_k the p x p base
+    block at (row, row) plus the blocks of a flat input (``width`` long)
+    at the offsets ``sources[k]``.  Each run of equal (p, q) is a batch;
+    ``out`` places its outputs at (col, col), for the middle layer in C."""
+    batches = []
+    k = 0
+    for (p, q), run in itertools.groupby(spans, key=lambda s: (s[1], s[3])):
+        run = list(run)
+        src = sources[k : k + len(run)]
+        rows = [np.arange(i * p * p, (i + 1) * p * p) for i, ss in enumerate(src) for _ in ss]
+        cols = [np.arange(s, s + p * p) for ss in src for s in ss]
+        rows, cols = (np.concatenate(x + [np.zeros(0, dtype=int)]) for x in (rows, cols))
+        route = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), (len(run) * p * p, width))
+        base = _block_index([(r, p) * 2 for r, p, _, _ in run])
+        out = _block_index([(c, q) * 2 for _, _, c, q in run])
+        batches.append(_Batch(base, _block_index(run), route, labels[k : k + len(run)], out))
+        k += len(run)
+    return batches
+
+
+def _run_stage(batches, base, operand, src=None):
+    """Evaluate one layer of F on its assembled matrices, adding the flat
+    input ``src`` (if any) to the B blocks; returns one array per batch.
+    A B block that is not positive definite raises NumericalError naming
+    the first such block."""
+    out = []
+    for batch in batches:
+        b = base[batch.base]
+        if src is not None:
+            b = b + (batch.route @ src).reshape(b.shape)
+        b = (b + b.swapaxes(1, 2)) / 2.0
+        try:
+            chol = np.linalg.cholesky(b)
+        except np.linalg.LinAlgError:
+            for x, label in zip(b, batch.labels):
+                cones.cho_factor_pd(x, context=label)
+            raise
+        z = np.linalg.solve(chol, operand[batch.operand])
+        r = z.swapaxes(1, 2) @ z
+        out.append((r + r.swapaxes(1, 2)) / 2.0)
+    return out
+
+
+def _flat(arrays):
+    return np.concatenate([x.ravel() for x in arrays] + [np.zeros(0)])
 
 
 def apply_stacked_operator(op, c):
@@ -249,32 +332,20 @@ def apply_stacked_operator(op, c):
     c = np.asarray(c, dtype=float)
     if c.shape != (op.dim_c, op.dim_c):
         raise ValueError(f"C has shape {c.shape}, expected {(op.dim_c, op.dim_c)}")
-    if not _is_block_diagonal(c, op.block_dims):
+    blocks = [c[idx] for _, idx in op.c_groups]
+    if np.count_nonzero(c) != sum(np.count_nonzero(b) for b in blocks):
         raise ValueError("C must be block diagonal in the operator's edge layout")
-    if op.phi:
-        replicated = scipy.sparse.kron(
-            scipy.sparse.identity(op.phi, format="csr"),
-            scipy.sparse.csr_matrix(c),
-            format="csr",
-        )
-        gathered = (op.k @ replicated @ op.k.T).toarray()
-        inner = cones.symmetrize(op.psi + gathered)
-        inner_factor = cones.cho_factor_pd(inner, context="stacked inner matrix")
-        h_sol = scipy.linalg.cho_solve(inner_factor, op.h.T)
-        mid = cones.symmetrize(op.omega + op.h @ h_sol)
-    else:
-        mid = op.omega.copy()
-    a_sol = cones.solve_pd(mid, op.a, context="stacked middle matrix")
-    return cones.symmetrize(op.a.T @ a_sol)
+    if not all(np.all(np.isfinite(b)) for b in blocks):
+        raise ValueError("C has non-finite entries")
+    t = _run_stage(op.inner, op.psi, op.h.T, _flat(blocks))
+    return _scatter(op, _run_stage(op.middle, op.omega, op.a, _flat(t)))
 
 
-def _is_block_diagonal(c, dims, tol=0.0):
-    mask = np.ones_like(c, dtype=bool)
-    off = 0
-    for d in dims:
-        mask[off : off + d, off : off + d] = False
-        off += d
-    return bool(np.all(np.abs(c[mask]) <= tol)) if c.size else True
+def _scatter(op, out):
+    c = np.zeros((op.dim_c, op.dim_c))
+    for batch, x in zip(op.middle, out):
+        c[batch.out] = x
+    return c
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,23 +363,22 @@ class ConeBounds:
 def bounds_ul(op):
     """Compute (U, L) and verify U >= L > 0.
 
-    U = A^T Omega^{-1} A and L = F(0) = A^T (Omega + H Psi^{-1} H^T)^{-1} A.
-    A violation of either order relation means the instance data broke an
-    invariant (priors or noises not PD, A rank deficient), so it raises
-    rather than returning garbage bounds.
+    U = A^T Omega^{-1} A and L = F(0) = A^T (Omega + H Psi^{-1} H^T)^{-1} A,
+    both per edge.  A violation of either order relation means the
+    instance data broke an invariant (priors or noises not PD, A rank
+    deficient), so it raises rather than returning garbage bounds.
     """
-    u = cones.symmetrize(
-        op.a.T @ cones.solve_pd(op.omega, op.a, context="stacked noise matrix")
-    )
+    u = _scatter(op, _run_stage(op.middle, op.omega, op.a))
     l = apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
+    u_blocks = op.split(u)
+    l_blocks = op.split(l)
     tol = cones.default_tolerance(u, l)
-    if not cones.is_pd(l, tol=tol):
-        raise cones.NumericalError(
-            f"lower bound is not positive definite (min eig {cones.min_eigenvalue(l):.3e})"
-        )
-    if not cones.loewner_geq(u, l, tol=tol):
+    l_min = cones.min_eigenvalue_blocks(l_blocks)
+    if not l_min > tol:
+        raise cones.NumericalError(f"lower bound is not positive definite (min eig {l_min:.3e})")
+    if cones.min_eigenvalue_blocks([x - y for x, y in zip(u_blocks, l_blocks)]) < -tol:
         raise cones.NumericalError("upper bound does not dominate the lower bound")
-    return ConeBounds(u, l, op.split(u), op.split(l))
+    return ConeBounds(u, l, u_blocks, l_blocks)
 
 
 def find_fixed_point(op, tol=1e-13, max_iterations=20000):
@@ -383,8 +453,7 @@ def scaling_margins(op, c, alpha):
     alpha > 1 (subhomogeneity with slack, the source of contraction)."""
     fc = apply_stacked_operator(op, c)
     fac = apply_stacked_operator(op, alpha * c)
-    diff_blocks = op.split(alpha * fc - fac)
-    return min(cones.min_eigenvalue(b) for b in diff_blocks)
+    return cones.min_eigenvalue_blocks(op.split(alpha * fc - fac))
 
 
 def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
@@ -411,7 +480,7 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
         c2 = op.stack([a + b for a, b in zip(c1_blocks, inc_blocks)])
         f1 = apply_stacked_operator(op, c1)
         f2 = apply_stacked_operator(op, c2)
-        margin = min(cones.min_eigenvalue(b) for b in op.split(f2 - f1))
+        margin = cones.min_eigenvalue_blocks(op.split(f2 - f1))
         worst_mono = min(worst_mono, margin)
         mono += 1
         if margin < -order_tol:
@@ -430,13 +499,10 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
             )
 
         for f, label in ((f1, "F(C1)"), (f2, "F(C2)")):
-            lo = min(
-                cones.min_eigenvalue(b) for b in op.split(f - bounds.l)
+            margin = min(
+                cones.min_eigenvalue_blocks(op.split(f - bounds.l)),
+                cones.min_eigenvalue_blocks(op.split(bounds.u - f)),
             )
-            hi = min(
-                cones.min_eigenvalue(b) for b in op.split(bounds.u - f)
-            )
-            margin = min(lo, hi)
             worst_bnds = min(worst_bnds, margin)
             bnds += 1
             if margin < -order_tol:
@@ -509,8 +575,8 @@ def sandwich_sequences(
     for step in range(1, max_steps + 1):
         new_upper = apply_stacked_operator(op, upper)
         new_lower = apply_stacked_operator(op, lower)
-        m_up = min(cones.min_eigenvalue(b) for b in op.split(upper - new_upper))
-        m_lo = min(cones.min_eigenvalue(b) for b in op.split(new_lower - lower))
+        m_up = cones.min_eigenvalue_blocks(op.split(upper - new_upper))
+        m_lo = cones.min_eigenvalue_blocks(op.split(new_lower - lower))
         if m_up < -order_tol:
             upper_mono = False
             failures.append(f"step {step}: upper sequence increased, margin {m_up:.3e}")
@@ -518,8 +584,8 @@ def sandwich_sequences(
             lower_mono = False
             failures.append(f"step {step}: lower sequence decreased, margin {m_lo:.3e}")
         upper, lower = new_upper, new_lower
-        m_in_up = min(cones.min_eigenvalue(b) for b in op.split(upper - c_star))
-        m_in_lo = min(cones.min_eigenvalue(b) for b in op.split(c_star - lower))
+        m_in_up = cones.min_eigenvalue_blocks(op.split(upper - c_star))
+        m_in_lo = cones.min_eigenvalue_blocks(op.split(c_star - lower))
         if min(m_in_up, m_in_lo) < -order_tol:
             contains = False
             failures.append(
@@ -572,7 +638,7 @@ def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
     if [b.shape[0] for b in star] != list(trace.block_dims):
         raise ValueError("fixed point blocks do not match the trace layout")
     trace.fixed_point_blocks = star
-    star_spec = max(_spectral_norm(b) for b in star)
+    star_spec = _spectral_norm(star)
     star_fro = np.sqrt(sum(float(np.sum(b * b)) for b in star))
     for idx, rec in enumerate(trace.records):
         blocks = trace.info_blocks[idx]
@@ -583,21 +649,15 @@ def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
         except cones.NotComparableError:
             rec.part_distance = None
         if rec.iteration >= 1:
-            lo = min(
-                cones.min_eigenvalue(b - l)
-                for b, l in zip(blocks, bounds.l_blocks)
-            )
-            hi = min(
-                cones.min_eigenvalue(u - b)
-                for b, u in zip(blocks, bounds.u_blocks)
-            )
+            lo = cones.min_eigenvalue_blocks([b - l for b, l in zip(blocks, bounds.l_blocks)])
+            hi = cones.min_eigenvalue_blocks([u - b for b, u in zip(blocks, bounds.u_blocks)])
             rec.in_bounds = bool(min(lo, hi) >= -order_tol)
         if rec.part_distance is not None:
             d = rec.part_distance
             factor = 2.0 * np.exp(d) - np.exp(-d) - 1.0
-            cur_spec = max(_spectral_norm(b) for b in blocks)
+            cur_spec = _spectral_norm(blocks)
             cur_fro = np.sqrt(sum(float(np.sum(b * b)) for b in blocks))
-            diff_spec = max(_spectral_norm(b) for b in diff)
+            diff_spec = _spectral_norm(diff)
             slack_spec = factor * min(cur_spec, star_spec) - diff_spec
             slack_fro = factor * min(cur_fro, star_fro) - rec.dist_frobenius
             rec.norm_slack = float(min(slack_spec, slack_fro))
@@ -605,10 +665,9 @@ def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
     return trace
 
 
-def _spectral_norm(b):
-    if b.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(scipy.linalg.eigvalsh(b))))
+def _spectral_norm(blocks):
+    """Spectral norm of the direct sum of symmetric blocks."""
+    return float(np.max(np.abs(cones.eigvalsh_blocks(blocks)), initial=0.0))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -330,8 +330,8 @@ def _cmd_analyze(args):
     if not args.no_bounds:
         in_bounds = [r.in_bounds for r in result.trace.records if r.in_bounds is not None]
         doc["bounds"] = {
-            "l_min_eig": cones.min_eigenvalue(bounds.l),
-            "u_max_eig": float(np.max(np.abs(bounds.u))),
+            "l_min_eig": cones.min_eigenvalue_blocks(bounds.l_blocks),
+            "u_max_eig": float(np.max(cones.eigvalsh_blocks(bounds.u_blocks))),
             "trace_in_bounds_all": bool(all(in_bounds)) if in_bounds else None,
         }
         if in_bounds and not all(in_bounds):

@@ -25,6 +25,8 @@ __all__ = [
     "loewner_geq",
     "part_metric",
     "part_metric_blocks",
+    "eigvalsh_blocks",
+    "min_eigenvalue_blocks",
     "block_diag",
     "split_blocks",
     "cho_factor_pd",
@@ -121,41 +123,81 @@ def part_metric(x, y, tol=None):
     definite eigensolve gives the exact value, no search needed.
 
     Raises NotComparableError when either argument is not positive
-    definite, since such points do not share a part of the cone.
+    definite (smallest eigenvalue at most ``tol``, by default
+    ``default_tolerance(x, y)``), since such points do not share a part of
+    the cone.
     """
-    x = symmetrize(x)
-    y = symmetrize(y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    if tol is None:
-        tol = default_tolerance(x, y)
-    if not is_pd(x, tol=tol):
-        raise NotComparableError(
-            f"first argument is not positive definite (min eig {min_eigenvalue(x):.3e})"
-        )
-    if not is_pd(y, tol=tol):
-        raise NotComparableError(
-            f"second argument is not positive definite (min eig {min_eigenvalue(y):.3e})"
-        )
-    w = scipy.linalg.eigh(y, x, eigvals_only=True)
-    alpha = max(float(w[-1]), 1.0 / float(w[0]))
-    # Guard against roundoff producing log of a value slightly below 1.
-    return max(float(np.log(alpha)), 0.0)
+    return part_metric_blocks([x], [y], tol=tol)
 
 
 def part_metric_blocks(xs, ys, tol=None):
     """Part metric between two block diagonal matrices given as block lists.
 
     The metric decomposes over a direct sum: the scaling factor must work
-    for every block at once, so the distance is the max over blocks.
+    for every block at once, so the distance is the max over blocks.  The
+    default tolerance is per block pair, and each block size takes one
+    batched eigensolve.
     """
     xs = list(xs)
     ys = list(ys)
     if len(xs) != len(ys):
         raise ValueError(f"block count mismatch {len(xs)} vs {len(ys)}")
-    if not xs:
-        return 0.0
-    return max(part_metric(x, y, tol=tol) for x, y in zip(xs, ys))
+    # Starting at 0 also guards against roundoff putting alpha just below 1.
+    dist = 0.0
+    for pos, (x, y) in _batches(xs, ys):
+        if x.shape[1] == 0:
+            continue
+        largest = np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(y).max(axis=(1, 2)))
+        t = REL_TOL * (1.0 + largest) if tol is None else tol
+        for z, which in ((x, "first"), (y, "second")):
+            low = np.linalg.eigvalsh(z)[:, 0]
+            bad = np.flatnonzero(~(low > t))
+            if bad.size:
+                raise NotComparableError(
+                    f"{which} argument of block {pos[bad[0]]} is not positive "
+                    f"definite (min eig {low[bad[0]]:.3e})"
+                )
+        # The pencil (Y, X) has the eigenvalues of L^{-1} Y L^{-T}, X = L L^T.
+        chol = np.linalg.cholesky(x)
+        w = np.linalg.eigvalsh(
+            np.linalg.solve(chol, np.linalg.solve(chol, y).swapaxes(1, 2))
+        )
+        alpha = max(float(w[:, -1].max()), float((1.0 / w[:, 0]).max()))
+        dist = max(dist, float(np.log(alpha)))
+    return dist
+
+
+def eigvalsh_blocks(blocks):
+    """Eigenvalues of all symmetric blocks of a list, concatenated in no
+    particular order: one batched eigensolve per block size."""
+    out = [np.linalg.eigvalsh(x).ravel() for _, (x,) in _batches(blocks)]
+    return np.concatenate(out) if out else np.zeros(0)
+
+
+def min_eigenvalue_blocks(blocks):
+    """Smallest eigenvalue over a list of symmetric blocks (inf if none):
+    the smallest eigenvalue of their direct sum."""
+    w = eigvalsh_blocks(blocks)
+    return float(w.min()) if w.size else np.inf
+
+
+def _batches(*block_lists):
+    """Group parallel block lists by block size: yields the positions of
+    each size's blocks and, per list, those blocks symmetrized and stacked
+    into a (count, d, d) array."""
+    groups = {}
+    for k, b in enumerate(block_lists[0]):
+        groups.setdefault(np.shape(b), []).append(k)
+    for shape, pos in groups.items():
+        stacks = []
+        for blocks in block_lists:
+            s = np.stack([np.asarray(blocks[k], dtype=float) for k in pos])
+            if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1:] != shape:
+                raise ValueError(f"expected square blocks of shape {shape}, got {s.shape[1:]}")
+            if not np.all(np.isfinite(s)):
+                raise ValueError("matrix has non-finite entries")
+            stacks.append((s + s.swapaxes(1, 2)) / 2.0)
+        yield pos, stacks
 
 
 def block_diag(blocks):

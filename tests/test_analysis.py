@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from gabp import analysis, cones, engine, network
 from gabp.engine import ScheduleConfig
@@ -20,6 +22,34 @@ def golden_run():
     res = engine.run(net, ScheduleConfig(max_iterations=300, tol_frobenius=1e-14))
     assert res.converged
     return res
+
+
+def dense_f(op, c):
+    """Reference F(C): the Kronecker form with dense global solves."""
+    mid = op.omega
+    if op.phi:
+        replicated = scipy.sparse.kron(
+            scipy.sparse.identity(op.phi, format="csr"),
+            scipy.sparse.csr_matrix(c),
+            format="csr",
+        )
+        inner = op.psi + (op.k @ replicated @ op.k.T).toarray()
+        mid = op.omega + op.h @ scipy.linalg.solve(inner, op.h.T, assume_a="pos")
+    return op.a.T @ scipy.linalg.solve(mid, op.a, assume_a="pos")
+
+
+def dense_u(op):
+    """Reference U = A^T Omega^{-1} A with one dense global solve."""
+    return op.a.T @ scipy.linalg.solve(op.omega, op.a, assume_a="pos")
+
+
+def oracle_instances():
+    return [
+        network.generate_random(64, 7, "er", dim_range=(1, 3)),
+        network.generate_random(65, 9, "grid", dim_range=(1, 3), grid_shape=(3, 3)),
+        network.generate_random(66, 6, "star", dim_range=(1, 3)),
+        network.generate_random(67, 5, "er", dim_range=(3, 3)),
+    ]
 
 
 def engine_one_sweep(net, blocks):
@@ -155,6 +185,42 @@ class TestApplyOperator:
         with pytest.raises(ValueError, match="block diagonal"):
             analysis.apply_stacked_operator(golden_op, c)
 
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        for net in oracle_instances():
+            op = analysis.build_stacked(net)
+            for _ in range(3):
+                blocks = analysis.random_state_blocks(rng, op.block_dims)
+                # one zero block and one rank-one block of size >= 2
+                blocks[0] = np.zeros_like(blocks[0])
+                k = next(k for k, d in enumerate(op.block_dims) if d >= 2 and k > 0)
+                g = rng.standard_normal(op.block_dims[k])
+                blocks[k] = np.outer(g, g)
+                c = op.stack(blocks)
+                want = dense_f(op, c)
+                got = analysis.apply_stacked_operator(op, c)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_names_failing_inner_block(self):
+        net = network.generate_random(68, 6, "er", dim_range=(1, 2))
+        op = analysis.build_stacked(net)
+        # the key of the last pair; Psi is read at the key's first slot
+        e, j = op.pair_order[-1]
+        t = next(t for t, (f, i) in enumerate(op.pair_order) if (f.factor, i) == (e.factor, j))
+        start = sum(net.var_dim(i) for _, i in op.pair_order[:t])
+        span = slice(start, start + net.var_dim(j))
+        op.psi[span, span] = -np.eye(net.var_dim(j))
+        with pytest.raises(
+            cones.NumericalError, match=rf"factor {e.factor} / variable {j} inner matrix"
+        ):
+            analysis.apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
+
+    def test_rejects_non_finite_input(self, golden_op):
+        c = np.eye(4)
+        c[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            analysis.apply_stacked_operator(golden_op, c)
+
     def test_stack_split_round_trip(self, golden_op):
         blocks = [np.array([[float(k)]]) for k in range(1, 5)]
         back = golden_op.split(golden_op.stack(blocks))
@@ -181,6 +247,32 @@ class TestBounds:
             b = analysis.bounds_ul(analysis.build_stacked(net))
             assert cones.loewner_geq(b.u, b.l)
             assert cones.is_pd(b.l)
+
+    def test_matches_dense_oracle(self):
+        for net in oracle_instances():
+            op = analysis.build_stacked(net)
+            b = analysis.bounds_ul(op)
+            want_u = dense_u(op)
+            want_l = dense_f(op, np.zeros((op.dim_c, op.dim_c)))
+            assert np.max(np.abs(b.u - want_u)) <= 1e-12 * np.max(np.abs(want_u))
+            assert np.max(np.abs(b.l - want_l)) <= 1e-12 * np.max(np.abs(want_l))
+            for got, want in zip(b.u_blocks, op.split(want_u)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want_u))
+
+    def test_names_edge_with_indefinite_noise(self):
+        net = network.generate_random(74, 6, "er", dim_range=(1, 2))
+        op = analysis.build_stacked(net)
+        k = 3
+        e = op.edge_order[k]
+        row = sum(net.obs_dim(f.factor) for f in op.edge_order[:k])
+        m = net.obs_dim(e.factor)
+        bad = np.eye(m)
+        bad[-1, -1] = -1.0
+        op.omega[row : row + m, row : row + m] = bad
+        with pytest.raises(
+            cones.NumericalError, match=rf"edge \({e.factor}, {e.variable}\) middle matrix"
+        ):
+            analysis.bounds_ul(op)
 
     def test_fixed_point_inside(self, golden_op, golden_run):
         b = analysis.bounds_ul(golden_op)

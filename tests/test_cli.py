@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gabp import cli, network
+from gabp import analysis, cli, network
 
 GOLDEN_C = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -246,6 +246,27 @@ class TestAnalyze:
         doc = read_json(out / "analysis.json")
         assert "bounds" not in doc
         assert doc["rate"]["c_estimate"] == pytest.approx(0.146, abs=0.02)
+
+    def test_bound_eigenvalues_on_larger_blocks(self, tmp_path):
+        # With 2x2 and 3x3 blocks the largest entry of U is not its largest
+        # eigenvalue; the report must give the eigenvalues.
+        net = network.generate_random(21, 5, "er", dim_range=(2, 3))
+        inst = tmp_path / "inst.json"
+        network.save(net, inst)
+        out = tmp_path / "out"
+        code = run_cli(
+            "analyze", "--instance", str(inst), "--out-dir", str(out),
+            "--no-properties", "--no-sandwich",
+        )
+        assert code == 0
+        bounds = read_json(out / "analysis.json")["bounds"]
+        op = analysis.build_stacked(net)
+        u = op.a.T @ np.linalg.solve(op.omega, op.a)
+        l = analysis.apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
+        u_max = np.linalg.eigvalsh(u)[-1]
+        assert bounds["u_max_eig"] == pytest.approx(u_max, rel=1e-12)
+        assert bounds["l_min_eig"] == pytest.approx(np.linalg.eigvalsh(l)[0], rel=1e-12)
+        assert abs(u_max - np.max(np.abs(u))) > 1e-3 * u_max
 
     def test_non_convergence_exit_3(self, golden_instance, tmp_path):
         out = tmp_path / "out"

@@ -53,6 +53,21 @@ def part_metric_bisection(x, y):
     return np.log(hi)
 
 
+def part_metric_pencil(x, y):
+    """Per-block reference: one scipy symmetric definite pencil solve."""
+    w = scipy.linalg.eigh(y, x, eigvals_only=True)
+    return max(float(np.log(max(w[-1], 1.0 / w[0]))), 0.0)
+
+
+def comparable_per_block(xs, ys):
+    """Per-block reference of the part metric's domain: both blocks of
+    every pair have smallest eigenvalue above default_tolerance(x, y)."""
+    return all(
+        min(cones.min_eigenvalue(x), cones.min_eigenvalue(y)) > cones.default_tolerance(x, y)
+        for x, y in zip(xs, ys)
+    )
+
+
 class TestSymmetrize:
     def test_returns_symmetric_part(self):
         a = np.array([[1.0, 2.0], [0.0, 3.0]])
@@ -231,6 +246,72 @@ class TestPartMetricBlocks:
     def test_block_count_mismatch(self):
         with pytest.raises(ValueError):
             cones.part_metric_blocks([np.eye(2)], [np.eye(2), np.eye(1)])
+
+    def test_batched_matches_per_block_on_many_blocks(self):
+        # Many blocks per size, so every size group is a real batch.
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            dims = rng.integers(1, 5, size=40)
+            xs = [random_spd(rng, d) for d in dims]
+            ys = [random_spd(rng, d) * np.exp(rng.uniform(-3, 3)) for d in dims]
+            want = max(part_metric_pencil(x, y) for x, y in zip(xs, ys))
+            assert cones.part_metric_blocks(xs, ys) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([1.0, -0.5])],
+        ids=["zero", "singular", "indefinite"],
+    )
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_not_comparable_cases_match_per_block(self, bad, side):
+        rng = np.random.default_rng(32)
+        xs = [random_spd(rng, d) for d in (2, 1, 2, 3)]
+        ys = [random_spd(rng, d) for d in (2, 1, 2, 3)]
+        (xs, ys)[side][2] = bad
+        assert not comparable_per_block(xs, ys)
+        with pytest.raises(cones.NotComparableError):
+            cones.part_metric(xs[2], ys[2])
+        with pytest.raises(cones.NotComparableError):
+            cones.part_metric_blocks(xs, ys)
+
+    def test_tolerance_edge_matches_per_block(self):
+        # A block whose smallest eigenvalue sits just above or just below
+        # the default tolerance (2e-10 here) is judged as the per-block
+        # test judges it.
+        for low, ok in ((3e-10, True), (1e-10, False)):
+            xs = [np.eye(2), np.diag([1.0, low])]
+            ys = [np.eye(2), np.eye(2)]
+            assert comparable_per_block(xs, ys) is ok
+            if ok:
+                want = part_metric_pencil(xs[1], ys[1])
+                assert cones.part_metric_blocks(xs, ys) == pytest.approx(want, rel=1e-12)
+            else:
+                with pytest.raises(cones.NotComparableError):
+                    cones.part_metric_blocks(xs, ys)
+
+
+class TestMinEigenvalueBlocks:
+    def test_matches_per_block(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            dims = rng.integers(1, 5, size=30)
+            blocks = [random_spd(rng, d) - rng.uniform(0, 3) * np.eye(d) for d in dims]
+            want = min(cones.min_eigenvalue(b) for b in blocks)
+            assert cones.min_eigenvalue_blocks(blocks) == pytest.approx(want, abs=1e-12)
+            every = np.sort(cones.eigvalsh_blocks(blocks))
+            per_block = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+            assert np.allclose(every, per_block, rtol=0, atol=1e-12)
+
+    def test_symmetrizes_like_min_eigenvalue(self):
+        x = np.array([[1.0, 2.0], [0.0, 1.0]])
+        assert cones.min_eigenvalue_blocks([x]) == pytest.approx(
+            cones.min_eigenvalue(x), abs=1e-15
+        )
+
+    def test_empty_and_non_finite(self):
+        assert cones.min_eigenvalue_blocks([]) == np.inf
+        with pytest.raises(ValueError):
+            cones.min_eigenvalue_blocks([np.eye(2), np.full((2, 2), np.nan)])
 
 
 class TestBlockHelpers:
