@@ -13,6 +13,7 @@ positive semidefinite), ``X > 0`` means positive definite.
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 __all__ = [
     "NotComparableError",
@@ -63,12 +64,7 @@ class NumericalError(RuntimeError):
 
 def symmetrize(a):
     """Return the symmetric part ``(a + a.T) / 2`` of a square matrix."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return (a + a.T) / 2.0
+    return _sym(_checked_square(a))
 
 
 def default_tolerance(*mats):
@@ -233,15 +229,10 @@ def cho_factor_pd(x, context="matrix"):
     ``x`` must be symmetric: only its lower triangle is read.
     ``context`` should say what the matrix is ("factor 3 innovation
     covariance", ...) so failures deep inside an iteration are
-    attributable.
+    attributable.  Returns ``(c, True)``: c holds the lower factor in its
+    lower triangle, as ``scipy.linalg.cho_factor(x, lower=True)`` does.
     """
-    try:
-        return scipy.linalg.cho_factor(x, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        cond = _condition_estimate(x)
-        raise NumericalError(
-            f"{context} is not positive definite: {exc}", condition=cond
-        ) from exc
+    return _cho_factor(_checked_square(x), context), True
 
 
 def solve_pd(x, b, context="matrix"):
@@ -249,8 +240,15 @@ def solve_pd(x, b, context="matrix"):
 
     ``x`` must be symmetric: only its lower triangle is read.
     """
-    factor = cho_factor_pd(x, context=context)
-    return scipy.linalg.cho_solve(factor, np.asarray(b, dtype=float))
+    c, _ = cho_factor_pd(x, context=context)
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side has non-finite entries")
+    if b.ndim not in (1, 2) or b.shape[0] != c.shape[0]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
+    if b.size == 0:
+        return np.empty_like(b)
+    return _cho_solve(c, b)
 
 
 def inv_pd(x, context="matrix"):
@@ -259,8 +257,59 @@ def inv_pd(x, context="matrix"):
     ``x`` must be symmetric: only its lower triangle is read.
     """
     x = np.asarray(x, dtype=float)
-    out = solve_pd(x, np.eye(x.shape[0]), context=context)
-    return symmetrize(out)
+    return symmetrize(solve_pd(x, np.eye(x.shape[0]), context=context))
+
+
+def _checked_square(x):
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("matrix has non-finite entries")
+    return x
+
+
+# The unchecked core behind cho_factor_pd, solve_pd and inv_pd: LAPACK
+# potrf/potrs on float64 arrays, the same calls scipy's cho_factor and
+# cho_solve make, without their finiteness scans.  The engine's sweep calls
+# it directly; its inputs are validated where they enter (NodeSpec, the
+# JSON loader, check_init_state) and checked for finiteness once per sweep.
+
+_POTRF = scipy.linalg.lapack.dpotrf
+_POTRS = scipy.linalg.lapack.dpotrs
+
+
+def _cho_factor(x, context):
+    """Lower Cholesky factor of a square float64 matrix (lower triangle
+    read); NumericalError naming ``context`` if it is not PD."""
+    c, info = _POTRF(x, lower=1, clean=0)
+    if info > 0:
+        raise NumericalError(
+            f"{context} is not positive definite: {info}-th leading minor of "
+            "the array is not positive definite",
+            condition=_condition_estimate(x),
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
+    return c
+
+
+def _cho_solve(c, b):
+    """Solve with a factor from ``_cho_factor``; ``b`` is 1-d or 2-d."""
+    z, info = _POTRS(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    return z
+
+
+def _sym(a):
+    s = a + a.T
+    s *= 0.5  # the same bits as / 2.0, without a second temporary
+    return s
+
+
+def _inv_pd(x, context):
+    return _sym(_cho_solve(_cho_factor(x, context), np.eye(x.shape[0])))
 
 
 def _condition_estimate(x):

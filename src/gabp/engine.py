@@ -14,15 +14,25 @@ corresponding mean estimate.  One iteration is the two-stage composition
       info_{f_n -> i} = A[n][i]^T S^{-1} A[n][i]
       mean solves info @ mean = A[n][i]^T S^{-1} (y_n - sum A[n][j] mean_{j -> f_n})
 
+Stage 1 also projects its message into the target factor's observation
+space, ``A[n][j] Cov_{j -> f_n} A[n][j]^T`` and ``A[n][j] mean_{j -> f_n}``,
+once per (variable, factor) pair; stage 2 reads those projections and only
+adds them, so the products are not repeated for every other edge of the
+factor.
+
 All factors update from the same previous state (Jacobi schedule), sums
 run in ascending node id order, and nothing here depends on wall clock,
 so a run is a pure function of (instance, config).
+
+The sweep factors and solves with the unchecked LAPACK core of ``cones``:
+inputs are validated where they enter (``NodeSpec``, the JSON loader,
+:func:`check_init_state`), and :func:`combined_update` checks once per
+stage that the innovation covariances and the new messages are finite.
 """
 
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from . import cones
 from .network import DirectedEdge
@@ -58,13 +68,18 @@ class EdgeMessage:
 @dataclasses.dataclass(frozen=True)
 class VarToFactorMessage:
     """Variable-to-factor message; covariance is kept alongside the
-    information matrix because stage 2 consumes the covariance form."""
+    information matrix because stage 2 consumes the covariance form.
+    ``proj_cov`` and ``proj_mean`` are ``A cov A^T`` and ``A mean`` with
+    ``A = A[factor][variable]``: the message in the factor's observation
+    space, as stage 2 adds it up."""
 
     variable: int
     factor: int
     info: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
+    proj_cov: np.ndarray
+    proj_mean: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,7 +220,7 @@ def check_init_state(net, state):
     """Validate an explicit initial state against the network.
 
     Every directed edge must be present with a correctly shaped symmetric
-    positive semidefinite info block.  Returns a normalized copy at
+    positive semidefinite info block and a finite mean.  Returns a normalized copy at
     iteration 0.
     """
     required = set(net.directed_edges)
@@ -232,6 +247,8 @@ def check_init_state(net, state):
             )
         if not np.all(np.isfinite(info)):
             raise ValueError(f"init info for edge {tuple(edge)} has non-finite entries")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError(f"init mean for edge {tuple(edge)} has non-finite entries")
         if not np.allclose(info, info.T, atol=1e-12 * (1.0 + np.abs(info).max())):
             raise ValueError(f"init info for edge {tuple(edge)} is not symmetric")
         if not cones.is_psd(info):
@@ -258,14 +275,35 @@ def var_to_factor(net, state, variable, factor):
     for k in net.var_factors(variable):
         if k == factor:
             continue
-        msg = state.messages[DirectedEdge(k, variable)]
+        msg = state.messages[(k, variable)]
         info += msg.info
         rhs += msg.info @ msg.mean
     # A sum of exactly symmetric blocks is exactly symmetric.
-    cov = cones.inv_pd(
-        info, context=f"variable {variable} -> factor {factor} information"
-    )
-    return VarToFactorMessage(variable, factor, info, cov @ rhs, cov)
+    cov = cones._inv_pd(info, f"variable {variable} -> factor {factor} information")
+    mean = cov @ rhs
+    a = net.node(factor).coeff[variable]
+    return VarToFactorMessage(variable, factor, info, mean, cov, a @ cov @ a.T, a @ mean)
+
+
+def _innovation(net, incoming, factor, variable):
+    """S = R_n + sum_{j != i} A_nj Cov_j A_nj^T and the residual
+    y_n - sum_{j != i} A_nj mean_j for edge (factor, variable), summed in
+    ascending j from the stage-1 projections."""
+    node = net.node(factor)
+    s = node.noise_cov.copy()
+    resid = node.obs.copy()
+    for j in net.factor_scope(factor):
+        if j == variable:
+            continue
+        if j not in incoming:
+            raise ValueError(
+                f"missing stage-1 message {j} -> {factor} while updating "
+                f"edge ({factor},{variable})"
+            )
+        msg = incoming[j]
+        s += msg.proj_cov
+        resid -= msg.proj_mean
+    return cones._sym(s), resid
 
 
 def factor_to_var(net, incoming, factor, variable):
@@ -277,57 +315,72 @@ def factor_to_var(net, incoming, factor, variable):
     R_n is, so a factorization failure here is an invariant breach rather
     than a user error.
     """
-    scope = net.factor_scope(factor)
-    if variable not in scope:
+    if variable not in net.factor_scope(factor):
         raise ValueError(f"variable {variable} is not in factor {factor}'s scope")
-    node = net.node(factor)
-    s = node.noise_cov.copy()
-    resid = node.obs.copy()
-    for j in scope:
-        if j == variable:
-            continue
-        if j not in incoming:
-            raise ValueError(
-                f"missing stage-1 message {j} -> {factor} while updating "
-                f"edge ({factor},{variable})"
-            )
-        a = node.coeff[j]
-        msg = incoming[j]
-        s += a @ msg.cov @ a.T
-        resid -= a @ msg.mean
-    s = cones.symmetrize(s)
-    s_factor = cones.cho_factor_pd(
-        s, context=f"factor {factor} innovation covariance (invariant breach)"
+    s, resid = _innovation(net, incoming, factor, variable)
+    s_factor = cones._cho_factor(
+        s, f"factor {factor} innovation covariance (invariant breach)"
     )
-    a_i = node.coeff[variable]
-    s_inv_a = scipy.linalg.cho_solve(s_factor, a_i)
-    info = cones.symmetrize(a_i.T @ s_inv_a)
-    h = a_i.T @ scipy.linalg.cho_solve(s_factor, resid)
-    mean = cones.solve_pd(
+    a_i = net.node(factor).coeff[variable]
+    info = cones._sym(a_i.T @ cones._cho_solve(s_factor, a_i))
+    h = a_i.T @ cones._cho_solve(s_factor, resid)
+    info_factor = cones._cho_factor(
         info,
-        h,
-        context=(
-            f"factor {factor} -> variable {variable} message information "
-            "(A block nearly rank deficient?)"
-        ),
+        f"factor {factor} -> variable {variable} message information "
+        "(A block nearly rank deficient?)",
     )
+    mean = cones._cho_solve(info_factor, h)
     return EdgeMessage(DirectedEdge(factor, variable), info, mean)
 
 
 def combined_update(net, state):
     """One full synchronous sweep: all stage-1 then all stage-2 updates.
 
-    Every update reads only the previous state (Jacobi schedule).
+    Every update reads only the previous state (Jacobi schedule).  After
+    each stage one check covers all its outputs: NumericalError names the
+    first edge whose innovation covariance, or whose new message, is not
+    finite (an overflow, say), before it can turn into a misleading
+    factorization failure or a NaN delta.
     """
     incoming = {
         n: {j: var_to_factor(net, state, j, n) for j in net.factor_scope(n)}
         for n in net.ids
     }
+    _check_innovations(net, incoming)
     outputs = [
         factor_to_var(net, incoming[e.factor], e.factor, e.variable)
         for e in net.directed_edges
     ]
+    _check_messages(outputs)
     return MessageState(state.iteration + 1, {m.edge: m for m in outputs})
+
+
+def _check_innovations(net, incoming):
+    # The projections are positive semidefinite, so the diagonal of every
+    # edge's S is at most that of the factor's full sum R_n + sum_j P_nj,
+    # and a PSD matrix's entries are bounded by its diagonal: if the full
+    # sums are finite, so is every S.
+    for n, msgs in incoming.items():
+        total = net.node(n).noise_cov + sum(m.proj_cov for m in msgs.values())
+        if np.all(np.isfinite(total)):
+            continue
+        for i in net.factor_scope(n):
+            if not np.all(np.isfinite(_innovation(net, msgs, n, i)[0])):
+                raise cones.NumericalError(
+                    f"factor {n} innovation covariance for edge ({n}, {i}) "
+                    "has non-finite entries"
+                )
+
+
+def _check_messages(messages):
+    flat = [m.info.ravel() for m in messages] + [m.mean for m in messages]
+    if np.all(np.isfinite(np.concatenate(flat))):
+        return
+    for m in messages:
+        if not (np.all(np.isfinite(m.info)) and np.all(np.isfinite(m.mean))):
+            raise cones.NumericalError(
+                f"message on edge {tuple(m.edge)} has non-finite entries"
+            )
 
 
 def compute_belief(net, state, variable):
@@ -343,15 +396,11 @@ def compute_belief(net, state, variable):
 
 
 def _state_deltas(new, old):
-    """Max over edges of the Frobenius change, for infos and for means."""
-    df = 0.0
-    dm = 0.0
-    for edge in new.edges:
-        df = max(df, float(np.linalg.norm(
-            new.messages[edge].info - old.messages[edge].info, "fro")))
-        dm = max(dm, float(np.linalg.norm(
-            new.messages[edge].mean - old.messages[edge].mean)))
-    return df, dm
+    """Max over edges of the Frobenius change, for infos and for means
+    (NaN if any change is NaN)."""
+    df = [np.linalg.norm(new.messages[e].info - old.messages[e].info, "fro") for e in new.edges]
+    dm = [np.linalg.norm(new.messages[e].mean - old.messages[e].mean) for e in new.edges]
+    return float(np.max(df, initial=0.0)), float(np.max(dm, initial=0.0))
 
 
 def run(net, config=None):

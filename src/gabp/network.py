@@ -196,13 +196,14 @@ class GaussianNetwork:
         self._nodes = {n.id: n for n in nodes}
         self._edges = tuple(sorted(seen))
         self._neighbors = {i: tuple(sorted(neighbors[i])) for i in ids}
+        self._scopes = {n.id: n.scope() for n in nodes}
         self._var_factors = {i: [] for i in ids}
         for n in nodes:
-            for j in n.scope():
+            for j in self._scopes[n.id]:
                 self._var_factors[j].append(n.id)
         self._var_factors = {i: tuple(v) for i, v in self._var_factors.items()}
         self._directed = tuple(
-            DirectedEdge(n.id, j) for n in nodes for j in n.scope()
+            DirectedEdge(n.id, j) for n in nodes for j in self._scopes[n.id]
         )
         self._prior_info_cache = {}
 
@@ -231,7 +232,7 @@ class GaussianNetwork:
 
     def factor_scope(self, n):
         """Variables in factor n's observation: B(f_n)."""
-        return self._nodes[n].scope()
+        return self._scopes[n]
 
     def var_factors(self, j):
         """Factors whose observation involves variable j: B(x_j)."""

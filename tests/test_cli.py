@@ -167,12 +167,14 @@ class TestInitOption:
         assert read_json(warm / "summary.json")["iterations"] <= 2
 
     @staticmethod
-    def run_with_tampered_info(golden_instance, tmp_path, info):
-        """Warm start from a run summary whose first info block is replaced."""
+    def run_with_tampered_message(golden_instance, tmp_path, **fields):
+        """Warm start from a run summary whose first message has the given
+        fields (info, mean) replaced."""
+        tmp_path.mkdir(parents=True, exist_ok=True)
         first = tmp_path / "first"
         run_cli("run", "--instance", golden_instance, "--out-dir", str(first))
         doc = read_json(first / "summary.json")
-        doc["messages"][0]["info"] = info
+        doc["messages"][0].update(fields)
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
         return run_cli(
@@ -181,13 +183,16 @@ class TestInitOption:
         )
 
     def test_file_init_rejects_non_psd(self, golden_instance, tmp_path, capsys):
-        assert self.run_with_tampered_info(golden_instance, tmp_path, [[-1.0]]) == 1
+        assert self.run_with_tampered_message(golden_instance, tmp_path, info=[[-1.0]]) == 1
         assert "positive semidefinite" in capsys.readouterr().err
 
     def test_file_init_rejects_nan(self, golden_instance, tmp_path, capsys):
-        code = self.run_with_tampered_info(golden_instance, tmp_path, [[float("nan")]])
-        assert code == 1
-        assert "non-finite" in capsys.readouterr().err
+        nan = float("nan")
+        for field, value in (("info", [[nan]]), ("mean", [nan])):
+            code = self.run_with_tampered_message(golden_instance, tmp_path / field,
+                                                  **{field: value})
+            assert code == 1
+            assert f"init {field} for edge (1, 1) has non-finite" in capsys.readouterr().err
 
     def test_workers_flag_is_a_usage_error(self, golden_instance, tmp_path):
         assert run_cli(

@@ -360,6 +360,32 @@ class TestSolvers:
         with pytest.raises(ValueError):
             cones.inv_pd(x)
 
+    def test_bitwise_equal_to_scipy(self):
+        # Same LAPACK calls as scipy's checked wrappers, so the same bits.
+        rng = np.random.default_rng(47)
+        for n in range(1, 16):
+            x = random_spd(rng, n, lo=1e-3, hi=1e3)
+            b = rng.standard_normal((n, 3))
+            ref = scipy.linalg.cho_factor(x, lower=True)
+            c, lower = cones.cho_factor_pd(x)
+            assert lower and np.array_equal(np.tril(c), np.tril(ref[0]))
+            assert np.array_equal(cones.solve_pd(x, b), scipy.linalg.cho_solve(ref, b))
+            assert np.array_equal(
+                cones.solve_pd(x, b[:, 0]), scipy.linalg.cho_solve(ref, b[:, 0])
+            )
+            inv = scipy.linalg.cho_solve(ref, np.eye(n))
+            assert np.array_equal(cones.inv_pd(x), (inv + inv.T) / 2.0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        x = np.ones(shape)
+        with pytest.raises(ValueError):
+            cones.cho_factor_pd(x)
+        with pytest.raises(ValueError):
+            cones.solve_pd(x, np.ones(2))
+        with pytest.raises(ValueError):
+            cones.inv_pd(x)
+
     def test_failure_carries_context_and_condition(self):
         bad = np.diag([1.0, -1.0])
         with pytest.raises(cones.NumericalError) as err:

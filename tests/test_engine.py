@@ -135,6 +135,16 @@ class TestSingleSweep:
         assert msg.info[0, 0] == pytest.approx(1.5, abs=1e-14)
         assert msg.cov[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
+    def test_var_to_factor_projections(self):
+        net = network.generate_random(5, 6, "er", er_prob=0.6)
+        state = engine.combined_update(net, engine.initial_state(net))
+        for n in net.ids:
+            for j in net.factor_scope(n):
+                msg = engine.var_to_factor(net, state, j, n)
+                a = net.node(n).coeff[j]
+                assert np.array_equal(msg.proj_cov, a @ msg.cov @ a.T)
+                assert np.array_equal(msg.proj_mean, a @ msg.mean)
+
     def test_var_to_factor_rejects_non_adjacent(self):
         net = network.two_node_chain()
         with pytest.raises(ValueError, match="does not feed"):
@@ -253,6 +263,36 @@ class TestRunBehavior:
         )
         with pytest.raises(NumericalError, match="prior"):
             engine.run(bad, ScheduleConfig(max_iterations=2))
+
+
+class TestNonFinite:
+    def test_overflowing_innovation_covariance_is_located(self):
+        net = network.generate_random(2, 9, "grid", grid_shape=(3, 3), coeff_scale=1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"factor 1 innovation covariance "
+                               r"for edge \(1, 1\) has non-finite entries"):
+                engine.run(net, ScheduleConfig(max_iterations=5))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    def test_overflowing_message_is_located(self, rho):
+        # S = R is finite, but A^T R^{-1} A overflows: to inf, or, with
+        # terms of both signs, to NaN.
+        noise = np.array([[1.0, rho], [rho, 1.0]])
+        node = network.NodeSpec(1, 1, np.eye(1), noise, [0.5, 0.5], {1: [[1e308], [5e307]]})
+        big = network.GaussianNetwork([node], [])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError,
+                               match=r"message on edge \(1, 1\) has non-finite entries"):
+                engine.run(big, ScheduleConfig(max_iterations=5))
+
+    def test_nan_delta_is_not_read_as_zero(self):
+        net = network.two_node_symmetric()
+        old = engine.initial_state(net)
+        new = engine.initial_state(net)
+        new.messages[DirectedEdge(2, 2)].info[0, 0] = np.nan
+        new.messages[DirectedEdge(1, 2)].mean[0] = np.nan
+        df, dm = engine._state_deltas(new, old)
+        assert np.isnan(df) and np.isnan(dm)
 
 
 class TestInitIndependence:
