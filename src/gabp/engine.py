@@ -22,7 +22,8 @@ factor.
 
 All factors update from the same previous state (Jacobi schedule), sums
 run in ascending node id order, and nothing here depends on wall clock,
-so a run is a pure function of (instance, config).
+so a run is a pure function of (instance, config).  Once the infos have
+converged, the means follow one fixed affine map (:func:`mean_map`).
 
 The sweep factors and solves with the unchecked LAPACK core of ``cones``:
 inputs are validated where they enter (``NodeSpec``, the JSON loader,
@@ -33,6 +34,7 @@ stage that the innovation covariances and the new messages are finite.
 import dataclasses
 
 import numpy as np
+import scipy.sparse
 
 from . import cones
 from .network import DirectedEdge
@@ -51,6 +53,7 @@ __all__ = [
     "var_to_factor",
     "factor_to_var",
     "combined_update",
+    "mean_map",
     "compute_belief",
     "run",
 ]
@@ -129,8 +132,8 @@ class ScheduleConfig:
     blocks.  ``tol_frobenius`` applies to the max-over-edges Frobenius
     delta; convergence is declared on the information trajectory alone
     (that is what the theory covers, and the info recursion is
-    autonomous), but the run keeps sweeping until means are below the
-    same threshold so that converged beliefs are usable estimates.
+    autonomous), but the run iterates the means, infos held, until they
+    are below the same threshold so that beliefs are usable estimates.
     """
 
     max_iterations: int = 500
@@ -270,6 +273,10 @@ def var_to_factor(net, state, variable, factor):
     """
     if factor not in net.var_factors(variable):
         raise ValueError(f"variable {variable} does not feed factor {factor}")
+    return _var_to_factor(net, state, variable, factor)
+
+
+def _var_to_factor(net, state, variable, factor):
     info = net.prior_info(variable).copy()
     rhs = np.zeros(net.var_dim(variable))
     for k in net.var_factors(variable):
@@ -306,6 +313,23 @@ def _innovation(net, incoming, factor, variable):
     return cones._sym(s), resid
 
 
+def _gain(net, incoming, factor, variable):
+    """Info, gain ``K = info^{-1} A_i^T S^{-1}`` and residual of an edge."""
+    s, resid = _innovation(net, incoming, factor, variable)
+    s_factor = cones._cho_factor(
+        s, f"factor {factor} innovation covariance (invariant breach)"
+    )
+    a_i = net.node(factor).coeff[variable]
+    s_inv_a = cones._cho_solve(s_factor, a_i)
+    info = cones._sym(a_i.T @ s_inv_a)
+    info_factor = cones._cho_factor(
+        info,
+        f"factor {factor} -> variable {variable} message information "
+        "(A block nearly rank deficient?)",
+    )
+    return info, cones._cho_solve(info_factor, s_inv_a.T), resid
+
+
 def factor_to_var(net, incoming, factor, variable):
     """Stage 2 message from ``factor`` to ``variable``.
 
@@ -317,20 +341,8 @@ def factor_to_var(net, incoming, factor, variable):
     """
     if variable not in net.factor_scope(factor):
         raise ValueError(f"variable {variable} is not in factor {factor}'s scope")
-    s, resid = _innovation(net, incoming, factor, variable)
-    s_factor = cones._cho_factor(
-        s, f"factor {factor} innovation covariance (invariant breach)"
-    )
-    a_i = net.node(factor).coeff[variable]
-    info = cones._sym(a_i.T @ cones._cho_solve(s_factor, a_i))
-    h = a_i.T @ cones._cho_solve(s_factor, resid)
-    info_factor = cones._cho_factor(
-        info,
-        f"factor {factor} -> variable {variable} message information "
-        "(A block nearly rank deficient?)",
-    )
-    mean = cones._cho_solve(info_factor, h)
-    return EdgeMessage(DirectedEdge(factor, variable), info, mean)
+    info, gain, resid = _gain(net, incoming, factor, variable)
+    return EdgeMessage(DirectedEdge(factor, variable), info, gain @ resid)
 
 
 def combined_update(net, state):
@@ -383,6 +395,45 @@ def _check_messages(messages):
             )
 
 
+def mean_map(net, state):
+    """A sweep's mean update at ``state``'s infos, ``m -> G @ m + g`` on the
+    means stacked in edge order: CSR G, the product of the stages
+    ``mean_{j->n} = Cov_{j->n} sum_{k != n} C_kj m_kj`` and ``m_ni = K_ni
+    (y_n - sum_{j != i} A_nj mean_{j->n})``, built by the sweep's code."""
+    var_at = np.cumsum([0] + state.block_dims())
+    obs_at = np.cumsum([0] + [net.obs_dim(n) for n, _ in state.edges])
+    at, obs = dict(zip(state.edges, var_at)), dict(zip(state.edges, obs_at))
+    incoming = {n: {j: _var_to_factor(net, state, j, n) for j in net.factor_scope(n)}
+                for n in net.ids}
+    _check_innovations(net, incoming)
+    stage1, stage2, offset = [], [], [np.zeros(0)]
+    for n, i in state.edges:
+        a_cov = net.node(n).coeff[i] @ incoming[n][i].cov
+        stage1 += [(obs[(n, i)], at[(k, i)], a_cov @ state.messages[(k, i)].info)
+                   for k in net.var_factors(i) if k != n]
+        gain = _gain(net, incoming[n], n, i)[1]
+        offset.append(gain @ net.node(n).obs)
+        stage2 += [(at[(n, i)], obs[(n, j)], -gain) for j in net.factor_scope(n) if j != i]
+    shape = (var_at[-1], obs_at[-1])
+    matrix = _block_matrix(stage2, shape) @ _block_matrix(stage1, shape[::-1])
+    return matrix, np.concatenate(offset)
+
+
+def _block_matrix(blocks, shape):
+    """CSR matrix of dense (row, col, block) triples, placed with one
+    index computation per block shape."""
+    groups = {}
+    for r, c, b in blocks:
+        groups.setdefault(b.shape, []).append((r, c, b))
+    parts = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
+    for block_shape, group in groups.items():
+        r, c, b = (np.array(x) for x in zip(*group))
+        i, j = np.indices(block_shape)
+        parts.append((b.ravel(), (r[:, None, None] + i).ravel(), (c[:, None, None] + j).ravel()))
+    vals, rows, cols = (np.concatenate(x) for x in zip(*parts))
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
 def compute_belief(net, state, variable):
     """Posterior belief for one variable from the current messages."""
     info = net.prior_info(variable).copy()
@@ -398,9 +449,20 @@ def compute_belief(net, state, variable):
 def _state_deltas(new, old):
     """Max over edges of the Frobenius change, for infos and for means
     (NaN if any change is NaN)."""
-    df = [np.linalg.norm(new.messages[e].info - old.messages[e].info, "fro") for e in new.edges]
-    dm = [np.linalg.norm(new.messages[e].mean - old.messages[e].mean) for e in new.edges]
-    return float(np.max(df, initial=0.0)), float(np.max(dm, initial=0.0))
+    dims = np.array(new.block_dims())
+    df = np.concatenate(new.info_blocks(), axis=None) - np.concatenate(old.info_blocks(), axis=None)
+    return _max_block_norm(df, dims * dims), _max_block_norm(_means(new) - _means(old), dims)
+
+
+def _means(state):
+    return np.concatenate([state.messages[e].mean for e in state.edges])
+
+
+def _max_block_norm(flat, sizes):
+    """Largest norm of the consecutive blocks of ``flat`` with the given
+    sizes (0.0 for no blocks, NaN if any block is NaN)."""
+    sums = np.add.reduceat(flat * flat, np.cumsum(sizes) - sizes)
+    return float(np.sqrt(np.max(sums, initial=0.0)))
 
 
 def run(net, config=None):
@@ -409,13 +471,13 @@ def run(net, config=None):
     Iteration stops once both the info delta and the mean delta (max
     over edges) fall below ``tol_frobenius``.  ``converged`` reports the
     information-matrix criterion alone, which is the one with a
-    convergence guarantee; means typically contract more slowly (their
-    per-sweep factor is about the square root of the info rate), so the
-    run keeps sweeping after the infos settle until the means catch up
-    or the budget runs out.  ``mean_converged`` says whether they did.
-    The trace keeps a snapshot of every iteration's info blocks so the
-    analysis module can recompute cone diagnostics without rerunning the
-    engine.
+    convergence guarantee.  The info recursion does not read the means,
+    so once the info delta passes, the infos are held and each further
+    iteration applies :func:`mean_map`, one sparse product, until the
+    means pass too (``mean_converged``) or the budget runs out.  These
+    rows record ``frobenius_delta == 0.0`` and the held info blocks, whose
+    distance to the final state is 0 (part distance: up to rounding).  The
+    trace keeps references to each iteration's info blocks (never modified).
     """
     if config is None:
         config = ScheduleConfig()
@@ -423,23 +485,31 @@ def run(net, config=None):
         state = check_init_state(net, config.init)
     else:
         state = initial_state(net, config.init, config.init_scale)
-    edge_order = tuple(state.edges)
-    block_dims = tuple(state.block_dims())
+    tol, budget = config.tol_frobenius, config.max_iterations
     records = [TraceRecord(0, np.nan, np.nan)]
-    snapshots = [[b.copy() for b in state.info_blocks()]]
-    converged = False
-    mean_converged = False
-    for _ in range(config.max_iterations):
+    snapshots = [state.info_blocks()]
+    converged = mean_converged = False
+    while state.iteration < budget and not converged:
         new = combined_update(net, state)
         df, dm = _state_deltas(new, state)
         records.append(TraceRecord(new.iteration, df, dm))
-        snapshots.append([b.copy() for b in new.info_blocks()])
+        snapshots.append(new.info_blocks())
         state = new
-        if df <= config.tol_frobenius:
-            converged = True
-            if dm <= config.tol_frobenius:
-                mean_converged = True
-                break
+        converged, mean_converged = df <= tol, df <= tol and dm <= tol
+    if converged and not mean_converged and state.iteration < budget:
+        matrix, offset = mean_map(net, state)
+        dims, means, iteration = state.block_dims(), _means(state), state.iteration
+        # A non-finite mean ends the loop, and _check_messages names its edge.
+        while iteration < budget and not mean_converged and np.all(np.isfinite(means)):
+            new = matrix @ means + offset
+            dm = _max_block_norm(new - means, dims)
+            iteration, means, mean_converged = iteration + 1, new, dm <= tol
+            records.append(TraceRecord(iteration, 0.0, dm))
+            snapshots.append(snapshots[-1])  # the held info blocks
+        split = np.split(means, np.cumsum(dims)[:-1])
+        messages = [EdgeMessage(e, b, m) for e, b, m in zip(state.edges, snapshots[-1], split)]
+        _check_messages(messages)
+        state = MessageState(iteration, {m.edge: m for m in messages})
     beliefs = {i: compute_belief(net, state, i) for i in net.ids}
-    trace = ConvergenceTrace(edge_order, block_dims, records, snapshots)
+    trace = ConvergenceTrace(tuple(state.edges), tuple(state.block_dims()), records, snapshots)
     return RunResult(state, beliefs, trace, converged, mean_converged, state.iteration)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from gabp import analysis, engine, network
+from gabp import analysis, engine, network, oracle
 from gabp.cones import NumericalError
 from gabp.engine import MessageState, ScheduleConfig
 from gabp.network import DirectedEdge
@@ -379,3 +380,132 @@ class TestPositivity:
         res = engine.run(net, ScheduleConfig(max_iterations=500, tol_frobenius=1e-12))
         for b in res.beliefs.values():
             assert np.linalg.eigvalsh(b.cov)[0] > 0
+
+
+def reference_run(net, cfg):
+    """The run loop without the frozen-gain tail: full ``combined_update``
+    sweeps until both deltas pass, deep-copying every snapshot."""
+    state = engine.initial_state(net, cfg.init, cfg.init_scale)
+    snapshots = [[b.copy() for b in state.info_blocks()]]
+    converged = mean_converged = False
+    for _ in range(cfg.max_iterations):
+        new = engine.combined_update(net, state)
+        df = max(np.linalg.norm(new.messages[e].info - state.messages[e].info) for e in new.edges)
+        dm = max(np.linalg.norm(new.messages[e].mean - state.messages[e].mean) for e in new.edges)
+        snapshots.append([b.copy() for b in new.info_blocks()])
+        state = new
+        converged = converged or df <= cfg.tol_frobenius
+        if converged and dm <= cfg.tol_frobenius:
+            mean_converged = True
+            break
+    beliefs = {i: engine.compute_belief(net, state, i) for i in net.ids}
+    return state, beliefs, snapshots, converged, mean_converged
+
+
+def close(got, want, rtol):
+    """Every entry of the blocks ``got`` within ``rtol`` times the largest
+    entry of ``want``."""
+    scale = max(np.max(np.abs(w)) for w in want)
+    return all(np.max(np.abs(g - w)) <= rtol * scale for g, w in zip(got, want))
+
+
+EQUIVALENCE_CASES = [
+    (topology, dims, init)
+    for topology in ("ring", "star", "tree", "er", "grid")
+    for dims in ((1, 1), (1, 4), (2, 3), (4, 4))
+    for init in ("zero", "identity")
+]
+
+
+class TestFrozenGainTail:
+    @pytest.mark.parametrize("topology,dims,init", EQUIVALENCE_CASES)
+    def test_matches_full_sweeps(self, topology, dims, init):
+        net = network.generate_random(50 + dims[1], 9, topology, dim_range=dims, er_prob=0.4)
+        cfg = ScheduleConfig(max_iterations=500, tol_frobenius=1e-10, init=init)
+        res = engine.run(net, cfg)
+        state, beliefs, _, converged, mean_converged = reference_run(net, cfg)
+        assert res.iterations == state.iteration
+        assert (res.converged, res.mean_converged) == (converged, mean_converged) == (True, True)
+        for field in ("mean", "cov"):
+            assert close([getattr(res.beliefs[i], field) for i in net.ids],
+                         [getattr(beliefs[i], field) for i in net.ids], 1e-12)
+        for e in state.edges:
+            assert close([res.state.messages[e].info], [state.messages[e].info], 1e-11)
+
+    def test_trace_matches_deep_copied_trajectory(self):
+        net = network.generate_random(60, 10, "er", dim_range=(1, 3))
+        cfg = ScheduleConfig(max_iterations=500, tol_frobenius=1e-10)
+        res = engine.run(net, cfg)
+        _, _, snapshots, _, _ = reference_run(net, cfg)
+        frozen = next(r.iteration for r in res.trace.records[1:]
+                      if r.frobenius_delta <= cfg.tol_frobenius)
+        assert frozen < res.iterations
+        assert len(res.trace.info_blocks) == len(snapshots)
+        for k, (got, want) in enumerate(zip(res.trace.info_blocks, snapshots)):
+            held = snapshots[min(k, frozen)]
+            assert all(np.array_equal(g, h) for g, h in zip(got, held))
+            assert close(got, want, 1e-11)
+        bounds = analysis.bounds_ul(analysis.build_stacked(net))
+        analysis.annotate_trace(res.trace, bounds, res.state.info_blocks())
+        for rec in res.trace.records[frozen:]:
+            assert rec.dist_frobenius == 0.0 and rec.part_distance <= 1e-14
+            if rec.iteration > frozen:
+                assert rec.frobenius_delta == 0.0
+                assert res.trace.info_blocks[rec.iteration] is res.trace.info_blocks[-1]
+
+    def test_state_deltas_match_per_edge_norms(self):
+        net = network.generate_random(62, 8, "er", dim_range=(1, 4))
+        old = engine.initial_state(net, "identity")
+        new = engine.combined_update(net, old)
+        want = [
+            max(np.linalg.norm(new.messages[e].info - old.messages[e].info) for e in new.edges),
+            max(np.linalg.norm(new.messages[e].mean - old.messages[e].mean) for e in new.edges),
+        ]
+        assert engine._state_deltas(new, old) == pytest.approx(want, rel=1e-14)
+
+    def test_mean_map_is_one_sweep_of_the_means(self):
+        net = network.generate_random(61, 7, "grid", dim_range=(1, 3))
+        state = engine.initial_state(net, "identity")
+        for _ in range(3):
+            state = engine.combined_update(net, state)
+        matrix, offset = engine.mean_map(net, state)
+        means = np.concatenate([state.messages[e].mean for e in state.edges])
+        swept = engine.combined_update(net, state)
+        want = [swept.messages[e].mean for e in state.edges]
+        got = np.split(matrix @ means + offset, np.cumsum(state.block_dims())[:-1])
+        assert close(got, want, 1e-13)
+
+    def test_overflowing_tail_mean_is_located(self, monkeypatch):
+        # Two scalar nodes observing x_n - x_other: the message means grow
+        # 1.2e308, 1.6e308, ... towards a limit beyond the largest float.
+        # The infos pass tol 0.2 at sweep 2, so sweep 3 is a tail step.
+        nodes = [
+            network.NodeSpec(i, 1, np.eye(1), np.eye(1), [1.2e308], {i: [[1.0]], 3 - i: [[-1.0]]})
+            for i in (1, 2)
+        ]
+        net = network.GaussianNetwork(nodes, [(1, 2)])
+        sweeps = []
+        full_sweep = engine.combined_update
+        monkeypatch.setattr(engine, "combined_update",
+                            lambda *a: sweeps.append(1) or full_sweep(*a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError,
+                               match=r"message on edge \(1, 1\) has non-finite entries"):
+                engine.run(net, ScheduleConfig(max_iterations=10, tol_frobenius=0.2))
+        assert len(sweeps) == 2
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=strategies.integers(0, 10_000),
+        topology=strategies.sampled_from(["ring", "star", "tree", "er", "grid", "complete"]),
+        num_nodes=strategies.integers(2, 8),
+        max_dim=strategies.integers(1, 3),
+    )
+    def test_means_match_oracle(self, seed, topology, num_nodes, max_dim):
+        if topology == "grid":
+            num_nodes = 2 * (num_nodes // 2)
+        net = network.generate_random(seed, num_nodes, topology, dim_range=(1, max_dim))
+        res = engine.run(net, ScheduleConfig(max_iterations=2000, tol_frobenius=1e-12))
+        assert res.converged and res.mean_converged
+        truth = oracle.marginals(net)
+        assert close([res.beliefs[i].mean for i in net.ids], [truth[i][0] for i in net.ids], 1e-8)
