@@ -12,7 +12,7 @@ This script shows all three facts numerically on one random instance.
 
 import numpy as np
 
-from gabp import analysis, network
+from gabp import analysis, cones, network
 
 net = network.generate_random(seed=3, num_nodes=5, topology="er", er_prob=0.6)
 op = analysis.build_stacked(net)
@@ -20,8 +20,8 @@ print(f"stacked operator: C is {op.dim_c}x{op.dim_c} block diagonal, "
       f"{op.phi} interference replicas, inner dimension {op.dim_inner}")
 
 bounds = analysis.bounds_ul(op)
-print(f"bounds: lambda_min(L) = {np.linalg.eigvalsh(bounds.l)[0]:.4f}, "
-      f"lambda_max(U) = {np.linalg.eigvalsh(bounds.u)[-1]:.4f}")
+print(f"bounds: lambda_min(L) = {cones.min_eigenvalue_blocks(bounds.l_blocks):.4f}, "
+      f"lambda_max(U) = {np.max(cones.eigvalsh_blocks(bounds.u_blocks)):.4f}")
 
 # monotonicity and scaling, spot checked on random PSD inputs
 rng = np.random.default_rng(0)

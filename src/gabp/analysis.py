@@ -7,19 +7,25 @@ single self-map of the positive semidefinite cone:
 
     F(C) = A^T (Omega + H [Psi + K (I_phi kron C) K^T]^{-1} H^T)^{-1} A
 
-built from four constant block matrices: A stacks the target coefficient
-blocks, Omega the noise covariances, H the interfering coefficient
-blocks, Psi the prior information of the interfering variables, and the
-sparse selection matrix K routes, for each (factor n, interfering
-variable j) slot, the info blocks of all other factors feeding j out of
-its own replica of C.  Everything downstream (bounds, monotonicity,
-contraction rate, sandwich sequences) is phrased in terms of F.
+defined by four constant block diagonal matrices: A stacks the target
+coefficient blocks, Omega the noise covariances, H the interfering
+coefficient blocks, Psi the prior information of the interfering
+variables, and the sparse selection matrix K routes, for each (factor n,
+interfering variable j) slot, the info blocks of all other factors
+feeding j out of its own replica of C.  Everything downstream (bounds,
+monotonicity, contraction rate, sandwich sequences) is phrased in terms
+of F.
 
-F is evaluated block by block with one batched Cholesky per block size:
+F maps block diagonal C to block diagonal F(C), so it is evaluated block
+by block with one batched Cholesky per block size:
 T_nj = H_nj (Psi_j + Xi_nj C Xi_nj^T)^{-1} H_nj^T per (n, j), then
-A_ni^T (R_n + sum_{j != i} T_nj)^{-1} A_ni per edge (n, i).  This does not
-reuse the engine's message loop: the blocks come from the assembled
-matrices above, so agreement between the two is a real cross-check.
+A_ni^T (R_n + sum_{j != i} T_nj)^{-1} A_ni per edge (n, i), where Xi_nj
+C Xi_nj^T sums C's blocks of the other factors feeding j.  Only those
+blocks are stored; the global matrices are never assembled.  C and F(C)
+travel as block lists in edge order, or as the dense stacked matrix for
+callers that pass one.  This does not reuse the engine's message loop:
+the routing comes from this module's own scopes, so agreement between
+the two is a real cross-check.
 """
 
 import collections
@@ -55,30 +61,27 @@ __all__ = [
 ORDER_TOL = 1e-9
 
 # One batch of equally shaped blocks of a layer of F (see ``_stage``).
-_Batch = collections.namedtuple("_Batch", "base operand route labels out")
+_Batch = collections.namedtuple("_Batch", "base operand shape route labels out")
 
 
 @dataclasses.dataclass(frozen=True)
 class StackedOperator:
-    """Constant matrices of the stacked update, plus index bookkeeping.
+    """The blocks of the stacked update, plus index bookkeeping.
 
-    Shapes (checked at construction):
-      a     (dim_obs, dim_c)       block diagonal, A[n][i] per edge
-      omega (dim_obs, dim_obs)     block diagonal, R_n per edge
-      h     (dim_obs, dim_inner)   block diagonal, [A[n][j]]_j per edge
-      psi   (dim_inner, dim_inner) block diagonal, W_j^{-1} per (edge, j)
-      k     (dim_inner, phi*dim_c) sparse selection, one C replica per
-                                   (edge, j) slot
-
-    ``xi`` maps (factor n, variable j) to the selection matrix with
-    xi @ C @ xi.T = sum over factors k != n feeding j of C's (k, j) block,
-    for block diagonal C.  K's row blocks are exactly these selections
-    shifted into their own replica, which is what makes the Kronecker form
-    equal the per-edge recursion.
+    A, Omega, H, Psi and K (module docstring) define F; the operator
+    stores only the blocks F reads, each field flat (1-D) in the order its
+    layer reads them:
+      a      A_ni per edge (n, i)                        middle operand
+      omega  R_n per edge                                middle base
+      h      H_nj^T per (factor n, variable j) key       inner operand
+      psi    W_j^{-1} per (n, j) key                     inner base
+    ``dim_obs`` and ``dim_inner`` are the sizes of the global Omega and
+    Psi; ``phi`` counts K's replicas of C, one per entry of ``pair_order``.
 
     ``c_groups`` holds (edge positions, index arrays) of C's blocks per
-    block size; ``inner`` (one block per (n, j), from psi and h.T) and
-    ``middle`` (one per edge, from omega and a) are F's two layers.
+    block size in the dense form; ``inner`` (one block per (n, j)) and
+    ``middle`` (one per edge) are F's two layers, as batches that slice
+    the stores above.
     """
 
     edge_order: tuple
@@ -92,23 +95,11 @@ class StackedOperator:
     omega: np.ndarray
     h: np.ndarray
     psi: np.ndarray
-    k: scipy.sparse.csr_matrix
-    xi: dict
     c_groups: list
     inner: list
     middle: list
 
     def __post_init__(self):
-        if self.a.shape != (self.dim_obs, self.dim_c):
-            raise ValueError(f"A has shape {self.a.shape}, expected {(self.dim_obs, self.dim_c)}")
-        if self.omega.shape != (self.dim_obs, self.dim_obs):
-            raise ValueError(f"Omega has shape {self.omega.shape}")
-        if self.h.shape != (self.dim_obs, self.dim_inner):
-            raise ValueError(f"H has shape {self.h.shape}")
-        if self.psi.shape != (self.dim_inner, self.dim_inner):
-            raise ValueError(f"Psi has shape {self.psi.shape}")
-        if self.k.shape != (self.dim_inner, self.phi * self.dim_c):
-            raise ValueError(f"K has shape {self.k.shape}")
         if self.phi != len(self.pair_order):
             raise ValueError(
                 f"phi {self.phi} does not match the pair count {len(self.pair_order)}"
@@ -130,27 +121,16 @@ class StackedOperator:
 
 
 def build_stacked(net):
-    """Assemble the stacked operator for a network.
+    """Collect the blocks of the stacked operator for a network.
 
     phi equals sum over factors of |B(f_n)| * (|B(f_n)| - 1): one replica
     of C for each ordered (target variable, interfering variable) pair of
     each factor.  The count is computed both from that formula and from
-    the assembled pair list, and they must agree.
+    the pair list, and they must agree.
     """
     edges = net.directed_edges
     block_dims = tuple(net.var_dim(e.variable) for e in edges)
-    col_spans = {}
-    off = 0
-    for e, d in zip(edges, block_dims):
-        col_spans[e] = slice(off, off + d)
-        off += d
-    dim_c = off
-
-    pairs = []
-    for e in edges:
-        for j in net.factor_scope(e.factor):
-            if j != e.variable:
-                pairs.append((e, j))
+    pairs = [(e, j) for e in edges for j in net.factor_scope(e.factor) if j != e.variable]
     phi_formula = sum(
         len(net.factor_scope(n)) * (len(net.factor_scope(n)) - 1) for n in net.ids
     )
@@ -158,107 +138,57 @@ def build_stacked(net):
         raise RuntimeError(
             f"pair count {len(pairs)} disagrees with the replica formula {phi_formula}"
         )
-    phi = len(pairs)
 
-    dim_obs = sum(net.obs_dim(e.factor) for e in edges)
-    inner_spans = []
-    off = 0
-    for e, j in pairs:
-        d = net.var_dim(j)
-        inner_spans.append(slice(off, off + d))
-        off += d
-    dim_inner = off
-
-    a = np.zeros((dim_obs, dim_c))
-    omega = np.zeros((dim_obs, dim_obs))
-    h = np.zeros((dim_obs, dim_inner))
-    psi = np.zeros((dim_inner, dim_inner))
-
-    row = 0
-    pair_idx = 0
-    row_starts = {}
-    for e in edges:
-        node = net.node(e.factor)
-        m = node.obs_dim
-        rows = slice(row, row + m)
-        row_starts[e] = row
-        a[rows, col_spans[e]] = node.coeff[e.variable]
-        omega[rows, rows] = node.noise_cov
-        for j in net.factor_scope(e.factor):
-            if j == e.variable:
-                continue
-            span = inner_spans[pair_idx]
-            h[rows, span] = node.coeff[j]
-            psi[span, span] = net.prior_info(j)
-            pair_idx += 1
-        row += m
-
-    # Xi_{n,j}: an identity block over the column span of every edge (f, j)
-    # with f a factor of j other than n.
-    xi = {}
-    for e, j in pairs:
-        n, d = e.factor, net.var_dim(j)
-        if (n, j) not in xi:
-            starts = np.array([col_spans[(f, j)].start for f in net.var_factors(j) if f != n], int)
-            xi[(n, j)] = scipy.sparse.csr_matrix(
-                (np.ones(starts.size * d),
-                 (np.tile(np.arange(d), starts.size), np.add.outer(starts, np.arange(d)).ravel())),
-                shape=(d, dim_c),
-            )
-    if pairs:
-        k = scipy.sparse.block_diag([xi[(e.factor, j)] for e, j in pairs], format="csr")
-    else:
-        k = scipy.sparse.csr_matrix((0, 0))
-
-    # Layer index data, sorted so that equal block shapes are contiguous.
-    # Inner: one block per (n, j), read at its first slot and fed by the C
-    # blocks that Xi_{n,j} selects.  Middle: one block per edge (n, i), fed
-    # by the inner outputs T_nj of the factor's other variables.  Each
-    # layer's input is flat, C blocks by size then edge, T blocks by key.
+    # C's blocks: index arrays into the dense form per block size, and
+    # offsets into the flat form (blocks in edge order).
+    starts = np.cumsum((0,) + block_dims)
     c_groups = []
-    c_flat = {}
-    off = 0
     for d in sorted(set(block_dims)):
         pos = [x for x, dx in enumerate(block_dims) if dx == d]
-        c_groups.append((pos, _block_index([(col_spans[edges[x]].start, d) * 2 for x in pos])))
-        c_flat.update((edges[x], off + i * d * d) for i, x in enumerate(pos))
-        off += len(pos) * d * d
-    slot = {}
-    for (e, j), span in zip(pairs, inner_spans):
-        slot.setdefault((e.factor, j), (span.start, row_starts[e]))
-    keys = sorted(slot, key=lambda q: (net.var_dim(q[1]), net.obs_dim(q[0])))
-    t_sizes = [net.obs_dim(n) ** 2 for n, _ in keys]
-    t_flat = dict(zip(keys, np.cumsum([0] + t_sizes)))
-    inner = _stage(
-        [(slot[q][0], net.var_dim(q[1]), slot[q][1], net.obs_dim(q[0])) for q in keys],
-        [[c_flat[(f, j)] for f in net.var_factors(j) if f != n] for n, j in keys],
-        off,
-        [f"factor {n} / variable {j} inner matrix" for n, j in keys],
+        c_groups.append((pos, _block_index([(starts[x], d) * 2 for x in pos])))
+    c_flat = np.cumsum((0,) + tuple(d * d for d in block_dims))
+    c_at = dict(zip(edges, c_flat))
+
+    # Inner: one block per (n, j), fed by the C blocks that Xi_{n,j}
+    # selects (the other factors of j).  Middle: one block per edge (n, i),
+    # fed by the inner outputs T_nj of the factor's other variables.  Each
+    # layer is sorted so that equal block shapes are adjacent.
+    keys = sorted(
+        dict.fromkeys((e.factor, j) for e, j in pairs),
+        key=lambda q: (net.var_dim(q[1]), net.obs_dim(q[0])),
     )
-    mid = sorted(edges, key=lambda e: (net.obs_dim(e.factor), net.var_dim(e.variable)))
-    middle = _stage(
-        [(row_starts[e], net.obs_dim(e.factor), col_spans[e].start, net.var_dim(e.variable))
-         for e in mid],
-        [[t_flat[(e.factor, j)] for j in net.factor_scope(e.factor) if j != e.variable]
-         for e in mid],
-        sum(t_sizes),
-        [f"edge ({e.factor}, {e.variable}) middle matrix" for e in mid],
+    inner, psi, h = _stage(
+        [(net.prior_info(j), net.node(n).coeff[j].T) for n, j in keys],
+        [[c_at[(f, j)] for f in net.var_factors(j) if f != n] for n, j in keys],
+        c_flat[-1],
+        [f"factor {n} / variable {j} inner matrix" for n, j in keys],
+        range(len(keys)),
+    )
+    t_flat = np.cumsum([0] + [net.obs_dim(n) ** 2 for n, _ in keys])
+    t_at = dict(zip(keys, t_flat))
+    mid = sorted(range(len(edges)), key=lambda x: (net.obs_dim(edges[x].factor), block_dims[x]))
+    mid_edges = [edges[x] for x in mid]
+    middle, omega, a = _stage(
+        [(net.node(e.factor).noise_cov, net.node(e.factor).coeff[e.variable]) for e in mid_edges],
+        [[t_at[(e.factor, j)] for j in net.factor_scope(e.factor) if j != e.variable]
+         for e in mid_edges],
+        t_flat[-1],
+        [f"edge ({e.factor}, {e.variable}) middle matrix" for e in mid_edges],
+        mid,
     )
 
     return StackedOperator(
         edge_order=tuple(edges),
         block_dims=block_dims,
         pair_order=tuple(pairs),
-        phi=phi,
-        dim_c=dim_c,
-        dim_obs=dim_obs,
-        dim_inner=dim_inner,
+        phi=len(pairs),
+        dim_c=int(starts[-1]),
+        dim_obs=sum(net.obs_dim(e.factor) for e in edges),
+        dim_inner=sum(net.var_dim(j) for _, j in pairs),
         a=a,
         omega=omega,
         h=h,
         psi=psi,
-        k=k,
-        xi=xi,
         c_groups=c_groups,
         inner=inner,
         middle=middle,
@@ -273,36 +203,39 @@ def _block_index(spans):
     return rows[:, None, None] + np.arange(p)[:, None], cols[:, None, None] + np.arange(q)
 
 
-def _stage(spans, sources, width, labels):
-    """Batches of one layer of F: out_k = G_k^T B_k^{-1} G_k, with G_k the
-    operand block at spans[k] = (row, p, col, q) and B_k the p x p base
-    block at (row, row) plus the blocks of a flat input (``width`` long)
-    at the offsets ``sources[k]``.  Each run of equal (p, q) is a batch;
-    ``out`` places its outputs at (col, col), for the middle layer in C."""
+def _stage(blocks, sources, width, labels, out):
+    """One layer of F: out_k = G_k^T (B_k + S_k)^{-1} G_k for the (B_k, G_k)
+    pairs in ``blocks``, p x p and p x q, where S_k sums the blocks of a
+    flat input (``width`` long) at the offsets ``sources[k]``.  Equal
+    (p, q) must be adjacent; each run is one batch, and ``out`` gives the
+    position of each output.  Returns the batches and the flat base and
+    operand stores, which the batches read by slice."""
     batches = []
-    k = 0
-    for (p, q), run in itertools.groupby(spans, key=lambda s: (s[1], s[3])):
-        run = list(run)
-        src = sources[k : k + len(run)]
+    k = b0 = g0 = 0
+    for (p, q), run in itertools.groupby(g.shape for _, g in blocks):
+        n = len(list(run))
+        src = sources[k : k + n]
         rows = [np.arange(i * p * p, (i + 1) * p * p) for i, ss in enumerate(src) for _ in ss]
         cols = [np.arange(s, s + p * p) for ss in src for s in ss]
         rows, cols = (np.concatenate(x + [np.zeros(0, dtype=int)]) for x in (rows, cols))
-        route = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), (len(run) * p * p, width))
-        base = _block_index([(r, p) * 2 for r, p, _, _ in run])
-        out = _block_index([(c, q) * 2 for _, _, c, q in run])
-        batches.append(_Batch(base, _block_index(run), route, labels[k : k + len(run)], out))
-        k += len(run)
-    return batches
+        route = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), (n * p * p, width))
+        batches.append(_Batch(
+            slice(b0, b0 + n * p * p), slice(g0, g0 + n * p * q), (n, p, q), route,
+            labels[k : k + n], out[k : k + n],
+        ))
+        k, b0, g0 = k + n, b0 + n * p * p, g0 + n * p * q
+    return batches, _flat([b for b, _ in blocks]), _flat([g for _, g in blocks])
 
 
 def _run_stage(batches, base, operand, src=None):
-    """Evaluate one layer of F on its assembled matrices, adding the flat
-    input ``src`` (if any) to the B blocks; returns one array per batch.
-    A B block that is not positive definite raises NumericalError naming
-    the first such block."""
+    """Evaluate one layer of F on its stores, adding the flat input
+    ``src`` (if any) to the B blocks; returns one array per batch.  A B
+    block that is not positive definite raises NumericalError naming the
+    first such block."""
     out = []
     for batch in batches:
-        b = base[batch.base]
+        n, p, q = batch.shape
+        b = base[batch.base].reshape(n, p, p)
         if src is not None:
             b = b + (batch.route @ src).reshape(b.shape)
         b = (b + b.swapaxes(1, 2)) / 2.0
@@ -312,50 +245,70 @@ def _run_stage(batches, base, operand, src=None):
             for x, label in zip(b, batch.labels):
                 cones.cho_factor_pd(x, context=label)
             raise
-        z = np.linalg.solve(chol, operand[batch.operand])
+        z = np.linalg.solve(chol, operand[batch.operand].reshape(n, p, q))
         r = z.swapaxes(1, 2) @ z
         out.append((r + r.swapaxes(1, 2)) / 2.0)
     return out
+
+
+def _middle(op, t=None):
+    """The middle layer of F as blocks in edge order; without the inner
+    outputs ``t`` (no interference) this is U."""
+    blocks = [None] * len(op.edge_order)
+    for batch, x in zip(op.middle, _run_stage(op.middle, op.omega, op.a, t)):
+        for k, b in zip(batch.out, x):
+            blocks[k] = b
+    return blocks
 
 
 def _flat(arrays):
     return np.concatenate([x.ravel() for x in arrays] + [np.zeros(0)])
 
 
+def _as_blocks(op, c):
+    """C's blocks in edge order, their flat concatenation, and whether C
+    came as the dense stacked matrix.
+
+    A dense C must have the operator's shape and be block diagonal in its
+    edge layout: off block-diagonal entries would silently change the
+    meaning of the selection sums, so they are rejected.  A block list
+    must match ``block_dims``.  Either must be finite.
+    """
+    dense = isinstance(c, np.ndarray)
+    if dense:
+        if c.shape != (op.dim_c, op.dim_c):
+            raise ValueError(f"C has shape {c.shape}, expected {(op.dim_c, op.dim_c)}")
+        blocks = op.split(c)
+        if np.count_nonzero(c) != sum(np.count_nonzero(b) for b in blocks):
+            raise ValueError("C must be block diagonal in the operator's edge layout")
+    else:
+        blocks = [np.asarray(b, dtype=float) for b in c]
+        if [b.shape for b in blocks] != [(d, d) for d in op.block_dims]:
+            raise ValueError("C's blocks do not match the operator layout")
+    flat = _flat(blocks)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("C has non-finite entries")
+    return blocks, flat, dense
+
+
 def apply_stacked_operator(op, c):
     """Evaluate F(C) for a stacked (block diagonal, PSD) C.
 
-    The domain is the set of block diagonal matrices in the operator's
-    edge layout; off block-diagonal entries of ``c`` would silently change
-    the meaning of the selection sums, so they are rejected.
+    ``c`` is either the dense stacked matrix or its blocks in edge order,
+    and F(C) comes back in the same form.
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (op.dim_c, op.dim_c):
-        raise ValueError(f"C has shape {c.shape}, expected {(op.dim_c, op.dim_c)}")
-    blocks = [c[idx] for _, idx in op.c_groups]
-    if np.count_nonzero(c) != sum(np.count_nonzero(b) for b in blocks):
-        raise ValueError("C must be block diagonal in the operator's edge layout")
-    if not all(np.all(np.isfinite(b)) for b in blocks):
-        raise ValueError("C has non-finite entries")
-    t = _run_stage(op.inner, op.psi, op.h.T, _flat(blocks))
-    return _scatter(op, _run_stage(op.middle, op.omega, op.a, _flat(t)))
-
-
-def _scatter(op, out):
-    c = np.zeros((op.dim_c, op.dim_c))
-    for batch, x in zip(op.middle, out):
-        c[batch.out] = x
-    return c
+    _, flat, dense = _as_blocks(op, c)
+    out = _middle(op, _flat(_run_stage(op.inner, op.psi, op.h, flat)))
+    return op.stack(out) if dense else out
 
 
 @dataclasses.dataclass(frozen=True)
 class ConeBounds:
     """Loewner bounds of the operator's image: L <= F(C) <= U for all
-    PSD C.  U ignores all interference (infinite prior confidence about
-    the neighbors), L trusts only the priors (C = 0), so U >= L always."""
+    PSD C, as blocks in edge order.  U ignores all interference (infinite
+    prior confidence about the neighbors), L trusts only the priors
+    (C = 0), so U >= L always."""
 
-    u: np.ndarray
-    l: np.ndarray
     u_blocks: list
     l_blocks: list
 
@@ -368,33 +321,32 @@ def bounds_ul(op):
     instance data broke an invariant (priors or noises not PD, A rank
     deficient), so it raises rather than returning garbage bounds.
     """
-    u = _scatter(op, _run_stage(op.middle, op.omega, op.a))
-    l = apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
-    u_blocks = op.split(u)
-    l_blocks = op.split(l)
-    tol = cones.default_tolerance(u, l)
+    u_blocks = _middle(op)
+    l_blocks = apply_stacked_operator(op, [np.zeros((d, d)) for d in op.block_dims])
+    tol = cones.default_tolerance(_flat(u_blocks), _flat(l_blocks))
     l_min = cones.min_eigenvalue_blocks(l_blocks)
     if not l_min > tol:
         raise cones.NumericalError(f"lower bound is not positive definite (min eig {l_min:.3e})")
     if cones.min_eigenvalue_blocks([x - y for x, y in zip(u_blocks, l_blocks)]) < -tol:
         raise cones.NumericalError("upper bound does not dominate the lower bound")
-    return ConeBounds(u, l, u_blocks, l_blocks)
+    return ConeBounds(u_blocks, l_blocks)
 
 
 def find_fixed_point(op, tol=1e-13, max_iterations=20000):
     """Iterate F from L until the Frobenius increment drops below tol.
 
-    Returns (c_star, iterations, converged).  Starting at L keeps every
-    iterate inside [L, U] from the first step.
+    Returns (c_star, iterations, converged), c_star as the dense stacked
+    matrix.  Starting at L keeps every iterate inside [L, U] from the
+    first step.
     """
-    c = apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
+    c = apply_stacked_operator(op, [np.zeros((d, d)) for d in op.block_dims])
     for it in range(1, max_iterations + 1):
         nxt = apply_stacked_operator(op, c)
-        delta = float(np.linalg.norm(nxt - c, ord="fro"))
+        delta = float(np.linalg.norm(_flat(nxt) - _flat(c)))
         c = nxt
         if delta <= tol:
-            return c, it, True
-    return c, max_iterations, False
+            return op.stack(c), it, True
+    return op.stack(c), max_iterations, False
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +399,20 @@ def random_state_blocks(rng, dims, allow_singular=True, scale=1.0):
 
 
 def scaling_margins(op, c, alpha):
-    """Blockwise min eigenvalue of alpha*F(C) - F(alpha*C).
+    """Blockwise min eigenvalue of alpha*F(C) - F(alpha*C), for C dense
+    or as blocks.
 
     The scaling law says this is strictly positive for PSD C and
     alpha > 1 (subhomogeneity with slack, the source of contraction)."""
-    fc = apply_stacked_operator(op, c)
-    fac = apply_stacked_operator(op, alpha * c)
-    return cones.min_eigenvalue_blocks(op.split(alpha * fc - fac))
+    blocks, _, _ = _as_blocks(op, c)
+    fc = apply_stacked_operator(op, blocks)
+    fac = apply_stacked_operator(op, [alpha * b for b in blocks])
+    return _margin([alpha * x for x in fc], fac)
+
+
+def _margin(xs, ys):
+    """Smallest eigenvalue of X - Y over the blocks: >= 0 iff X >= Y."""
+    return cones.min_eigenvalue_blocks([x - y for x, y in zip(xs, ys)])
 
 
 def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
@@ -476,11 +435,9 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
 
         c1_blocks = random_state_blocks(rng, op.block_dims)
         inc_blocks = random_state_blocks(rng, op.block_dims)
-        c1 = op.stack(c1_blocks)
-        c2 = op.stack([a + b for a, b in zip(c1_blocks, inc_blocks)])
-        f1 = apply_stacked_operator(op, c1)
-        f2 = apply_stacked_operator(op, c2)
-        margin = cones.min_eigenvalue_blocks(op.split(f2 - f1))
+        f1 = apply_stacked_operator(op, c1_blocks)
+        f2 = apply_stacked_operator(op, [a + b for a, b in zip(c1_blocks, inc_blocks)])
+        margin = _margin(f2, f1)
         worst_mono = min(worst_mono, margin)
         mono += 1
         if margin < -order_tol:
@@ -489,7 +446,7 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
         pd_blocks = random_state_blocks(rng, op.block_dims, allow_singular=False)
         alpha = 1.0 + 9.0 * float(rng.random())
         alpha = max(alpha, 1.0 + 1e-9)
-        margin = scaling_margins(op, op.stack(pd_blocks), alpha)
+        margin = scaling_margins(op, pd_blocks, alpha)
         worst_scal = min(worst_scal, margin)
         scal += 1
         if margin <= 0.0:
@@ -499,10 +456,7 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
             )
 
         for f, label in ((f1, "F(C1)"), (f2, "F(C2)")):
-            margin = min(
-                cones.min_eigenvalue_blocks(op.split(f - bounds.l)),
-                cones.min_eigenvalue_blocks(op.split(bounds.u - f)),
-            )
+            margin = min(_margin(f, bounds.l_blocks), _margin(bounds.u_blocks, f))
             worst_bnds = min(worst_bnds, margin)
             bnds += 1
             if margin < -order_tol:
@@ -560,13 +514,11 @@ def sandwich_sequences(
     """
     if alpha <= 1.0:
         raise ValueError("alpha must exceed 1")
-    if not isinstance(c_star, np.ndarray):
-        c_star = op.stack(list(c_star))
-    star_blocks = op.split(c_star)
-    upper = alpha * c_star
-    lower = bounds_ul(op).l
-    upper_d = [cones.part_metric_blocks(op.split(upper), star_blocks)]
-    lower_d = [cones.part_metric_blocks(op.split(lower), star_blocks)]
+    star, _, _ = _as_blocks(op, c_star)
+    upper = [alpha * b for b in star]
+    lower = bounds_ul(op).l_blocks
+    upper_d = [cones.part_metric_blocks(upper, star)]
+    lower_d = [cones.part_metric_blocks(lower, star)]
     failures = []
     upper_mono = True
     lower_mono = True
@@ -575,8 +527,8 @@ def sandwich_sequences(
     for step in range(1, max_steps + 1):
         new_upper = apply_stacked_operator(op, upper)
         new_lower = apply_stacked_operator(op, lower)
-        m_up = cones.min_eigenvalue_blocks(op.split(upper - new_upper))
-        m_lo = cones.min_eigenvalue_blocks(op.split(new_lower - lower))
+        m_up = _margin(upper, new_upper)
+        m_lo = _margin(new_lower, lower)
         if m_up < -order_tol:
             upper_mono = False
             failures.append(f"step {step}: upper sequence increased, margin {m_up:.3e}")
@@ -584,16 +536,16 @@ def sandwich_sequences(
             lower_mono = False
             failures.append(f"step {step}: lower sequence decreased, margin {m_lo:.3e}")
         upper, lower = new_upper, new_lower
-        m_in_up = cones.min_eigenvalue_blocks(op.split(upper - c_star))
-        m_in_lo = cones.min_eigenvalue_blocks(op.split(c_star - lower))
+        m_in_up = _margin(upper, star)
+        m_in_lo = _margin(star, lower)
         if min(m_in_up, m_in_lo) < -order_tol:
             contains = False
             failures.append(
                 f"step {step}: fixed point escaped the sandwich, "
                 f"margins ({m_in_up:.3e}, {m_in_lo:.3e})"
             )
-        upper_d.append(cones.part_metric_blocks(op.split(upper), star_blocks))
-        lower_d.append(cones.part_metric_blocks(op.split(lower), star_blocks))
+        upper_d.append(cones.part_metric_blocks(upper, star))
+        lower_d.append(cones.part_metric_blocks(lower, star))
         steps = step
         if upper_d[-1] < target and lower_d[-1] < target:
             break
@@ -640,29 +592,42 @@ def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
     trace.fixed_point_blocks = star
     star_spec = _spectral_norm(star)
     star_fro = np.sqrt(sum(float(np.sum(b * b)) for b in star))
-    for idx, rec in enumerate(trace.records):
-        blocks = trace.info_blocks[idx]
-        diff = [b - s for b, s in zip(blocks, star)]
-        rec.dist_frobenius = np.sqrt(sum(float(np.sum(d * d)) for d in diff))
-        try:
-            rec.part_distance = cones.part_metric_blocks(blocks, star)
-        except cones.NotComparableError:
-            rec.part_distance = None
+    # Rows of the mean-only tail share one held info list: compute the
+    # figures once per distinct list (the trace keeps every list alive, so
+    # identities are not reused).
+    figures = {}
+    for rec, blocks in zip(trace.records, trace.info_blocks):
+        key = (id(blocks), rec.iteration >= 1)
+        if key not in figures:
+            figures[key] = _snapshot_figures(blocks, star, star_spec, star_fro, bounds, key[1])
+        rec.dist_frobenius, rec.part_distance, margin, slack = figures[key]
         if rec.iteration >= 1:
-            lo = cones.min_eigenvalue_blocks([b - l for b, l in zip(blocks, bounds.l_blocks)])
-            hi = cones.min_eigenvalue_blocks([u - b for b, u in zip(blocks, bounds.u_blocks)])
-            rec.in_bounds = bool(min(lo, hi) >= -order_tol)
-        if rec.part_distance is not None:
-            d = rec.part_distance
-            factor = 2.0 * np.exp(d) - np.exp(-d) - 1.0
-            cur_spec = _spectral_norm(blocks)
-            cur_fro = np.sqrt(sum(float(np.sum(b * b)) for b in blocks))
-            diff_spec = _spectral_norm(diff)
-            slack_spec = factor * min(cur_spec, star_spec) - diff_spec
-            slack_fro = factor * min(cur_fro, star_fro) - rec.dist_frobenius
-            rec.norm_slack = float(min(slack_spec, slack_fro))
-            rec.norm_bound_ok = bool(rec.norm_slack >= -order_tol)
+            rec.in_bounds = bool(margin >= -order_tol)
+        if slack is not None:
+            rec.norm_slack = slack
+            rec.norm_bound_ok = bool(slack >= -order_tol)
     return trace
+
+
+def _snapshot_figures(blocks, star, star_spec, star_fro, bounds, check_bounds):
+    """Frobenius and part distance to the fixed point, [L, U] margin (if
+    ``check_bounds``) and norm-domination slack of one info snapshot."""
+    diff = [b - s for b, s in zip(blocks, star)]
+    dist = np.sqrt(sum(float(np.sum(d * d)) for d in diff))
+    try:
+        part = cones.part_metric_blocks(blocks, star)
+    except cones.NotComparableError:
+        part = None
+    margin = None
+    if check_bounds:
+        margin = min(_margin(blocks, bounds.l_blocks), _margin(bounds.u_blocks, blocks))
+    slack = None
+    if part is not None:
+        factor = 2.0 * np.exp(part) - np.exp(-part) - 1.0
+        cur_fro = np.sqrt(sum(float(np.sum(b * b)) for b in blocks))
+        slack_spec = factor * min(_spectral_norm(blocks), star_spec) - _spectral_norm(diff)
+        slack = float(min(slack_spec, factor * min(cur_fro, star_fro) - dist))
+    return dist, part, margin, slack
 
 
 def _spectral_norm(blocks):

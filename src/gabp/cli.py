@@ -317,8 +317,8 @@ def _cmd_analyze(args):
         return 3
 
     star_blocks = result.state.info_blocks()
-    star = op.stack(star_blocks)
-    residual = float(np.linalg.norm(analysis.apply_stacked_operator(op, star) - star, "fro"))
+    image = analysis.apply_stacked_operator(op, star_blocks)
+    residual = float(np.sqrt(sum(np.sum((f - s) ** 2) for f, s in zip(image, star_blocks))))
     doc["stacked_residual"] = residual
     log.info("stacked operator residual at the engine fixed point: %.3e", residual)
 
@@ -374,7 +374,7 @@ def _cmd_analyze(args):
 
     if not args.no_sandwich:
         sandwich = analysis.sandwich_sequences(
-            op, star, alpha=args.alpha, target=args.sandwich_target
+            op, star_blocks, alpha=args.alpha, target=args.sandwich_target
         )
         doc["sandwich"] = {
             "alpha": sandwich.alpha,

@@ -460,9 +460,16 @@ def _means(state):
 
 def _max_block_norm(flat, sizes):
     """Largest norm of the consecutive blocks of ``flat`` with the given
-    sizes (0.0 for no blocks, NaN if any block is NaN)."""
-    sums = np.add.reduceat(flat * flat, np.cumsum(sizes) - sizes)
-    return float(np.sqrt(np.max(sums, initial=0.0)))
+    sizes (0.0 for no blocks, NaN if any block is NaN).
+
+    The entries are scaled by the power of two of the largest one before
+    squaring, so finite inputs near the float range do not overflow; a
+    power-of-two scale is exact, so a result that neither overflowed nor
+    underflowed before is unchanged to the bit."""
+    _, exp = np.frexp(np.max(np.abs(flat), initial=0.0))
+    scaled = np.ldexp(flat, -exp)
+    sums = np.add.reduceat(scaled * scaled, np.cumsum(sizes) - sizes)
+    return float(np.ldexp(np.sqrt(np.max(sums, initial=0.0)), exp))
 
 
 def run(net, config=None):

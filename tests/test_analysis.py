@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -24,23 +26,76 @@ def golden_run():
     return res
 
 
-def dense_f(op, c):
+def dense_operator(net):
+    """Reference A, Omega, H, Psi, K and Xi of the Kronecker form, built
+    from the network in the operator's layout: C's blocks in edge order,
+    one row block of A, Omega and H per edge, one column block of H and one
+    block of Psi per (edge, interfering variable) pair.
+
+    Xi[(n, j)] selects, from a block diagonal C, the sum of the blocks of
+    all factors k != n feeding j; K stacks one Xi per pair, each shifted
+    into its own replica of C."""
+    edges = list(net.directed_edges)
+    pairs = [(e, j) for e in edges for j in net.factor_scope(e.factor) if j != e.variable]
+    col = np.cumsum([0] + [net.var_dim(e.variable) for e in edges])
+    row = np.cumsum([0] + [net.obs_dim(e.factor) for e in edges])
+    inner = np.cumsum([0] + [net.var_dim(j) for _, j in pairs])
+    a = np.zeros((row[-1], col[-1]))
+    omega = np.zeros((row[-1], row[-1]))
+    h = np.zeros((row[-1], inner[-1]))
+    psi = np.zeros((inner[-1], inner[-1]))
+    for x, e in enumerate(edges):
+        node = net.node(e.factor)
+        a[row[x] : row[x + 1], col[x] : col[x + 1]] = node.coeff[e.variable]
+        omega[row[x] : row[x + 1], row[x] : row[x + 1]] = node.noise_cov
+    for t, (e, j) in enumerate(pairs):
+        x = edges.index(e)
+        span = slice(inner[t], inner[t + 1])
+        h[row[x] : row[x + 1], span] = net.node(e.factor).coeff[j]
+        psi[span, span] = net.prior_info(j)
+    xi = {}
+    for e, j in pairs:
+        d = net.var_dim(j)
+        sel = np.zeros((d, col[-1]))
+        for f in net.var_factors(j):
+            if f != e.factor:
+                start = col[edges.index(network.DirectedEdge(f, j))]
+                sel[:, start : start + d] = np.eye(d)
+        xi[(e.factor, j)] = scipy.sparse.csr_matrix(sel)
+    if pairs:
+        k = scipy.sparse.block_diag([xi[(e.factor, j)] for e, j in pairs], format="csr")
+    else:
+        k = scipy.sparse.csr_matrix((0, 0))
+    return types.SimpleNamespace(
+        a=a, omega=omega, h=h, psi=psi, k=k, xi=xi, phi=len(pairs), pairs=pairs
+    )
+
+
+def dense_f(ref, c):
     """Reference F(C): the Kronecker form with dense global solves."""
-    mid = op.omega
-    if op.phi:
+    mid = ref.omega
+    if ref.phi:
         replicated = scipy.sparse.kron(
-            scipy.sparse.identity(op.phi, format="csr"),
+            scipy.sparse.identity(ref.phi, format="csr"),
             scipy.sparse.csr_matrix(c),
             format="csr",
         )
-        inner = op.psi + (op.k @ replicated @ op.k.T).toarray()
-        mid = op.omega + op.h @ scipy.linalg.solve(inner, op.h.T, assume_a="pos")
-    return op.a.T @ scipy.linalg.solve(mid, op.a, assume_a="pos")
+        inner = ref.psi + (ref.k @ replicated @ ref.k.T).toarray()
+        mid = ref.omega + ref.h @ scipy.linalg.solve(inner, ref.h.T, assume_a="pos")
+    return ref.a.T @ scipy.linalg.solve(mid, ref.a, assume_a="pos")
 
 
-def dense_u(op):
+def dense_u(ref):
     """Reference U = A^T Omega^{-1} A with one dense global solve."""
-    return op.a.T @ scipy.linalg.solve(op.omega, op.a, assume_a="pos")
+    return ref.a.T @ scipy.linalg.solve(ref.omega, ref.a, assume_a="pos")
+
+
+def tamper(op, layer, store, label, block):
+    """Overwrite the base block labelled ``label`` of a layer in its flat
+    store (the batch reads the store by slice, so a view writes through)."""
+    batch = next(b for b in layer if label in b.labels)
+    n, p, _ = batch.shape
+    store[batch.base].reshape(n, p, p)[batch.labels.index(label)] = block
 
 
 def oracle_instances():
@@ -79,15 +134,38 @@ class TestBuildStacked:
         assert analysis.build_stacked(net).phi == 10
 
     def test_matrices_block_structure(self, golden_op):
-        op = golden_op
-        assert np.array_equal(op.omega, np.eye(4))
-        assert np.array_equal(op.psi, np.eye(4))
+        ref = dense_operator(network.two_node_symmetric())
+        assert np.array_equal(ref.omega, np.eye(4))
+        assert np.array_equal(ref.psi, np.eye(4))
         # All unit coefficients: A is exactly the identity on this instance.
-        assert np.array_equal(op.a, np.eye(4))
-        assert np.array_equal(op.h, np.eye(4))
+        assert np.array_equal(ref.a, np.eye(4))
+        assert np.array_equal(ref.h, np.eye(4))
+        # The operator keeps only the blocks: four scalars per store.
+        for store in (golden_op.a, golden_op.omega, golden_op.h, golden_op.psi):
+            assert np.array_equal(store, np.ones(4))
 
-    def test_k_shape_and_content(self, golden_op):
-        k = golden_op.k.toarray()
+    def test_stores_hold_only_the_blocks(self):
+        # F reads A_ni and R_n per edge and H_nj^T and W_j^{-1} per
+        # (factor, variable) key; no dense matrix may come back.
+        nets = [
+            network.generate_random(1, 30, "er", er_prob=0.2),
+            network.generate_random(1, 16, "grid", grid_shape=(4, 4)),
+        ]
+        for net in nets:
+            op = analysis.build_stacked(net)
+            keys = {(e.factor, j) for e, j in op.pair_order}
+            size = sum(
+                net.obs_dim(e.factor) * (net.var_dim(e.variable) + net.obs_dim(e.factor))
+                for e in net.directed_edges
+            ) + sum(net.var_dim(j) * (net.obs_dim(n) + net.var_dim(j)) for n, j in keys)
+            stores = (op.a, op.omega, op.h, op.psi)
+            assert all(x.ndim == 1 for x in stores)
+            assert sum(x.nbytes for x in stores) == 8 * size
+        names = {f.name for f in dataclasses.fields(analysis.StackedOperator)}
+        assert not names & {"k", "xi"}
+
+    def test_k_shape_and_content(self):
+        k = dense_operator(network.two_node_symmetric()).k.toarray()
         assert k.shape == (4, 16)
         assert np.all((k == 0.0) | (k == 1.0))
         # One selected source block per slot on this instance.
@@ -103,7 +181,7 @@ class TestBuildStacked:
             blocks = analysis.random_state_blocks(rng, op.block_dims)
             c = op.stack(blocks)
             by_edge = dict(zip(op.edge_order, blocks))
-            for (n, j), sel in op.xi.items():
+            for (n, j), sel in dense_operator(net).xi.items():
                 got = np.asarray(sel @ c @ sel.T)
                 want = sum(
                     by_edge[network.DirectedEdge(k, j)]
@@ -117,13 +195,13 @@ class TestBuildStacked:
         op = analysis.build_stacked(net)
         rng = np.random.default_rng(9)
         c = op.stack(analysis.random_state_blocks(rng, op.block_dims))
-        import scipy.sparse
-
-        kron = scipy.sparse.kron(scipy.sparse.identity(op.phi), scipy.sparse.csr_matrix(c))
-        gathered = (op.k @ kron @ op.k.T).toarray()
+        ref = dense_operator(net)
+        assert ref.pairs == list(op.pair_order)
+        kron = scipy.sparse.kron(scipy.sparse.identity(ref.phi), scipy.sparse.csr_matrix(c))
+        gathered = (ref.k @ kron @ ref.k.T).toarray()
         off = 0
         for (e, j) in op.pair_order:
-            sel = op.xi[(e.factor, j)]
+            sel = ref.xi[(e.factor, j)]
             d = sel.shape[0]
             want = np.asarray(sel @ c @ sel.T)
             # two sparse accumulation orders, so exactness up to roundoff
@@ -189,6 +267,7 @@ class TestApplyOperator:
         rng = np.random.default_rng(12)
         for net in oracle_instances():
             op = analysis.build_stacked(net)
+            ref = dense_operator(net)
             for _ in range(3):
                 blocks = analysis.random_state_blocks(rng, op.block_dims)
                 # one zero block and one rank-one block of size >= 2
@@ -197,22 +276,39 @@ class TestApplyOperator:
                 g = rng.standard_normal(op.block_dims[k])
                 blocks[k] = np.outer(g, g)
                 c = op.stack(blocks)
-                want = dense_f(op, c)
+                want = dense_f(ref, c)
                 got = analysis.apply_stacked_operator(op, c)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_block_list_in_block_list_out(self):
+        # The same F(C) bit for bit, whether C comes dense or as blocks.
+        net = network.generate_random(64, 7, "er", dim_range=(1, 3))
+        op = analysis.build_stacked(net)
+        rng = np.random.default_rng(13)
+        blocks = analysis.random_state_blocks(rng, op.block_dims)
+        got = analysis.apply_stacked_operator(op, blocks)
+        assert isinstance(got, list)
+        assert [b.shape for b in got] == [(d, d) for d in op.block_dims]
+        dense = analysis.apply_stacked_operator(op, op.stack(blocks))
+        assert np.array_equal(op.stack(got), dense)
+        assert analysis.scaling_margins(op, blocks, 3.0) == analysis.scaling_margins(
+            op, op.stack(blocks), 3.0
+        )
+
+    def test_rejects_mismatched_blocks(self, golden_op):
+        with pytest.raises(ValueError, match="layout"):
+            analysis.apply_stacked_operator(golden_op, [np.eye(1)] * 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            analysis.apply_stacked_operator(golden_op, [np.eye(1)] * 3 + [np.full((1, 1), np.inf)])
 
     def test_names_failing_inner_block(self):
         net = network.generate_random(68, 6, "er", dim_range=(1, 2))
         op = analysis.build_stacked(net)
-        # the key of the last pair; Psi is read at the key's first slot
+        # W_j^{-1} of the last pair's (factor, variable) key
         e, j = op.pair_order[-1]
-        t = next(t for t, (f, i) in enumerate(op.pair_order) if (f.factor, i) == (e.factor, j))
-        start = sum(net.var_dim(i) for _, i in op.pair_order[:t])
-        span = slice(start, start + net.var_dim(j))
-        op.psi[span, span] = -np.eye(net.var_dim(j))
-        with pytest.raises(
-            cones.NumericalError, match=rf"factor {e.factor} / variable {j} inner matrix"
-        ):
+        label = f"factor {e.factor} / variable {j} inner matrix"
+        tamper(op, op.inner, op.psi, label, -np.eye(net.var_dim(j)))
+        with pytest.raises(cones.NumericalError, match=label):
             analysis.apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
 
     def test_rejects_non_finite_input(self, golden_op):
@@ -231,44 +327,43 @@ class TestApplyOperator:
 class TestBounds:
     def test_golden_values(self, golden_op):
         b = analysis.bounds_ul(golden_op)
-        assert np.allclose(b.u, np.eye(4), atol=1e-14)
-        assert np.allclose(b.l, 0.5 * np.eye(4), atol=1e-14)
+        assert np.allclose(cones.block_diag(b.u_blocks), np.eye(4), atol=1e-14)
+        assert np.allclose(cones.block_diag(b.l_blocks), 0.5 * np.eye(4), atol=1e-14)
 
     def test_l_is_f_of_zero(self):
         net = network.generate_random(70, 6, "er")
         op = analysis.build_stacked(net)
         b = analysis.bounds_ul(op)
-        f0 = analysis.apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
-        assert np.array_equal(b.l, f0)
+        f0 = analysis.apply_stacked_operator(op, [np.zeros((d, d)) for d in op.block_dims])
+        assert all(np.array_equal(x, y) for x, y in zip(b.l_blocks, f0, strict=True))
 
     def test_order_holds_on_random_instances(self):
         for seed in (71, 72, 73):
             net = network.generate_random(seed, 8, "er", dim_range=(1, 3))
             b = analysis.bounds_ul(analysis.build_stacked(net))
-            assert cones.loewner_geq(b.u, b.l)
-            assert cones.is_pd(b.l)
+            u, l = cones.block_diag(b.u_blocks), cones.block_diag(b.l_blocks)
+            assert cones.loewner_geq(u, l)
+            assert cones.is_pd(l)
 
     def test_matches_dense_oracle(self):
         for net in oracle_instances():
             op = analysis.build_stacked(net)
+            ref = dense_operator(net)
             b = analysis.bounds_ul(op)
-            want_u = dense_u(op)
-            want_l = dense_f(op, np.zeros((op.dim_c, op.dim_c)))
-            assert np.max(np.abs(b.u - want_u)) <= 1e-12 * np.max(np.abs(want_u))
-            assert np.max(np.abs(b.l - want_l)) <= 1e-12 * np.max(np.abs(want_l))
-            for got, want in zip(b.u_blocks, op.split(want_u)):
+            want_u = dense_u(ref)
+            want_l = dense_f(ref, np.zeros((op.dim_c, op.dim_c)))
+            for got, want in zip(b.u_blocks, op.split(want_u), strict=True):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want_u))
+            for got, want in zip(b.l_blocks, op.split(want_l), strict=True):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want_l))
 
     def test_names_edge_with_indefinite_noise(self):
         net = network.generate_random(74, 6, "er", dim_range=(1, 2))
         op = analysis.build_stacked(net)
-        k = 3
-        e = op.edge_order[k]
-        row = sum(net.obs_dim(f.factor) for f in op.edge_order[:k])
-        m = net.obs_dim(e.factor)
-        bad = np.eye(m)
+        e = op.edge_order[3]
+        bad = np.eye(net.obs_dim(e.factor))
         bad[-1, -1] = -1.0
-        op.omega[row : row + m, row : row + m] = bad
+        tamper(op, op.middle, op.omega, f"edge ({e.factor}, {e.variable}) middle matrix", bad)
         with pytest.raises(
             cones.NumericalError, match=rf"edge \({e.factor}, {e.variable}\) middle matrix"
         ):
@@ -277,8 +372,8 @@ class TestBounds:
     def test_fixed_point_inside(self, golden_op, golden_run):
         b = analysis.bounds_ul(golden_op)
         star = golden_run.state.stacked()
-        assert cones.loewner_geq(star, b.l, tol=1e-9)
-        assert cones.loewner_geq(b.u, star, tol=1e-9)
+        assert cones.loewner_geq(star, cones.block_diag(b.l_blocks), tol=1e-9)
+        assert cones.loewner_geq(cones.block_diag(b.u_blocks), star, tol=1e-9)
 
 
 class TestFindFixedPoint:
@@ -352,6 +447,9 @@ class TestSandwich:
         assert ok
         rep = analysis.sandwich_sequences(op, c, alpha=2.0, target=1e-6)
         assert rep.failures == []
+        same = analysis.sandwich_sequences(op, op.split(c), alpha=2.0, target=1e-6)
+        assert same.upper_distances == rep.upper_distances
+        assert same.lower_distances == rep.lower_distances
 
     def test_alpha_must_exceed_one(self, golden_op):
         with pytest.raises(ValueError, match="alpha"):
@@ -386,6 +484,29 @@ class TestAnnotateTrace:
         )
         want = np.log(5.0 / GOLDEN_C)
         assert res.trace.records[0].part_distance == pytest.approx(want, abs=1e-9)
+
+    def test_held_snapshot_annotated_once(self, monkeypatch):
+        # The mean-only tail repeats one held info list; its figures are
+        # computed once and equal those of per-row copies of the list.
+        net = network.generate_random(1, 16, "grid", grid_shape=(4, 4))
+        res = engine.run(net, ScheduleConfig(tol_frobenius=1e-13))
+        distinct = len({id(b) for b in res.trace.info_blocks})
+        assert distinct < len(res.trace.records)
+        bounds = analysis.bounds_ul(analysis.build_stacked(net))
+        copied = dataclasses.replace(
+            res.trace,
+            records=[dataclasses.replace(r) for r in res.trace.records],
+            info_blocks=[list(b) for b in res.trace.info_blocks],
+        )
+        analysis.annotate_trace(copied, bounds, res.state.info_blocks())
+        calls = []
+        real = cones.part_metric_blocks
+        monkeypatch.setattr(
+            cones, "part_metric_blocks", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        analysis.annotate_trace(res.trace, bounds, res.state.info_blocks())
+        assert len(calls) == distinct
+        assert res.trace.records == copied.records
 
     def test_rejects_mismatched_fixed_point(self, golden_run):
         bounds = analysis.bounds_ul(analysis.build_stacked(network.two_node_symmetric()))

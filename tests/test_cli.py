@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gabp import analysis, cli, network
 
@@ -266,7 +267,13 @@ class TestAnalyze:
         assert code == 0
         bounds = read_json(out / "analysis.json")["bounds"]
         op = analysis.build_stacked(net)
-        u = op.a.T @ np.linalg.solve(op.omega, op.a)
+        # U = A^T Omega^{-1} A, one block per edge, from the instance data
+        u_blocks = []
+        for e in net.directed_edges:
+            node = net.node(e.factor)
+            a = node.coeff[e.variable]
+            u_blocks.append(a.T @ np.linalg.solve(node.noise_cov, a))
+        u = scipy.linalg.block_diag(*u_blocks)
         l = analysis.apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
         u_max = np.linalg.eigvalsh(u)[-1]
         assert bounds["u_max_eig"] == pytest.approx(u_max, rel=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
@@ -294,6 +296,32 @@ class TestNonFinite:
         new.messages[DirectedEdge(1, 2)].mean[0] = np.nan
         df, dm = engine._state_deltas(new, old)
         assert np.isnan(df) and np.isnan(dm)
+
+    def test_deltas_of_huge_finite_means_stay_finite(self):
+        # Means near 1e308 differ by finite amounts whose squares overflow.
+        net = network.two_node_symmetric(y=(1e308, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = engine.run(net, ScheduleConfig(tol_frobenius=0.2))
+        deltas = [(r.frobenius_delta, r.mean_delta) for r in res.trace.records[1:]]
+        assert np.all(np.isfinite(deltas))
+        assert max(dm for _, dm in deltas) > 1e290
+
+    def test_scaled_deltas_equal_the_unscaled_formula(self):
+        net = network.generate_random(1, 16, "grid", grid_shape=(4, 4))
+        res = engine.run(net, ScheduleConfig(tol_frobenius=1e-10))
+        sizes = np.array(res.trace.block_dims) ** 2
+        snaps = [np.concatenate(b, axis=None) for b in res.trace.info_blocks]
+        for rec, new, old in zip(res.trace.records[1:], snaps[1:], snaps):
+            d = new - old
+            want = float(np.sqrt(np.max(np.add.reduceat(d * d, np.cumsum(sizes) - sizes))))
+            assert rec.frobenius_delta == want
+        rng = np.random.default_rng(3)
+        dims = rng.integers(1, 4, size=40)
+        for scale in (1e-150, 1e-8, 1.0, 3e5, 1e150):
+            flat = rng.standard_normal(int(dims.sum())) * scale
+            want = float(np.sqrt(np.max(np.add.reduceat(flat * flat, np.cumsum(dims) - dims))))
+            assert engine._max_block_norm(flat, dims) == want
 
 
 class TestInitIndependence:
