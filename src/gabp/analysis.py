@@ -17,21 +17,22 @@ monotonicity, contraction rate, sandwich sequences) is phrased in terms
 of F.
 
 F maps block diagonal C to block diagonal F(C), so it is evaluated block
-by block with one batched Cholesky per block size:
-T_nj = H_nj (Psi_j + Xi_nj C Xi_nj^T)^{-1} H_nj^T per (n, j), then
-A_ni^T (R_n + sum_{j != i} T_nj)^{-1} A_ni per edge (n, i), where Xi_nj
-C Xi_nj^T sums C's blocks of the other factors feeding j.  Only those
-blocks are stored; the global matrices are never assembled.  C and F(C)
-travel as block lists in edge order, or as the dense stacked matrix for
-callers that pass one.  This does not reuse the engine's message loop:
-the routing comes from this module's own scopes, so agreement between
-the two is a real cross-check.
+by block in two layers: T_nj = H_nj (Psi_j + Xi_nj C Xi_nj^T)^{-1}
+H_nj^T per (n, j), then A_ni^T (R_n + sum_{j != i} T_nj)^{-1} A_ni per
+edge (n, i), where Xi_nj C Xi_nj^T sums C's blocks of the other factors
+feeding j.  Only those blocks are stored.  Padding B with an identity
+block and G with zero rows and columns leaves G^T B^{-1} G unchanged, so
+each layer runs in a few padded batches, each one batched Cholesky and
+one forward substitution.  C and F(C) travel grouped by block size,
+``{d: (E_d, d, d)}``.  The routing comes from this module's own scopes,
+not the engine's message loop, so agreement between the two is a real
+cross-check.
 """
 
 import collections
 import csv
 import dataclasses
-import itertools
+import functools
 
 import numpy as np
 import scipy.sparse
@@ -60,8 +61,10 @@ __all__ = [
 
 ORDER_TOL = 1e-9
 
-# One batch of equally shaped blocks of a layer of F (see ``_stage``).
-_Batch = collections.namedtuple("_Batch", "base operand shape route labels out")
+# One layer of F (``_stage``): (count, P, Q) per padded batch, the input's
+# route into the padded B blocks, where the base store, identity padding and
+# operand store go, and each item's label and unpadded size p in store order.
+_Layer = collections.namedtuple("_Layer", "batches route base_at pad_at operand_at labels sizes")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,8 +72,8 @@ class StackedOperator:
     """The blocks of the stacked update, plus index bookkeeping.
 
     A, Omega, H, Psi and K (module docstring) define F; the operator
-    stores only the blocks F reads, each field flat (1-D) in the order its
-    layer reads them:
+    stores only the blocks F reads, each field flat (1-D) and unpadded,
+    in its layer's batch order:
       a      A_ni per edge (n, i)                        middle operand
       omega  R_n per edge                                middle base
       h      H_nj^T per (factor n, variable j) key       inner operand
@@ -78,10 +81,11 @@ class StackedOperator:
     ``dim_obs`` and ``dim_inner`` are the sizes of the global Omega and
     Psi; ``phi`` counts K's replicas of C, one per entry of ``pair_order``.
 
-    ``c_groups`` holds (edge positions, index arrays) of C's blocks per
-    block size in the dense form; ``inner`` (one block per (n, j)) and
-    ``middle`` (one per edge) are F's two layers, as batches that slice
-    the stores above.
+    ``c_groups`` maps each block size d to the edge positions of C's
+    blocks of that size (the order of the grouped layout) and their index
+    arrays in the dense form.  ``inner`` (one item per (n, j)) and
+    ``middle`` (one per edge) are F's layers; ``out_index`` gathers F(C)'s
+    groups from the middle layer's padded output.
     """
 
     edge_order: tuple
@@ -95,9 +99,10 @@ class StackedOperator:
     omega: np.ndarray
     h: np.ndarray
     psi: np.ndarray
-    c_groups: list
-    inner: list
-    middle: list
+    c_groups: dict
+    inner: _Layer
+    middle: _Layer
+    out_index: dict
 
     def __post_init__(self):
         if self.phi != len(self.pair_order):
@@ -111,13 +116,24 @@ class StackedOperator:
 
     def stack(self, blocks):
         """Assemble per-edge blocks into the stacked form."""
-        blocks = [np.asarray(b, dtype=float) for b in blocks]
-        if [b.shape for b in blocks] != [(d, d) for d in self.block_dims]:
-            raise ValueError("block dims do not match the operator layout")
-        out = np.zeros((self.dim_c, self.dim_c))
-        for pos, idx in self.c_groups:
-            out[idx] = [blocks[k] for k in pos]
-        return out
+        return _dense(self, _group(self, blocks))
+
+    @functools.cached_property
+    def _bounds(self):
+        """(U, L), computed and checked once: see ``bounds_ul``."""
+        u = _middle(self, np.zeros(self.middle.route.shape[1]))
+        l = apply_stacked_operator(self, _group(self, [np.zeros((d, d)) for d in self.block_dims]))
+        tol = cones.default_tolerance(_flat(u.values()), _flat(l.values()))
+        l_min = cones.min_eigenvalue_blocks(l)
+        if not l_min > tol:
+            raise cones.NumericalError(
+                f"lower bound is not positive definite (min eig {l_min:.3e})"
+            )
+        if _margin(u, l) < -tol:
+            raise cones.NumericalError("upper bound does not dominate the lower bound")
+        for x in (*u.values(), *l.values()):
+            x.setflags(write=False)
+        return ConeBounds(tuple(_blocks(self, u)), tuple(_blocks(self, l)))
 
 
 def build_stacked(net):
@@ -131,222 +147,246 @@ def build_stacked(net):
     edges = net.directed_edges
     block_dims = tuple(net.var_dim(e.variable) for e in edges)
     pairs = [(e, j) for e in edges for j in net.factor_scope(e.factor) if j != e.variable]
-    phi_formula = sum(
-        len(net.factor_scope(n)) * (len(net.factor_scope(n)) - 1) for n in net.ids
-    )
-    if len(pairs) != phi_formula:
-        raise RuntimeError(
-            f"pair count {len(pairs)} disagrees with the replica formula {phi_formula}"
-        )
+    phi = sum(len(net.factor_scope(n)) * (len(net.factor_scope(n)) - 1) for n in net.ids)
+    if len(pairs) != phi:
+        raise RuntimeError(f"pair count {len(pairs)} disagrees with the replica formula {phi}")
 
-    # C's blocks: index arrays into the dense form per block size, and
-    # offsets into the flat form (blocks in edge order).
+    # C's blocks per size: edge positions, index arrays into the dense
+    # form, and each block's (offset, row stride) in the grouped input (the
+    # size groups raveled in ascending size).
     starts = np.cumsum((0,) + block_dims)
-    c_groups = []
+    c_groups, c_at, width = {}, {}, 0
     for d in sorted(set(block_dims)):
         pos = [x for x, dx in enumerate(block_dims) if dx == d]
-        c_groups.append((pos, _block_index([(starts[x], d) * 2 for x in pos])))
-    c_flat = np.cumsum((0,) + tuple(d * d for d in block_dims))
-    c_at = dict(zip(edges, c_flat))
+        span = np.add.outer(starts[pos], np.arange(d))
+        c_groups[d] = (np.array(pos), (span[:, :, None], span[:, None, :]))
+        for x in pos:
+            c_at[edges[x]], width = (width, d), width + d * d
 
-    # Inner: one block per (n, j), fed by the C blocks that Xi_{n,j}
-    # selects (the other factors of j).  Middle: one block per edge (n, i),
-    # fed by the inner outputs T_nj of the factor's other variables.  Each
-    # layer is sorted so that equal block shapes are adjacent.
-    keys = sorted(
-        dict.fromkeys((e.factor, j) for e, j in pairs),
-        key=lambda q: (net.var_dim(q[1]), net.obs_dim(q[0])),
-    )
-    inner, psi, h = _stage(
+    # Inner: one item per (n, j), fed by the C blocks that Xi_{n,j}
+    # selects (the other factors of j).  Middle: one item per edge (n, i),
+    # fed by the inner outputs T_nj of the factor's other variables.
+    keys = list(dict.fromkeys((e.factor, j) for e, j in pairs))
+    inner, psi, h, t_at = _stage(
         [(net.prior_info(j), net.node(n).coeff[j].T) for n, j in keys],
         [[c_at[(f, j)] for f in net.var_factors(j) if f != n] for n, j in keys],
-        c_flat[-1],
+        width,
         [f"factor {n} / variable {j} inner matrix" for n, j in keys],
-        range(len(keys)),
     )
-    t_flat = np.cumsum([0] + [net.obs_dim(n) ** 2 for n, _ in keys])
-    t_at = dict(zip(keys, t_flat))
-    mid = sorted(range(len(edges)), key=lambda x: (net.obs_dim(edges[x].factor), block_dims[x]))
-    mid_edges = [edges[x] for x in mid]
-    middle, omega, a = _stage(
-        [(net.node(e.factor).noise_cov, net.node(e.factor).coeff[e.variable]) for e in mid_edges],
+    t_at = dict(zip(keys, t_at))
+    middle, omega, a, f_at = _stage(
+        [(net.node(e.factor).noise_cov, net.node(e.factor).coeff[e.variable]) for e in edges],
         [[t_at[(e.factor, j)] for j in net.factor_scope(e.factor) if j != e.variable]
-         for e in mid_edges],
-        t_flat[-1],
-        [f"edge ({e.factor}, {e.variable}) middle matrix" for e in mid_edges],
-        mid,
+         for e in edges],
+        sum(n * q * q for n, _, q in inner.batches),
+        [f"edge ({e.factor}, {e.variable}) middle matrix" for e in edges],
     )
-
+    # F(C)'s groups: the d x d corner of each edge's padded middle output.
+    out_index = {}
+    for d, (pos, _) in c_groups.items():
+        offset, stride = np.array([f_at[x] for x in pos]).T[:, :, None, None]
+        out_index[d] = (offset + stride * np.arange(d)[:, None] + np.arange(d)).ravel()
     return StackedOperator(
-        edge_order=tuple(edges),
-        block_dims=block_dims,
-        pair_order=tuple(pairs),
-        phi=len(pairs),
-        dim_c=int(starts[-1]),
-        dim_obs=sum(net.obs_dim(e.factor) for e in edges),
-        dim_inner=sum(net.var_dim(j) for _, j in pairs),
-        a=a,
-        omega=omega,
-        h=h,
-        psi=psi,
-        c_groups=c_groups,
-        inner=inner,
-        middle=middle,
+        edge_order=tuple(edges), block_dims=block_dims, pair_order=tuple(pairs), phi=len(pairs),
+        dim_c=int(starts[-1]), dim_obs=sum(net.obs_dim(e.factor) for e in edges),
+        dim_inner=sum(net.var_dim(j) for _, j in pairs), a=a, omega=omega, h=h, psi=psi,
+        c_groups=c_groups, inner=inner, middle=middle, out_index=out_index,
     )
 
 
-def _block_index(spans):
-    """Index arrays that read equally shaped blocks, ``spans`` listing
-    (row, p, col, q) per block, out of a matrix as one (count, p, q) array."""
-    rows, _, cols, _ = np.array(spans).T
-    _, p, _, q = spans[0]
-    return rows[:, None, None] + np.arange(p)[:, None], cols[:, None, None] + np.arange(q)
-
-
-def _stage(blocks, sources, width, labels, out):
+def _stage(blocks, sources, width, labels):
     """One layer of F: out_k = G_k^T (B_k + S_k)^{-1} G_k for the (B_k, G_k)
-    pairs in ``blocks``, p x p and p x q, where S_k sums the blocks of a
-    flat input (``width`` long) at the offsets ``sources[k]``.  Equal
-    (p, q) must be adjacent; each run is one batch, and ``out`` gives the
-    position of each output.  Returns the batches and the flat base and
-    operand stores, which the batches read by slice."""
-    batches = []
-    k = b0 = g0 = 0
-    for (p, q), run in itertools.groupby(g.shape for _, g in blocks):
-        n = len(list(run))
-        src = sources[k : k + n]
-        rows = [np.arange(i * p * p, (i + 1) * p * p) for i, ss in enumerate(src) for _ in ss]
-        cols = [np.arange(s, s + p * p) for ss in src for s in ss]
-        rows, cols = (np.concatenate(x + [np.zeros(0, dtype=int)]) for x in (rows, cols))
-        route = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), (n * p * p, width))
-        batches.append(_Batch(
-            slice(b0, b0 + n * p * p), slice(g0, g0 + n * p * q), (n, p, q), route,
-            labels[k : k + n], out[k : k + n],
-        ))
-        k, b0, g0 = k + n, b0 + n * p * p, g0 + n * p * q
-    return batches, _flat([b for b, _ in blocks]), _flat([g for _, g in blocks])
+    pairs in ``blocks``, p x p and p x q, where S_k sums the p x p blocks
+    of a flat input (``width`` long) listed in ``sources[k]`` as (offset,
+    row stride).  Items sorted by size share padded (count, P, Q) batches,
+    a new one wherever p more than doubles the batch's first, so padding
+    costs at most 8 times an item's work.  Returns the layer, the flat
+    base and operand stores (unpadded, in batch order) and each item's
+    zero-padded output as (offset, row stride) in the layer's output."""
+    plan = []
+    for k in sorted(range(len(blocks)), key=lambda k: blocks[k][1].shape):
+        if plan and blocks[k][1].shape[0] <= 2 * blocks[plan[-1][0]][1].shape[0]:
+            plan[-1].append(k)
+        else:
+            plan.append([k])
+    order = [k for items in plan for k in items]
+    shapes, at, cell, out = [], ([], [], []), [], [None] * len(blocks)
+    ob = og = oo = 0  # offsets into the padded B, G and output buffers
+    for items in plan:
+        p, q = np.array([blocks[k][1].shape for k in items]).T[:, :, None, None]
+        n, big_p, big_q = len(items), int(p.max()), int(q.max())
+        i, j = np.arange(big_p)[:, None], np.arange(big_p)
+        at[0].append(ob + np.flatnonzero((i < p) & (j < p)))  # base store
+        at[1].append(ob + np.flatnonzero((i >= p) & (i == j)))  # identity padding
+        at[2].append(og + np.flatnonzero((i < p) & (np.arange(big_q) < q)))  # operand store
+        cell += [(ob + x * big_p * big_p, big_p) for x in range(n)]
+        for x, k in enumerate(items):
+            out[k] = (oo + x * big_q * big_q, big_q)
+        shapes.append((n, big_p, big_q))
+        ob, og, oo = ob + n * big_p * big_p, og + n * big_p * big_q, oo + n * big_q * big_q
+    # The route: each source block adds into the lower triangle of its
+    # item's B block, the only part the Cholesky factorization reads; int32
+    # indices (the padded B could not be allocated past them) keep it small.
+    p = [blocks[k][1].shape[0] for k in order]
+    pairs = np.array([(*cell[y], p[y], *s) for y, k in enumerate(order) for s in sources[k]])
+    rows, cols = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    for d in np.unique(pairs.reshape(-1, 5)[:, 2]):
+        at_b, big_p, _, off, stride = pairs[pairs[:, 2] == d].T[:, :, None]
+        i, j = np.tril_indices(d)
+        rows.append((at_b + big_p * i + j).astype(np.int32).ravel())
+        cols.append((off + stride * i + j).astype(np.int32).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    layer = _Layer(
+        shapes, scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), (ob, width)),
+        *(np.concatenate(x + [np.zeros(0, dtype=int)]) for x in at), [labels[k] for k in order], p,
+    )
+    base = _flat([_sym(np.asarray(blocks[k][0], dtype=float)) for k in order])
+    return layer, base, _flat([blocks[k][1] for k in order]), out
 
 
-def _run_stage(batches, base, operand, src=None):
+def _run_stage(layer, base, operand, src):
     """Evaluate one layer of F on its stores, adding the flat input
-    ``src`` (if any) to the B blocks; returns one array per batch.  A B
-    block that is not positive definite raises NumericalError naming the
-    first such block."""
+    ``src`` to the B blocks (lower triangles read); returns the padded
+    outputs, flat.  A B block that is not positive definite raises
+    NumericalError naming the first such block of its batch."""
+    b_all = layer.route @ src
+    b_all[layer.base_at] += base
+    b_all[layer.pad_at] = 1.0
+    g_all = np.zeros(sum(n * p * q for n, p, q in layer.batches))
+    g_all[layer.operand_at] = operand
     out = []
-    for batch in batches:
-        n, p, q = batch.shape
-        b = base[batch.base].reshape(n, p, p)
-        if src is not None:
-            b = b + (batch.route @ src).reshape(b.shape)
-        b = (b + b.swapaxes(1, 2)) / 2.0
+    ob = og = k = 0
+    for n, p, q in layer.batches:
+        b = b_all[ob : ob + n * p * p].reshape(n, p, p)
+        g = g_all[og : og + n * p * q].reshape(n, p, q)
+        ob, og, k = ob + n * p * p, og + n * p * q, k + n
         try:
             chol = np.linalg.cholesky(b)
         except np.linalg.LinAlgError:
-            for x, label in zip(b, batch.labels):
-                cones.cho_factor_pd(x, context=label)
+            for x, s, label in zip(b, layer.sizes[k - n : k], layer.labels[k - n : k]):
+                cones.cho_factor_pd(x[:s, :s], context=label)
             raise
-        z = np.linalg.solve(chol, operand[batch.operand].reshape(n, p, q))
-        r = z.swapaxes(1, 2) @ z
-        out.append((r + r.swapaxes(1, 2)) / 2.0)
-    return out
+        # Forward substitution over the rows: z = chol^{-1} g.
+        z = np.empty_like(g)
+        for i in range(p):
+            z[:, i] = (g[:, i] - (chol[:, i, None, :i] @ z[:, :i])[:, 0]) / chol[:, i, i, None]
+        out.append(z.swapaxes(1, 2) @ z)
+    return _flat(out)
 
 
-def _middle(op, t=None):
-    """The middle layer of F as blocks in edge order; without the inner
-    outputs ``t`` (no interference) this is U."""
-    blocks = [None] * len(op.edge_order)
-    for batch, x in zip(op.middle, _run_stage(op.middle, op.omega, op.a, t)):
-        for k, b in zip(batch.out, x):
-            blocks[k] = b
-    return blocks
+def _middle(op, t):
+    """F's middle layer on the inner outputs ``t``, grouped (U at t = 0)."""
+    out = _run_stage(op.middle, op.omega, op.a, t)
+    return {d: _sym(out[idx].reshape(-1, d, d)) for d, idx in op.out_index.items()}
 
 
 def _flat(arrays):
-    return np.concatenate([x.ravel() for x in arrays] + [np.zeros(0)])
+    return np.concatenate([np.ravel(x) for x in arrays] + [np.zeros(0)])
 
 
-def _as_blocks(op, c):
-    """C's blocks in edge order, their flat concatenation, and whether C
-    came as the dense stacked matrix.
+def _sym(x):
+    return (x + x.swapaxes(-1, -2)) / 2.0
+
+
+def _group(op, blocks):
+    """A block list in edge order, grouped by block size."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    if [b.shape for b in blocks] != [(d, d) for d in op.block_dims]:
+        raise ValueError("C's blocks do not match the operator layout")
+    return {d: np.stack([blocks[k] for k in pos]) for d, (pos, _) in op.c_groups.items()}
+
+
+def _blocks(op, groups):
+    """Grouped blocks as a list in edge order."""
+    at = {k: (d, y) for d, (pos, _) in op.c_groups.items() for y, k in enumerate(pos)}
+    return [groups[d][y] for d, y in map(at.get, range(len(op.block_dims)))]
+
+
+def _dense(op, groups):
+    """Grouped blocks as the dense stacked matrix."""
+    out = np.zeros((op.dim_c, op.dim_c))
+    for d, (_, idx) in op.c_groups.items():
+        out[idx] = groups[d]
+    return out
+
+
+def _as_groups(op, c):
+    """C (grouped, a block list or dense) grouped by block size, symmetrized.
 
     A dense C must have the operator's shape and be block diagonal in its
     edge layout: off block-diagonal entries would silently change the
-    meaning of the selection sums, so they are rejected.  A block list
-    must match ``block_dims``.  Either must be finite.
+    meaning of the selection sums, so they are rejected.  Blocks or groups
+    must match the layout.  Either must be finite.
     """
-    dense = isinstance(c, np.ndarray)
-    if dense:
+    if isinstance(c, dict):
+        groups = {d: np.asarray(c.get(d), dtype=float) for d in op.c_groups}
+        if c.keys() != groups.keys() or any(
+            x.shape != (len(op.c_groups[d][0]), d, d) for d, x in groups.items()
+        ):
+            raise ValueError("C's groups do not match the operator layout")
+    elif isinstance(c, np.ndarray):
         if c.shape != (op.dim_c, op.dim_c):
             raise ValueError(f"C has shape {c.shape}, expected {(op.dim_c, op.dim_c)}")
-        blocks = op.split(c)
-        if np.count_nonzero(c) != sum(np.count_nonzero(b) for b in blocks):
+        groups = {d: c[idx] for d, (_, idx) in op.c_groups.items()}
+        if np.count_nonzero(c) != sum(np.count_nonzero(x) for x in groups.values()):
             raise ValueError("C must be block diagonal in the operator's edge layout")
     else:
-        blocks = [np.asarray(b, dtype=float) for b in c]
-        if [b.shape for b in blocks] != [(d, d) for d in op.block_dims]:
-            raise ValueError("C's blocks do not match the operator layout")
-    flat = _flat(blocks)
-    if not np.all(np.isfinite(flat)):
+        groups = _group(op, c)
+    if not all(np.all(np.isfinite(x)) for x in groups.values()):
         raise ValueError("C has non-finite entries")
-    return blocks, flat, dense
+    return {d: _sym(x) for d, x in groups.items()}
 
 
 def apply_stacked_operator(op, c):
     """Evaluate F(C) for a stacked (block diagonal, PSD) C.
 
-    ``c`` is either the dense stacked matrix or its blocks in edge order,
-    and F(C) comes back in the same form.
+    ``c`` is grouped by block size (``{d: (E_d, d, d)}`` in the edge order
+    of ``op.c_groups``), a block list in edge order, or the dense stacked
+    matrix, and F(C) comes back in the same form.
     """
-    _, flat, dense = _as_blocks(op, c)
-    out = _middle(op, _flat(_run_stage(op.inner, op.psi, op.h, flat)))
-    return op.stack(out) if dense else out
+    out = _middle(op, _run_stage(op.inner, op.psi, op.h, _flat(_as_groups(op, c).values())))
+    if isinstance(c, dict):
+        return out
+    return _dense(op, out) if isinstance(c, np.ndarray) else _blocks(op, out)
 
 
 @dataclasses.dataclass(frozen=True)
 class ConeBounds:
     """Loewner bounds of the operator's image: L <= F(C) <= U for all
-    PSD C, as blocks in edge order.  U ignores all interference (infinite
-    prior confidence about the neighbors), L trusts only the priors
-    (C = 0), so U >= L always."""
+    PSD C, as read-only blocks in edge order.  U ignores all interference
+    (infinite prior confidence about the neighbors), L trusts only the
+    priors (C = 0), so U >= L always."""
 
-    u_blocks: list
-    l_blocks: list
+    u_blocks: tuple
+    l_blocks: tuple
 
 
 def bounds_ul(op):
-    """Compute (U, L) and verify U >= L > 0.
+    """Compute (U, L) and verify U >= L > 0, once per operator: later calls
+    return the same bounds.
 
     U = A^T Omega^{-1} A and L = F(0) = A^T (Omega + H Psi^{-1} H^T)^{-1} A,
     both per edge.  A violation of either order relation means the
     instance data broke an invariant (priors or noises not PD, A rank
     deficient), so it raises rather than returning garbage bounds.
     """
-    u_blocks = _middle(op)
-    l_blocks = apply_stacked_operator(op, [np.zeros((d, d)) for d in op.block_dims])
-    tol = cones.default_tolerance(_flat(u_blocks), _flat(l_blocks))
-    l_min = cones.min_eigenvalue_blocks(l_blocks)
-    if not l_min > tol:
-        raise cones.NumericalError(f"lower bound is not positive definite (min eig {l_min:.3e})")
-    if cones.min_eigenvalue_blocks([x - y for x, y in zip(u_blocks, l_blocks)]) < -tol:
-        raise cones.NumericalError("upper bound does not dominate the lower bound")
-    return ConeBounds(u_blocks, l_blocks)
+    return op._bounds
 
 
 def find_fixed_point(op, tol=1e-13, max_iterations=20000):
-    """Iterate F from L until the Frobenius increment drops below tol.
-
-    Returns (c_star, iterations, converged), c_star as the dense stacked
-    matrix.  Starting at L keeps every iterate inside [L, U] from the
-    first step.
+    """Iterate F from L until ||C_{k+1} - C_k||_F <= tol * ||C_{k+1}||_F, a
+    test that rescaling the instance does not change.  Returns (c_star,
+    iterations, converged), c_star as the dense stacked matrix.  Starting
+    at L keeps every iterate inside [L, U] from the first step.
     """
-    c = apply_stacked_operator(op, [np.zeros((d, d)) for d in op.block_dims])
+    c = apply_stacked_operator(op, _group(op, [np.zeros((d, d)) for d in op.block_dims]))
     for it in range(1, max_iterations + 1):
         nxt = apply_stacked_operator(op, c)
-        delta = float(np.linalg.norm(_flat(nxt) - _flat(c)))
+        delta = np.linalg.norm(_flat([nxt[d] - c[d] for d in c]))
         c = nxt
-        if delta <= tol:
-            return op.stack(c), it, True
-    return op.stack(c), max_iterations, False
+        if delta <= tol * np.linalg.norm(_flat(c.values())):
+            return _dense(op, c), it, True
+    return _dense(op, c), max_iterations, False
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +439,20 @@ def random_state_blocks(rng, dims, allow_singular=True, scale=1.0):
 
 
 def scaling_margins(op, c, alpha):
-    """Blockwise min eigenvalue of alpha*F(C) - F(alpha*C), for C dense
-    or as blocks.
+    """Blockwise min eigenvalue of alpha*F(C) - F(alpha*C), for C grouped,
+    as blocks or dense.
 
     The scaling law says this is strictly positive for PSD C and
     alpha > 1 (subhomogeneity with slack, the source of contraction)."""
-    blocks, _, _ = _as_blocks(op, c)
-    fc = apply_stacked_operator(op, blocks)
-    fac = apply_stacked_operator(op, [alpha * b for b in blocks])
-    return _margin([alpha * x for x in fc], fac)
+    groups = _as_groups(op, c)
+    fc = apply_stacked_operator(op, groups)
+    fac = apply_stacked_operator(op, {d: alpha * x for d, x in groups.items()})
+    return _margin({d: alpha * x for d, x in fc.items()}, fac)
 
 
 def _margin(xs, ys):
-    """Smallest eigenvalue of X - Y over the blocks: >= 0 iff X >= Y."""
-    return cones.min_eigenvalue_blocks([x - y for x, y in zip(xs, ys)])
+    """Smallest eigenvalue of X - Y over grouped blocks: >= 0 iff X >= Y."""
+    return cones.min_eigenvalue_blocks({d: xs[d] - ys[d] for d in xs})
 
 
 def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
@@ -425,55 +465,37 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
       bounds:   PSD C                          =>  L <= F(C) <= U
     """
     bounds = bounds_ul(op)
+    lower, upper = _group(op, bounds.l_blocks), _group(op, bounds.u_blocks)
     failures = []
-    worst_mono = np.inf
-    worst_scal = np.inf
-    worst_bnds = np.inf
-    mono = scal = bnds = 0
+    worst_mono = worst_scal = worst_bnds = np.inf
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
 
-        c1_blocks = random_state_blocks(rng, op.block_dims)
-        inc_blocks = random_state_blocks(rng, op.block_dims)
-        f1 = apply_stacked_operator(op, c1_blocks)
-        f2 = apply_stacked_operator(op, [a + b for a, b in zip(c1_blocks, inc_blocks)])
+        c1 = _group(op, random_state_blocks(rng, op.block_dims))
+        inc = _group(op, random_state_blocks(rng, op.block_dims))
+        f1 = apply_stacked_operator(op, c1)
+        f2 = apply_stacked_operator(op, {d: c1[d] + inc[d] for d in c1})
         margin = _margin(f2, f1)
         worst_mono = min(worst_mono, margin)
-        mono += 1
         if margin < -order_tol:
             failures.append(f"trial {t}: monotonicity violated, margin {margin:.3e}")
 
-        pd_blocks = random_state_blocks(rng, op.block_dims, allow_singular=False)
-        alpha = 1.0 + 9.0 * float(rng.random())
-        alpha = max(alpha, 1.0 + 1e-9)
-        margin = scaling_margins(op, pd_blocks, alpha)
+        pd = _group(op, random_state_blocks(rng, op.block_dims, allow_singular=False))
+        alpha = max(1.0 + 9.0 * float(rng.random()), 1.0 + 1e-9)
+        margin = scaling_margins(op, pd, alpha)
         worst_scal = min(worst_scal, margin)
-        scal += 1
         if margin <= 0.0:
-            failures.append(
-                f"trial {t}: scaling law not strict at alpha={alpha:.6f}, "
-                f"margin {margin:.3e}"
-            )
+            failures.append(f"trial {t}: scaling law not strict at alpha={alpha:.6f}, "
+                            f"margin {margin:.3e}")
 
         for f, label in ((f1, "F(C1)"), (f2, "F(C2)")):
-            margin = min(_margin(f, bounds.l_blocks), _margin(bounds.u_blocks, f))
+            margin = min(_margin(f, lower), _margin(upper, f))
             worst_bnds = min(worst_bnds, margin)
-            bnds += 1
             if margin < -order_tol:
-                failures.append(
-                    f"trial {t}: {label} escaped [L, U], margin {margin:.3e}"
-                )
+                failures.append(f"trial {t}: {label} escaped [L, U], margin {margin:.3e}")
     return HarnessReport(
-        trials=trials,
-        seed=seed,
-        order_tol=order_tol,
-        monotone_checks=mono,
-        scaling_checks=scal,
-        bounds_checks=bnds,
-        failures=failures,
-        worst_monotone_margin=float(worst_mono),
-        worst_scaling_margin=float(worst_scal),
-        worst_bounds_margin=float(worst_bnds),
+        trials, seed, order_tol, trials, trials, 2 * trials, failures,
+        float(worst_mono), float(worst_scal), float(worst_bnds),
     )
 
 
@@ -502,27 +524,23 @@ class SandwichReport:
     failures: list
 
 
-def sandwich_sequences(
-    op, c_star, alpha=2.0, max_steps=500, target=1e-6, order_tol=ORDER_TOL
-):
+def sandwich_sequences(op, c_star, alpha=2.0, max_steps=500, target=1e-6, order_tol=ORDER_TOL):
     """Run the two monotone envelope sequences around the fixed point.
 
-    ``c_star`` is the stacked fixed point (dense or block list).  The
-    upper sequence starts at alpha * C*, the lower at L = F(0); both are
-    driven by F alone, so their behavior is a property of the operator,
-    not of the engine run that produced ``c_star``.
+    ``c_star`` is the stacked fixed point (grouped, a block list or
+    dense).  The upper sequence starts at alpha * C*, the lower at
+    L = F(0); both are driven by F alone, so their behavior is a property
+    of the operator, not of the engine run that produced ``c_star``.
     """
     if alpha <= 1.0:
         raise ValueError("alpha must exceed 1")
-    star, _, _ = _as_blocks(op, c_star)
-    upper = [alpha * b for b in star]
-    lower = bounds_ul(op).l_blocks
+    star = _as_groups(op, c_star)
+    upper = {d: alpha * b for d, b in star.items()}
+    lower = _group(op, bounds_ul(op).l_blocks)
     upper_d = [cones.part_metric_blocks(upper, star)]
     lower_d = [cones.part_metric_blocks(lower, star)]
     failures = []
-    upper_mono = True
-    lower_mono = True
-    contains = True
+    upper_mono = lower_mono = contains = True
     steps = 0
     for step in range(1, max_steps + 1):
         new_upper = apply_stacked_operator(op, upper)
@@ -540,10 +558,8 @@ def sandwich_sequences(
         m_in_lo = _margin(star, lower)
         if min(m_in_up, m_in_lo) < -order_tol:
             contains = False
-            failures.append(
-                f"step {step}: fixed point escaped the sandwich, "
-                f"margins ({m_in_up:.3e}, {m_in_lo:.3e})"
-            )
+            failures.append(f"step {step}: fixed point escaped the sandwich, "
+                            f"margins ({m_in_up:.3e}, {m_in_lo:.3e})")
         upper_d.append(cones.part_metric_blocks(upper, star))
         lower_d.append(cones.part_metric_blocks(lower, star))
         steps = step
@@ -551,21 +567,11 @@ def sandwich_sequences(
             break
     reached = upper_d[-1] < target and lower_d[-1] < target
     if not reached:
-        failures.append(
-            f"distances ({upper_d[-1]:.3e}, {lower_d[-1]:.3e}) "
-            f"did not reach {target:.1e} in {steps} steps"
-        )
+        failures.append(f"distances ({upper_d[-1]:.3e}, {lower_d[-1]:.3e}) "
+                        f"did not reach {target:.1e} in {steps} steps")
     return SandwichReport(
-        alpha=alpha,
-        steps=steps,
-        target=target,
-        upper_distances=upper_d,
-        lower_distances=lower_d,
-        upper_monotone=upper_mono,
-        lower_monotone=lower_mono,
-        contains_fixed_point=contains,
-        reached_target=reached,
-        failures=failures,
+        alpha, steps, target, upper_d, lower_d, upper_mono, lower_mono, contains, reached,
+        failures,
     )
 
 
@@ -584,55 +590,61 @@ def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
 
     for both the spectral and Frobenius norms, where d is the part
     distance.  Iterations where the state is not PD (a zero init) get
-    None for the part-metric fields.
+    None for the part-metric fields.  Each distinct info list is read once:
+    the mean-only tail repeats one held list (and the trace keeps every
+    list alive, so identities are not reused).
     """
     star = [np.asarray(b, dtype=float) for b in fixed_point_blocks]
-    if [b.shape[0] for b in star] != list(trace.block_dims):
+    if [b.shape for b in star] != [(d, d) for d in trace.block_dims]:
         raise ValueError("fixed point blocks do not match the trace layout")
     trace.fixed_point_blocks = star
-    star_spec = _spectral_norm(star)
-    star_fro = np.sqrt(sum(float(np.sum(b * b)) for b in star))
-    # Rows of the mean-only tail share one held info list: compute the
-    # figures once per distinct list (the trace keeps every list alive, so
-    # identities are not reused).
-    figures = {}
+    snapshots = list({id(b): b for b in trace.info_blocks}.values())
+    row = {id(b): t for t, b in enumerate(snapshots)}
+    dist, part, margin, slack = _trace_figures(snapshots, star, bounds, trace.block_dims)
     for rec, blocks in zip(trace.records, trace.info_blocks):
-        key = (id(blocks), rec.iteration >= 1)
-        if key not in figures:
-            figures[key] = _snapshot_figures(blocks, star, star_spec, star_fro, bounds, key[1])
-        rec.dist_frobenius, rec.part_distance, margin, slack = figures[key]
+        t = row[id(blocks)]
+        rec.dist_frobenius = float(dist[t])
+        rec.part_distance = None if np.isnan(part[t]) else float(part[t])
         if rec.iteration >= 1:
-            rec.in_bounds = bool(margin >= -order_tol)
-        if slack is not None:
-            rec.norm_slack = slack
-            rec.norm_bound_ok = bool(slack >= -order_tol)
+            rec.in_bounds = bool(margin[t] >= -order_tol)
+        if rec.part_distance is not None:
+            rec.norm_slack = float(slack[t])
+            rec.norm_bound_ok = bool(slack[t] >= -order_tol)
     return trace
 
 
-def _snapshot_figures(blocks, star, star_spec, star_fro, bounds, check_bounds):
-    """Frobenius and part distance to the fixed point, [L, U] margin (if
-    ``check_bounds``) and norm-domination slack of one info snapshot."""
-    diff = [b - s for b, s in zip(blocks, star)]
-    dist = np.sqrt(sum(float(np.sum(d * d)) for d in diff))
-    try:
-        part = cones.part_metric_blocks(blocks, star)
-    except cones.NotComparableError:
-        part = None
-    margin = None
-    if check_bounds:
-        margin = min(_margin(blocks, bounds.l_blocks), _margin(bounds.u_blocks, blocks))
-    slack = None
-    if part is not None:
-        factor = 2.0 * np.exp(part) - np.exp(-part) - 1.0
-        cur_fro = np.sqrt(sum(float(np.sum(b * b)) for b in blocks))
-        slack_spec = factor * min(_spectral_norm(blocks), star_spec) - _spectral_norm(diff)
-        slack = float(min(slack_spec, factor * min(cur_fro, star_fro) - dist))
+def _trace_figures(snapshots, star, bounds, dims):
+    """Frobenius and part distance to the fixed point (nan unless every
+    block pair is PD), [L, U] margin and norm-domination slack per
+    snapshot: one batched eigensolve per figure and (T, E_d, d, d) stack."""
+    dist2, fro2, spec, spec_diff, alpha = np.zeros((5, len(snapshots)))
+    margin = np.full(len(snapshots), np.inf)
+    star_fro2 = star_spec = 0.0
+    for d in sorted(set(dims)):
+        pos = [k for k, dk in enumerate(dims) if dk == d]
+        raw = np.array([[snap[k] for k in pos] for snap in snapshots], dtype=float)
+        s_raw = np.stack([star[k] for k in pos])
+        if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(s_raw))):
+            raise ValueError("matrix has non-finite entries")
+        x, s = _sym(raw), _sym(s_raw)
+        lo, up = (_sym(np.stack([b[k] for k in pos])) for b in (bounds.l_blocks, bounds.u_blocks))
+        a, (w, w_star), _ = cones._part_alpha(x, s)
+        alpha = np.maximum(alpha, a.max(axis=1))
+        dist2 += ((raw - s_raw) ** 2).sum(axis=(1, 2, 3))
+        fro2 += (raw**2).sum(axis=(1, 2, 3))
+        star_fro2 += float((s_raw**2).sum())
+        spec = np.maximum(spec, np.abs(w).max(axis=(1, 2)))
+        star_spec = max(star_spec, float(np.abs(w_star).max()))
+        spec_diff = np.maximum(spec_diff, np.abs(np.linalg.eigvalsh(x - s)).max(axis=(1, 2)))
+        low = np.minimum(np.linalg.eigvalsh(x - lo)[..., 0], np.linalg.eigvalsh(up - x)[..., 0])
+        margin = np.minimum(margin, low.min(axis=1))
+    dist, part = np.sqrt(dist2), np.log(np.maximum(alpha, 1.0))
+    factor = 2.0 * np.exp(part) - np.exp(-part) - 1.0
+    slack = np.minimum(
+        factor * np.minimum(spec, star_spec) - spec_diff,
+        factor * np.minimum(np.sqrt(fro2), np.sqrt(star_fro2)) - dist,
+    )
     return dist, part, margin, slack
-
-
-def _spectral_norm(blocks):
-    """Spectral norm of the direct sum of symmetric blocks."""
-    return float(np.max(np.abs(cones.eigvalsh_blocks(blocks)), initial=0.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -673,22 +685,13 @@ def rate_analysis(trace_or_distances, epsilon=None):
         if trace.fixed_point_blocks is None:
             raise ValueError("trace is not annotated; call annotate_trace first")
         if epsilon is None:
-            star_fro = np.sqrt(
-                sum(float(np.sum(b * b)) for b in trace.fixed_point_blocks)
-            )
-            epsilon = 1e-8 * star_fro
-        iters = []
-        dists = []
-        for rec in trace.records:
-            if (
-                rec.iteration >= 2
-                and rec.part_distance is not None
-                and rec.part_distance > 0.0
-                and rec.dist_frobenius is not None
-                and rec.dist_frobenius > epsilon
-            ):
-                iters.append(rec.iteration)
-                dists.append(rec.part_distance)
+            epsilon = 1e-8 * np.sqrt(sum(float(np.sum(b * b)) for b in trace.fixed_point_blocks))
+        window = [
+            r for r in trace.records
+            if r.iteration >= 2 and r.part_distance is not None and r.part_distance > 0.0
+            and r.dist_frobenius is not None and r.dist_frobenius > epsilon
+        ]
+        iters, dists = [r.iteration for r in window], [r.part_distance for r in window]
         flags = [r.norm_bound_ok for r in trace.records if r.norm_bound_ok is not None]
         norm_all = bool(all(flags)) if flags else None
         slacks = [r.norm_slack for r in trace.records if r.norm_slack is not None]
@@ -703,15 +706,8 @@ def rate_analysis(trace_or_distances, epsilon=None):
 
     if len(iters) < 2:
         return RateReport(
-            c_estimate=None,
-            r_squared=None,
-            window=list(iters),
-            epsilon=float(epsilon),
-            strictly_decreasing=True,
-            degenerate=True,
-            note="window has fewer than two usable iterations; no fit",
-            norm_bound_all=norm_all,
-            worst_norm_slack=worst_slack,
+            None, None, list(iters), float(epsilon), True, True,
+            "window has fewer than two usable iterations; no fit", norm_all, worst_slack,
         )
     xs = np.asarray(iters, dtype=float)
     ys = np.log(np.asarray(dists, dtype=float))
@@ -726,15 +722,8 @@ def rate_analysis(trace_or_distances, epsilon=None):
         if iters[k + 1] == iters[k] + 1
     )
     return RateReport(
-        c_estimate=float(np.exp(slope)),
-        r_squared=float(r_squared),
-        window=list(iters),
-        epsilon=float(epsilon),
-        strictly_decreasing=bool(decreasing),
-        degenerate=False,
-        note="",
-        norm_bound_all=norm_all,
-        worst_norm_slack=worst_slack,
+        float(np.exp(slope)), float(r_squared), list(iters), float(epsilon), bool(decreasing),
+        False, "", norm_all, worst_slack,
     )
 
 
@@ -752,15 +741,10 @@ def write_trace_csv(trace, path):
             ["iteration", "frobenius_delta", "part_distance", "in_bounds", "norm_bound_ok"]
         )
         for rec in trace.records:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    _csv_float(rec.frobenius_delta),
-                    _csv_float(rec.part_distance),
-                    _csv_bool(rec.in_bounds),
-                    _csv_bool(rec.norm_bound_ok),
-                ]
-            )
+            writer.writerow([
+                rec.iteration, _csv_float(rec.frobenius_delta), _csv_float(rec.part_distance),
+                _csv_bool(rec.in_bounds), _csv_bool(rec.norm_bound_ok),
+            ])
 
 
 def _csv_float(v):

@@ -127,15 +127,14 @@ def part_metric(x, y, tol=None):
 
 
 def part_metric_blocks(xs, ys, tol=None):
-    """Part metric between two block diagonal matrices given as block lists.
+    """Part metric between two block diagonal matrices given as block lists,
+    or both grouped by block size as ``{d: (count, d, d)}`` arrays.
 
     The metric decomposes over a direct sum: the scaling factor must work
     for every block at once, so the distance is the max over blocks.  The
     default tolerance is per block pair, and each block size takes one
-    batched eigensolve.
+    batched eigensolve per step (``_part_alpha``).
     """
-    xs = list(xs)
-    ys = list(ys)
     if len(xs) != len(ys):
         raise ValueError(f"block count mismatch {len(xs)} vs {len(ys)}")
     # Starting at 0 also guards against roundoff putting alpha just below 1.
@@ -143,36 +142,46 @@ def part_metric_blocks(xs, ys, tol=None):
     for pos, (x, y) in _batches(xs, ys):
         if x.shape[1] == 0:
             continue
-        largest = np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(y).max(axis=(1, 2)))
-        t = REL_TOL * (1.0 + largest) if tol is None else tol
-        for z, which in ((x, "first"), (y, "second")):
-            low = np.linalg.eigvalsh(z)[:, 0]
-            bad = np.flatnonzero(~(low > t))
+        alpha, eigs, t = _part_alpha(x, y, tol)
+        for w, which in zip(eigs, ("first", "second")):
+            bad = np.flatnonzero(~(w[:, 0] > t))
             if bad.size:
                 raise NotComparableError(
-                    f"{which} argument of block {pos[bad[0]]} is not positive "
-                    f"definite (min eig {low[bad[0]]:.3e})"
+                    f"{which} argument of block {pos[bad[0]]} (size {x.shape[1]}) is not "
+                    f"positive definite (min eig {w[bad[0], 0]:.3e})"
                 )
-        # The pencil (Y, X) has the eigenvalues of L^{-1} Y L^{-T}, X = L L^T.
-        chol = np.linalg.cholesky(x)
-        w = np.linalg.eigvalsh(
-            np.linalg.solve(chol, np.linalg.solve(chol, y).swapaxes(1, 2))
-        )
-        alpha = max(float(w[:, -1].max()), float((1.0 / w[:, 0]).max()))
-        dist = max(dist, float(np.log(alpha)))
+        dist = max(dist, float(np.log(alpha.max())))
     return dist
 
 
+def _part_alpha(x, y, tol=None):
+    """exp of the part metric per block pair of symmetric stacks x (..., n,
+    d, d) and y (n, d, d), nan unless both are PD beyond the pair's
+    tolerance (default REL_TOL * (1 + largest entry)); also the eigenvalues
+    of x and y and the tolerances.  The pencil's eigenvalues are those of
+    L^{-1} X L^{-T}, Y = L L^T, with L inverted once for all of x."""
+    eigs = np.linalg.eigvalsh(x), np.linalg.eigvalsh(y)
+    largest = np.maximum(np.abs(x).max(axis=(-2, -1)), np.abs(y).max(axis=(-2, -1)))
+    t = REL_TOL * (1.0 + largest) if tol is None else np.broadcast_to(tol, largest.shape)
+    ok = (eigs[0][..., 0] > t) & (eigs[1][..., 0] > t)
+    y = np.where(ok.reshape(-1, len(y)).any(axis=0)[:, None, None], y, np.eye(y.shape[-1]))
+    inv = np.linalg.inv(np.linalg.cholesky(y))
+    w = np.where(ok[..., None], np.linalg.eigvalsh(inv @ x @ inv.swapaxes(-1, -2)), 1.0)
+    return np.where(ok, np.maximum(w[..., -1], 1.0 / w[..., 0]), np.nan), eigs, t
+
+
 def eigvalsh_blocks(blocks):
-    """Eigenvalues of all symmetric blocks of a list, concatenated in no
-    particular order: one batched eigensolve per block size."""
+    """Eigenvalues of all symmetric blocks of a list (or of arrays grouped
+    by block size), concatenated in no particular order: one batched
+    eigensolve per block size."""
     out = [np.linalg.eigvalsh(x).ravel() for _, (x,) in _batches(blocks)]
     return np.concatenate(out) if out else np.zeros(0)
 
 
 def min_eigenvalue_blocks(blocks):
-    """Smallest eigenvalue over a list of symmetric blocks (inf if none):
-    the smallest eigenvalue of their direct sum."""
+    """Smallest eigenvalue over a list of symmetric blocks, or arrays
+    grouped by block size (inf if none): the smallest eigenvalue of their
+    direct sum."""
     w = eigvalsh_blocks(blocks)
     return float(w.min()) if w.size else np.inf
 
@@ -180,20 +189,27 @@ def min_eigenvalue_blocks(blocks):
 def _batches(*block_lists):
     """Group parallel block lists by block size: yields the positions of
     each size's blocks and, per list, those blocks symmetrized and stacked
-    into a (count, d, d) array."""
-    groups = {}
-    for k, b in enumerate(block_lists[0]):
-        groups.setdefault(np.shape(b), []).append(k)
-    for shape, pos in groups.items():
-        stacks = []
-        for blocks in block_lists:
-            s = np.stack([np.asarray(blocks[k], dtype=float) for k in pos])
-            if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1:] != shape:
-                raise ValueError(f"expected square blocks of shape {shape}, got {s.shape[1:]}")
+    into a (count, d, d) array.  Grouped arguments, ``{d: (count, d, d)}``,
+    are used as they are, with positions counted within each size."""
+    if isinstance(block_lists[0], dict):
+        if any(b.keys() != block_lists[0].keys() for b in block_lists):
+            raise ValueError("grouped arguments have different block sizes")
+        groups = [(range(len(x)), [b[d] for b in block_lists]) for d, x in block_lists[0].items()]
+    else:
+        pos_by = {}
+        for k, b in enumerate(block_lists[0]):
+            pos_by.setdefault(np.shape(b), []).append(k)
+        groups = [(pos, [[b[k] for k in pos] for b in block_lists]) for pos in pos_by.values()]
+    for pos, stacks in groups:
+        stacks = [np.asarray(s, dtype=float) for s in stacks]
+        for s in stacks:
+            if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape != stacks[0].shape:
+                raise ValueError(
+                    f"expected square blocks of shape {stacks[0].shape[1:]}, got {s.shape[1:]}"
+                )
             if not np.all(np.isfinite(s)):
                 raise ValueError("matrix has non-finite entries")
-            stacks.append((s + s.swapaxes(1, 2)) / 2.0)
-        yield pos, stacks
+        yield pos, [(s + s.swapaxes(1, 2)) / 2.0 for s in stacks]
 
 
 def block_diag(blocks):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 import types
 
 import numpy as np
@@ -92,10 +93,11 @@ def dense_u(ref):
 
 def tamper(op, layer, store, label, block):
     """Overwrite the base block labelled ``label`` of a layer in its flat
-    store (the batch reads the store by slice, so a view writes through)."""
-    batch = next(b for b in layer if label in b.labels)
-    n, p, _ = batch.shape
-    store[batch.base].reshape(n, p, p)[batch.labels.index(label)] = block
+    store, which holds one unpadded p x p block per item in the layer's
+    label order."""
+    k = layer.labels.index(label)
+    start = sum(p * p for p in layer.sizes[:k])
+    store[start : start + block.size] = np.ravel(block)
 
 
 def oracle_instances():
@@ -115,6 +117,64 @@ def engine_one_sweep(net, blocks):
     }
     out = engine.combined_update(net, engine.MessageState(0, msgs))
     return [out.messages[e].info for e in net.directed_edges]
+
+
+def padded_instances():
+    """Var dims 1-4, so both layers mix block sizes inside padded batches."""
+    return [
+        network.generate_random(64, 8, "er", dim_range=(1, 4)),
+        network.generate_random(94, 8, "er", dim_range=(1, 4)),
+        network.generate_random(95, 9, "grid", dim_range=(1, 4), grid_shape=(3, 3)),
+    ]
+
+
+def padded_items(layer):
+    """(label, size, padded size) of the items whose block a batch pads."""
+    sizes = iter(zip(layer.labels, layer.sizes))
+    return [
+        (label, p, big_p)
+        for n, big_p, _ in layer.batches
+        for label, p in (next(sizes) for _ in range(n))
+        if p < big_p
+    ]
+
+
+def part_metric_pencil(x, y):
+    """Per-block reference: one scipy symmetric definite pencil solve."""
+    w = scipy.linalg.eigh(y, x, eigvals_only=True)
+    return max(float(np.log(max(w[-1], 1.0 / w[0]))), 0.0)
+
+
+def snapshot_figures(blocks, star, bounds):
+    """Reference cone figures of one info snapshot, block by block:
+    Frobenius and part distance to the fixed point, [L, U] margin and
+    norm-domination slack (None without a part distance)."""
+    diff = [b - s for b, s in zip(blocks, star)]
+    dist = np.sqrt(sum(float(np.sum(d * d)) for d in diff))
+    comparable = all(
+        min(np.linalg.eigvalsh(b)[0], np.linalg.eigvalsh(s)[0])
+        > cones.REL_TOL * (1.0 + max(np.abs(b).max(), np.abs(s).max()))
+        for b, s in zip(blocks, star)
+    )
+    part = max(part_metric_pencil(b, s) for b, s in zip(blocks, star)) if comparable else None
+    margin = min(
+        min(np.linalg.eigvalsh(b - lo)[0], np.linalg.eigvalsh(up - b)[0])
+        for b, lo, up in zip(blocks, bounds.l_blocks, bounds.u_blocks)
+    )
+    slack = None
+    if part is not None:
+        factor = 2.0 * np.exp(part) - np.exp(-part) - 1.0
+        spec = lambda bs: max(np.abs(np.linalg.eigvalsh(b)).max() for b in bs)  # noqa: E731
+        fro = lambda bs: np.sqrt(sum(float(np.sum(b * b)) for b in bs))  # noqa: E731
+        slack = min(
+            factor * min(spec(blocks), spec(star)) - spec(diff),
+            factor * min(fro(blocks), fro(star)) - dist,
+        )
+    return dist, part, margin, slack
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestBuildStacked:
@@ -295,6 +355,58 @@ class TestApplyOperator:
             op, op.stack(blocks), 3.0
         )
 
+    def test_padded_batches_match_dense_oracle(self):
+        rng = np.random.default_rng(14)
+        for net in padded_instances():
+            op = analysis.build_stacked(net)
+            assert padded_items(op.inner) and padded_items(op.middle)
+            assert len(op.inner.batches) + len(op.middle.batches) <= 4
+            ref = dense_operator(net)
+            for _ in range(3):
+                blocks = analysis.random_state_blocks(rng, op.block_dims)
+                c = op.stack(blocks)
+                want = dense_f(ref, c)
+                got = analysis.apply_stacked_operator(op, c)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            f0 = analysis.apply_stacked_operator(op, np.zeros_like(c))
+            want = dense_f(ref, np.zeros_like(c))
+            assert np.max(np.abs(f0 - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_grouped_in_grouped_out(self):
+        # Grouped arrays hold each size's blocks in c_groups' edge order and
+        # give the same F(C) bit for bit as a block list.
+        net = network.generate_random(94, 8, "er", dim_range=(1, 4))
+        op = analysis.build_stacked(net)
+        blocks = analysis.random_state_blocks(np.random.default_rng(15), op.block_dims)
+        grouped = {d: np.stack([blocks[k] for k in pos]) for d, (pos, _) in op.c_groups.items()}
+        assert sorted(grouped) == sorted(set(op.block_dims))
+        got = analysis.apply_stacked_operator(op, grouped)
+        want = analysis.apply_stacked_operator(op, blocks)
+        assert got.keys() == grouped.keys()
+        for d, (pos, _) in op.c_groups.items():
+            assert got[d].shape == (len(pos), d, d)
+            assert all(np.array_equal(g, want[k]) for g, k in zip(got[d], pos))
+        with pytest.raises(ValueError, match="layout"):
+            analysis.apply_stacked_operator(op, {d: x[1:] for d, x in grouped.items()})
+        with pytest.raises(ValueError, match="layout"):
+            analysis.apply_stacked_operator(op, {1: grouped[1]})
+
+    def test_names_non_pd_block_inside_padded_batch(self):
+        # An indefinite block that its batch pads is still named by its own
+        # slot, in either layer, while every other block stays PD.
+        net = network.generate_random(94, 8, "er", dim_range=(1, 4))
+        for layer, store, run in (("inner", "psi", "apply"), ("middle", "omega", "bounds")):
+            op = analysis.build_stacked(net)
+            label, p, big_p = padded_items(getattr(op, layer))[-1]
+            bad = np.eye(p)
+            bad[-1, -1] = -1.0
+            tamper(op, getattr(op, layer), getattr(op, store), label, bad)
+            with pytest.raises(cones.NumericalError, match=re.escape(label)):
+                if run == "apply":
+                    analysis.apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
+                else:
+                    analysis.bounds_ul(op)
+
     def test_rejects_mismatched_blocks(self, golden_op):
         with pytest.raises(ValueError, match="layout"):
             analysis.apply_stacked_operator(golden_op, [np.eye(1)] * 3)
@@ -369,6 +481,19 @@ class TestBounds:
         ):
             analysis.bounds_ul(op)
 
+    def test_computed_once_per_operator(self):
+        op = analysis.build_stacked(network.generate_random(75, 6, "er", dim_range=(1, 3)))
+        first = analysis.bounds_ul(op)
+        assert analysis.bounds_ul(op) is first
+        assert not any(b.flags.writeable for b in first.u_blocks + first.l_blocks)
+        # A new operator computes its own bounds, equal bit for bit.
+        again = analysis.bounds_ul(analysis.build_stacked(
+            network.generate_random(75, 6, "er", dim_range=(1, 3))
+        ))
+        assert again is not first
+        for x, y in zip(again.u_blocks + again.l_blocks, first.u_blocks + first.l_blocks):
+            assert np.array_equal(x, y)
+
     def test_fixed_point_inside(self, golden_op, golden_run):
         b = analysis.bounds_ul(golden_op)
         star = golden_run.state.stacked()
@@ -382,6 +507,39 @@ class TestFindFixedPoint:
         assert ok
         assert np.max(np.abs(c - golden_run.state.stacked())) <= 1e-12
         assert np.allclose(np.diag(c), GOLDEN_C, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e5, 1e-4])
+    def test_stops_relative_to_the_iterate(self, scale):
+        # An absolute tolerance stalls at large coefficients (the increment
+        # cannot fall below the rounding of a 1e11 iterate) and stops early
+        # at small ones; the relative test converges at both.
+        net = network.generate_random(3, 16, "grid", grid_shape=(4, 4), coeff_scale=scale)
+        op = analysis.build_stacked(net)
+        c, iters, ok = analysis.find_fixed_point(op, max_iterations=200)
+        assert ok and iters < 200
+        residual = analysis.apply_stacked_operator(op, c) - c
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(c)
+
+    def test_power_of_two_rescaling_changes_nothing(self):
+        # x -> x / s with s a power of two scales every iterate by s^2
+        # exactly, so a scale-free stop takes the same steps.
+        net = network.generate_random(91, 8, "er", dim_range=(1, 3))
+        runs = []
+        for s in (2.0**-20, 1.0, 2.0**20):
+            nodes = [
+                dataclasses.replace(
+                    net.node(i), prior_cov=net.node(i).prior_cov / s**2,
+                    coeff={j: a * s for j, a in net.node(i).coeff.items()},
+                )
+                for i in net.ids
+            ]
+            scaled = network.GaussianNetwork(nodes, net.edges)
+            c, iters, ok = analysis.find_fixed_point(analysis.build_stacked(scaled))
+            assert ok
+            runs.append((s, c, iters))
+        for s, c, iters in runs:
+            assert iters == runs[1][2]
+            assert np.array_equal(c, s**2 * runs[1][1])
 
     def test_budget_exhaustion_reported(self, golden_op):
         c, iters, ok = analysis.find_fixed_point(golden_op, tol=1e-16, max_iterations=3)
@@ -486,8 +644,8 @@ class TestAnnotateTrace:
         assert res.trace.records[0].part_distance == pytest.approx(want, abs=1e-9)
 
     def test_held_snapshot_annotated_once(self, monkeypatch):
-        # The mean-only tail repeats one held info list; its figures are
-        # computed once and equal those of per-row copies of the list.
+        # The mean-only tail repeats one held info list; it is stacked once
+        # and its figures equal those of per-row copies of the list.
         net = network.generate_random(1, 16, "grid", grid_shape=(4, 4))
         res = engine.run(net, ScheduleConfig(tol_frobenius=1e-13))
         distinct = len({id(b) for b in res.trace.info_blocks})
@@ -499,14 +657,56 @@ class TestAnnotateTrace:
             info_blocks=[list(b) for b in res.trace.info_blocks],
         )
         analysis.annotate_trace(copied, bounds, res.state.info_blocks())
-        calls = []
-        real = cones.part_metric_blocks
+        stacked = []
+        real = analysis._trace_figures
         monkeypatch.setattr(
-            cones, "part_metric_blocks", lambda *a, **k: calls.append(1) or real(*a, **k)
+            analysis, "_trace_figures", lambda snaps, *a: stacked.append(len(snaps)) or real(snaps, *a)
         )
         analysis.annotate_trace(res.trace, bounds, res.state.info_blocks())
-        assert len(calls) == distinct
+        assert stacked == [distinct]
         assert res.trace.records == copied.records
+
+    @pytest.mark.parametrize("case", ["zero", "identity", "tail", "singular"])
+    def test_matches_per_snapshot_oracle(self, case):
+        # zero: row 0 has no part distance; tail: rows share one held list;
+        # singular: one block of one snapshot is singular, so that snapshot
+        # alone has no part distance.
+        if case == "tail":
+            net = network.generate_random(1, 16, "grid", grid_shape=(4, 4))
+            config = ScheduleConfig(tol_frobenius=1e-13)
+        else:
+            net = network.generate_random(92, 8, "er", dim_range=(1, 4))
+            init = "zero" if case == "zero" else "identity"
+            config = ScheduleConfig(tol_frobenius=1e-12, init=init, init_scale=3.0)
+        res = engine.run(net, config)
+        trace = res.trace
+        if case == "tail":
+            assert len({id(b) for b in trace.info_blocks}) < len(trace.records)
+        if case == "singular":
+            snaps = list(trace.info_blocks)
+            snaps[4] = list(snaps[4])
+            k = next(k for k, d in enumerate(trace.block_dims) if d >= 2)
+            snaps[4][k] = np.diag([1.0] * (trace.block_dims[k] - 1) + [0.0])
+            trace = dataclasses.replace(trace, info_blocks=snaps)
+        bounds = analysis.bounds_ul(analysis.build_stacked(net))
+        star = res.state.info_blocks()
+        analysis.annotate_trace(trace, bounds, star)
+        parts = []
+        for rec, blocks in zip(trace.records, trace.info_blocks):
+            dist, part, margin, slack = snapshot_figures(blocks, star, bounds)
+            assert close(rec.dist_frobenius, dist)
+            assert (rec.part_distance is None) == (part is None)
+            parts.append(part)
+            if part is not None:
+                assert close(rec.part_distance, part)
+                assert close(rec.norm_slack, slack)
+                assert rec.norm_bound_ok is bool(slack >= -analysis.ORDER_TOL)
+            if rec.iteration >= 1:
+                assert rec.in_bounds is bool(margin >= -analysis.ORDER_TOL)
+            else:
+                assert rec.in_bounds is None
+        missing = [k for k, part in enumerate(parts) if part is None]
+        assert missing == {"identity": [], "singular": [4]}.get(case, [0])
 
     def test_rejects_mismatched_fixed_point(self, golden_run):
         bounds = analysis.bounds_ul(analysis.build_stacked(network.two_node_symmetric()))
