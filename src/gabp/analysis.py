@@ -422,7 +422,8 @@ def random_state_blocks(rng, dims, allow_singular=True, scale=1.0):
     Blocks are Gram matrices G G^T with G of random inner dimension, so
     singular and even zero blocks occur when ``allow_singular``; these
     exercise the boundary of the cone where the order properties must
-    still hold.
+    still hold.  ``g @ g.T`` is exactly symmetric (numpy computes it as a
+    symmetric rank-k update), and so is adding a multiple of I.
     """
     blocks = []
     for d in dims:
@@ -433,8 +434,8 @@ def random_state_blocks(rng, dims, allow_singular=True, scale=1.0):
         g = rng.standard_normal((d, rank)) * scale
         b = g @ g.T
         if not allow_singular:
-            b = b + (0.1 + rng.random()) * np.eye(d)
-        blocks.append(cones.symmetrize(b))
+            b += (0.1 + rng.random()) * np.eye(d)
+        blocks.append(b)
     return blocks
 
 

@@ -11,6 +11,8 @@ Notation used in docstrings: ``X >= Y`` is the Loewner order (``X - Y``
 positive semidefinite), ``X > 0`` means positive definite.
 """
 
+import functools
+
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
@@ -170,6 +172,17 @@ def _part_alpha(x, y, tol=None):
     return np.where(ok, np.maximum(w[..., -1], 1.0 / w[..., 0]), np.nan), eigs, t
 
 
+def _pd_flags(blocks):
+    """``is_pd`` of each symmetric block of a list, with the default
+    tolerance per block: one batched eigensolve per block size."""
+    ok = np.ones(len(blocks), dtype=bool)
+    for pos, (x,) in _batches(blocks):
+        if x.shape[1]:
+            tol = REL_TOL * (1.0 + np.abs(x).max(axis=(1, 2)))
+            ok[pos] = np.linalg.eigvalsh(x)[:, 0] > tol
+    return ok
+
+
 def eigvalsh_blocks(blocks):
     """Eigenvalues of all symmetric blocks of a list (or of arrays grouped
     by block size), concatenated in no particular order: one batched
@@ -324,8 +337,17 @@ def _sym(a):
     return s
 
 
+@functools.cache
+def _eye(d):
+    """Read-only identity: potrs copies its right-hand side, so one per size
+    serves every call."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _inv_pd(x, context):
-    return _sym(_cho_solve(_cho_factor(x, context), np.eye(x.shape[0])))
+    return _sym(_cho_solve(_cho_factor(x, context), _eye(x.shape[0])))
 
 
 def _condition_estimate(x):

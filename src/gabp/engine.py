@@ -32,6 +32,7 @@ stage that the innovation covariances and the new messages are finite.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.sparse
@@ -101,6 +102,12 @@ class MessageState:
         self.iteration = int(iteration)
         self.messages = dict(messages)
         self._order = tuple(sorted(self.messages))
+
+    @functools.cached_property
+    def _info_means(self):
+        """``info @ mean`` per message, once per state: stage 1 reads each
+        one for every other factor of its variable."""
+        return {e: m.info @ m.mean for e, m in self.messages.items()}
 
     @property
     def edges(self):
@@ -282,9 +289,8 @@ def _var_to_factor(net, state, variable, factor):
     for k in net.var_factors(variable):
         if k == factor:
             continue
-        msg = state.messages[(k, variable)]
-        info += msg.info
-        rhs += msg.info @ msg.mean
+        info += state.messages[(k, variable)].info
+        rhs += state._info_means[(k, variable)]
     # A sum of exactly symmetric blocks is exactly symmetric.
     cov = cones._inv_pd(info, f"variable {variable} -> factor {factor} information")
     mean = cov @ rhs
@@ -439,9 +445,8 @@ def compute_belief(net, state, variable):
     info = net.prior_info(variable).copy()
     rhs = np.zeros(net.var_dim(variable))
     for k in net.var_factors(variable):
-        msg = state.messages[DirectedEdge(k, variable)]
-        info += msg.info
-        rhs += msg.info @ msg.mean
+        info += state.messages[(k, variable)].info
+        rhs += state._info_means[(k, variable)]
     cov = cones.inv_pd(info, context=f"belief information for variable {variable}")
     return Belief(variable, cov @ rhs, cov)
 

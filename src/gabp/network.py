@@ -301,37 +301,24 @@ def validate(net):
       [ids-not-dense]   node ids are not exactly 1..M
       [not-connected]   the communication graph is disconnected
     """
+    nodes = [net.node(i) for i in net.ids]
+    prior_ok = cones._pd_flags([node.prior_cov for node in nodes])
+    noise_ok = cones._pd_flags([node.noise_cov for node in nodes])
+    rank_ok = iter(_full_rank_flags([node.coeff[j] for node in nodes for j in node.scope()]))
     out = []
-    for i in net.ids:
-        node = net.node(i)
+    for node, p_ok, r_ok in zip(nodes, prior_ok, noise_ok):
+        i = node.id
         if node.dim < 1:
             out.append(Violation("bad-dim", str(i), f"dim={node.dim}"))
-        if not cones.is_pd(node.prior_cov):
-            out.append(
-                Violation(
-                    "prior-not-pd",
-                    str(i),
-                    f"min eigenvalue {cones.min_eigenvalue(node.prior_cov):.3e}",
-                )
-            )
-        if not cones.is_pd(node.noise_cov):
-            out.append(
-                Violation(
-                    "noise-not-pd",
-                    str(i),
-                    f"min eigenvalue {cones.min_eigenvalue(node.noise_cov):.3e}",
-                )
-            )
+        for rule, ok, cov in (("prior", p_ok, node.prior_cov), ("noise", r_ok, node.noise_cov)):
+            if not ok:
+                detail = f"min eigenvalue {cones.min_eigenvalue(cov):.3e}"
+                out.append(Violation(f"{rule}-not-pd", str(i), detail))
         for j in node.scope():
             a = node.coeff[j]
-            if np.linalg.matrix_rank(a) < a.shape[1]:
-                out.append(
-                    Violation(
-                        "rank-deficient",
-                        f"({i},{j})",
-                        f"shape {a.shape} has rank {np.linalg.matrix_rank(a)}",
-                    )
-                )
+            if not next(rank_ok):
+                detail = f"shape {a.shape} has rank {np.linalg.matrix_rank(a)}"
+                out.append(Violation("rank-deficient", f"({i},{j})", detail))
     if net.ids != tuple(range(1, net.num_nodes + 1)):
         out.append(
             Violation("ids-not-dense", "-", f"ids are {net.ids}, expected 1..{net.num_nodes}")
@@ -341,14 +328,21 @@ def validate(net):
         g.add_nodes_from(net.ids)
         g.add_edges_from(net.edges)
         if not nx.is_connected(g):
-            out.append(
-                Violation(
-                    "not-connected",
-                    "-",
-                    f"{nx.number_connected_components(g)} components",
-                )
-            )
+            detail = f"{nx.number_connected_components(g)} components"
+            out.append(Violation("not-connected", "-", detail))
     return out
+
+
+def _full_rank_flags(mats):
+    """Full column rank of each matrix: one batched ``matrix_rank`` per shape
+    (its tolerance is per matrix, as in the single call)."""
+    ok = np.ones(len(mats), dtype=bool)
+    by_shape = {}
+    for k, a in enumerate(mats):
+        by_shape.setdefault(a.shape, []).append(k)
+    for (_, cols), pos in by_shape.items():
+        ok[pos] = np.linalg.matrix_rank(np.stack([mats[k] for k in pos])) >= cols
+    return ok
 
 
 # ---------------------------------------------------------------------------

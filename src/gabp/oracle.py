@@ -10,6 +10,15 @@ concatenation of all observations (ascending id).  The exact posterior is
     Cov = (W_bar^{-1} + A_bar^T R_bar^{-1} A_bar)^{-1}
     mean = Cov @ A_bar^T R_bar^{-1} y.
 
+W_bar and R_bar are block diagonal, so the posterior precision and the
+information vector are sums of local terms (Malioutov, Johnson & Willsky
+2006): the prior blocks W_i^{-1}, plus per factor n the term
+A_n^T R_n^{-1} A_n on the variables of its scope and A_n^T R_n^{-1} y_n,
+where A_n = [A_nj]_{j in scope} is factor n's row block of A_bar.  The
+oracle assembles them factor by factor and inverts only the variable-sized
+precision; the stacked A_bar and R_bar are never formed.  It calls no
+engine code, so it stays an independent cross-check.
+
 On a cycle-free factor graph the message passing fixed point reproduces
 these marginals exactly; on loopy graphs the means still agree at the
 fixed point but the marginal covariances do not, so comparisons must say
@@ -24,8 +33,6 @@ import numpy as np
 from . import cones
 
 __all__ = [
-    "JointSystem",
-    "build_joint",
     "centralized_posterior",
     "marginals",
     "factor_graph_is_tree",
@@ -34,66 +41,37 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class JointSystem:
-    """The stacked model matrices plus the index bookkeeping."""
-
-    a_bar: np.ndarray
-    r_bar: np.ndarray
-    w_bar: np.ndarray
-    y_bar: np.ndarray
-    var_spans: dict
-    obs_spans: dict
-
-
-def build_joint(net):
-    ids = net.ids
-    var_spans = {}
-    off = 0
-    for i in ids:
-        var_spans[i] = slice(off, off + net.var_dim(i))
-        off += net.var_dim(i)
-    total_var = off
-    obs_spans = {}
-    off = 0
-    for n in ids:
-        obs_spans[n] = slice(off, off + net.obs_dim(n))
-        off += net.obs_dim(n)
-    total_obs = off
-    a_bar = np.zeros((total_obs, total_var))
-    r_bar = np.zeros((total_obs, total_obs))
-    w_bar = np.zeros((total_var, total_var))
-    y_bar = np.zeros(total_obs)
-    for n in ids:
-        node = net.node(n)
-        r_bar[obs_spans[n], obs_spans[n]] = node.noise_cov
-        y_bar[obs_spans[n]] = node.obs
-        w_bar[var_spans[n], var_spans[n]] = node.prior_cov
-        for j in net.factor_scope(n):
-            a_bar[obs_spans[n], var_spans[j]] = node.coeff[j]
-    return JointSystem(a_bar, r_bar, w_bar, y_bar, var_spans, obs_spans)
+def _var_spans(net):
+    """Slice of each variable in the stacked x, ascending id, and the total."""
+    ends = np.cumsum([net.var_dim(i) for i in net.ids])
+    return {i: slice(end - net.var_dim(i), end) for i, end in zip(net.ids, ends)}, int(ends[-1])
 
 
 def centralized_posterior(net):
-    """Exact joint posterior (mean, cov) over all variables."""
-    joint = build_joint(net)
-    r_inv_a = cones.solve_pd(joint.r_bar, joint.a_bar, context="joint noise covariance")
-    w_inv = cones.inv_pd(joint.w_bar, context="joint prior covariance")
-    prec = cones.symmetrize(w_inv + joint.a_bar.T @ r_inv_a)
-    cov = cones.inv_pd(prec, context="joint posterior precision")
-    mean = cov @ (r_inv_a.T @ joint.y_bar)
-    return mean, cov
+    """Exact joint posterior (mean, cov) over all variables, stacked in
+    ascending id.  NumericalError names the node whose prior or noise
+    covariance is not positive definite."""
+    spans, total = _var_spans(net)
+    prec = np.zeros((total, total))
+    info = np.zeros(total)
+    for i, s in spans.items():
+        prec[s, s] = cones.inv_pd(net.node(i).prior_cov, context=f"node {i} prior covariance")
+    for n in net.ids:
+        node, scope = net.node(n), net.factor_scope(n)
+        a = np.hstack([node.coeff[j] for j in scope])
+        r_inv = cones.solve_pd(node.noise_cov, np.column_stack([a, node.obs]),
+                               context=f"node {n} noise covariance")
+        at = np.r_[tuple(spans[j] for j in scope)]
+        prec[np.ix_(at, at)] += a.T @ r_inv[:, :-1]
+        info[at] += a.T @ r_inv[:, -1]
+    cov = cones.inv_pd(cones.symmetrize(prec), context="joint posterior precision")
+    return cov @ info, cov
 
 
 def marginals(net):
     """Per-variable posterior marginals {id: (mean_i, cov_i)}."""
     mean, cov = centralized_posterior(net)
-    joint = build_joint(net)
-    out = {}
-    for i in net.ids:
-        s = joint.var_spans[i]
-        out[i] = (mean[s].copy(), cov[s, s].copy())
-    return out
+    return {i: (mean[s].copy(), cov[s, s].copy()) for i, s in _var_spans(net)[0].items()}
 
 
 def factor_graph_is_tree(net):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from gabp import analysis, engine, network, oracle
+from gabp import analysis, cones, engine, network, oracle
 from gabp.cones import NumericalError
 from gabp.engine import MessageState, ScheduleConfig
 from gabp.network import DirectedEdge
@@ -147,6 +147,35 @@ class TestSingleSweep:
                 a = net.node(n).coeff[j]
                 assert np.array_equal(msg.proj_cov, a @ msg.cov @ a.T)
                 assert np.array_equal(msg.proj_mean, a @ msg.mean)
+
+    def test_products_shared_across_targets_bitwise(self):
+        # Each info @ mean is computed once per state and reused for every
+        # target factor; sums run in the same ascending order as taking the
+        # product per target, so every stage-1 message and belief keeps its
+        # bits.
+        net = network.generate_random(8, 8, "er", dim_range=(1, 4))
+        state = engine.initial_state(net)
+        for _ in range(3):
+            state = engine.combined_update(net, state)
+        def combined(j, skip=None):
+            info = net.prior_info(j).copy()
+            rhs = np.zeros(net.var_dim(j))
+            for k in net.var_factors(j):
+                if k != skip:
+                    info += state.messages[(k, j)].info
+                    rhs += state.messages[(k, j)].info @ state.messages[(k, j)].mean
+            cov = cones.inv_pd(info)
+            return info, cov, cov @ rhs
+
+        for j in net.ids:
+            for n in net.var_factors(j):
+                info, cov, mean = combined(j, skip=n)
+                msg = engine.var_to_factor(net, state, j, n)
+                assert np.array_equal(msg.info, info) and np.array_equal(msg.cov, cov)
+                assert np.array_equal(msg.mean, mean)
+            _, cov, mean = combined(j)
+            belief = engine.compute_belief(net, state, j)
+            assert np.array_equal(belief.cov, cov) and np.array_equal(belief.mean, mean)
 
     def test_var_to_factor_rejects_non_adjacent(self):
         net = network.two_node_chain()

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from gabp import network
+from gabp import cones, network
 from gabp.network import (
     DirectedEdge,
     GaussianNetwork,
@@ -181,6 +182,75 @@ class TestValidate:
         bad2 = make_node(2, noise=np.array([[0.0]]))
         out = network.validate(GaussianNetwork([bad1, bad2], [(1, 2)]))
         assert [v.where for v in out] == ["1", "2"]
+
+
+def per_block_violations(net):
+    """Reference for validate's per-node rules: one is_pd or matrix_rank
+    call per block."""
+    out = []
+    for i in net.ids:
+        node = net.node(i)
+        for rule, cov in (("prior-not-pd", node.prior_cov), ("noise-not-pd", node.noise_cov)):
+            if not cones.is_pd(cov):
+                out.append(f"{rule}@{i}: min eigenvalue {cones.min_eigenvalue(cov):.3e}")
+        for j in node.scope():
+            a = node.coeff[j]
+            if np.linalg.matrix_rank(a) < a.shape[1]:
+                out.append(f"rank-deficient@({i},{j}): shape {a.shape} has rank "
+                           f"{np.linalg.matrix_rank(a)}")
+    return out
+
+
+class TestBatchedValidate:
+    def broken(self):
+        """Var dims 1-4, so every rule's batch mixes shapes; one violator of
+        each rule sits among valid blocks of its own shape."""
+        net = network.generate_random(6, 12, "ring", dim_range=(1, 4))
+        nodes = {i: net.node(i) for i in net.ids}
+
+        def inside(keys, shape_of, taken=()):
+            """A key whose block shape also occurs before and after it."""
+            return next(key for k, key in enumerate(keys) if key not in taken
+                        and shape_of(key) in {shape_of(x) for x in keys[:k]}
+                        and shape_of(key) in {shape_of(x) for x in keys[k + 1:]})
+
+        p = inside(net.ids, lambda i: nodes[i].dim)
+        r = inside(net.ids, lambda i: nodes[i].obs_dim, (p,))
+        slots = [(n, j) for n in net.ids if n not in (p, r) for j in nodes[n].scope()]
+        q, j = inside(slots, lambda key: nodes[key[0]].coeff[key[1]].shape)
+        prior = np.diag(np.r_[-1e-3, np.ones(nodes[p].dim - 1)])
+        nodes[p] = dataclasses.replace(nodes[p], prior_cov=prior)
+        nodes[r] = dataclasses.replace(nodes[r], noise_cov=np.zeros((nodes[r].obs_dim,) * 2))
+        coeff = dict(nodes[q].coeff)
+        coeff[j] = np.zeros_like(coeff[j])
+        nodes[q] = dataclasses.replace(nodes[q], coeff=coeff)
+        return GaussianNetwork(list(nodes.values()), net.edges), (p, r, (q, j))
+
+    def test_one_violator_of_each_rule_mid_batch(self):
+        net, (p, r, (q, j)) = self.broken()
+        got = [str(v) for v in network.validate(net)]
+        assert got == per_block_violations(net)
+        assert sorted(v.split(":")[0] for v in got) == sorted(
+            [f"prior-not-pd@{p}", f"noise-not-pd@{r}", f"rank-deficient@({q},{j})"]
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clean_instances_match_reference(self, seed):
+        net = network.generate_random(seed, 10, "grid", dim_range=(1, 4))
+        assert network.validate(net) == [] == per_block_violations(net)
+
+    def test_borderline_blocks_use_the_per_block_tolerance(self):
+        # Each block's tolerance comes from its own largest entry, not from
+        # the batch's: beside a block of scale 1e6, a unit-scale block whose
+        # min eigenvalue is twice its own tolerance passes and one at half
+        # of it fails.
+        tol = cones.default_tolerance(np.eye(2))
+        nodes = [make_node(1, dim=2, prior=np.diag([1e6, 1.0])),
+                 make_node(2, dim=2, prior=np.diag([1.0, 2 * tol])),
+                 make_node(3, dim=2, prior=np.diag([1.0, tol / 2]))]
+        net = GaussianNetwork(nodes, [(1, 2), (2, 3)])
+        got = [str(v) for v in network.validate(net)]
+        assert got == per_block_violations(net) == [f"prior-not-pd@3: min eigenvalue {tol / 2:.3e}"]
 
 
 class TestGenerateRandom:

@@ -1,14 +1,69 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gabp import engine, network, oracle
+from gabp.cones import NumericalError
 from gabp.engine import ScheduleConfig
 
 
+def dense_joint(net):
+    """Reference stacked model: dense A_bar, R_bar, W_bar and y_bar, with the
+    slice of each variable's and each observation's block (ascending id)."""
+    def spans(dims):
+        ends = np.cumsum(dims)
+        return {i: slice(e - d, e) for i, d, e in zip(net.ids, dims, ends)}
+
+    var_spans = spans([net.var_dim(i) for i in net.ids])
+    obs_spans = spans([net.obs_dim(i) for i in net.ids])
+    total_var = sum(net.var_dim(i) for i in net.ids)
+    total_obs = sum(net.obs_dim(i) for i in net.ids)
+    a_bar = np.zeros((total_obs, total_var))
+    r_bar = np.zeros((total_obs, total_obs))
+    w_bar = np.zeros((total_var, total_var))
+    y_bar = np.zeros(total_obs)
+    for n in net.ids:
+        node = net.node(n)
+        r_bar[obs_spans[n], obs_spans[n]] = node.noise_cov
+        y_bar[obs_spans[n]] = node.obs
+        w_bar[var_spans[n], var_spans[n]] = node.prior_cov
+        for j in net.factor_scope(n):
+            a_bar[obs_spans[n], var_spans[j]] = node.coeff[j]
+    return types.SimpleNamespace(
+        a_bar=a_bar, r_bar=r_bar, w_bar=w_bar, y_bar=y_bar,
+        var_spans=var_spans, obs_spans=obs_spans,
+    )
+
+
+def dense_posterior(net):
+    """Reference posterior: one Cholesky of the stacked R_bar, as in
+    Cov = (W_bar^-1 + A_bar^T R_bar^-1 A_bar)^-1, mean = Cov A_bar^T R_bar^-1 y."""
+    joint = dense_joint(net)
+    r_inv_a = scipy.linalg.solve(joint.r_bar, joint.a_bar, assume_a="pos")
+    prec = np.linalg.inv(joint.w_bar) + joint.a_bar.T @ r_inv_a
+    cov = np.linalg.inv((prec + prec.T) / 2.0)
+    return cov @ (r_inv_a.T @ joint.y_bar), cov, joint
+
+
+def posterior_instances():
+    return {
+        "golden": network.two_node_symmetric(),
+        "chain": network.two_node_chain(),
+        "grid16": network.generate_random(1, 16, "grid", grid_shape=(4, 4)),
+        "er30": network.generate_random(1, 30, "er", er_prob=0.2, dim_range=(1, 3)),
+        "tree": network.generate_random(7, 12, "tree", dim_range=(1, 3)),
+    }
+
+
 class TestJointAssembly:
+    """The dense reference itself: the stacked model of the module docstring."""
+
     def test_spans_and_shapes(self):
         net = network.generate_random(2, 5, "er", dim_range=(1, 3))
-        joint = oracle.build_joint(net)
+        joint = dense_joint(net)
         nvar = sum(net.var_dim(i) for i in net.ids)
         nobs = sum(net.obs_dim(i) for i in net.ids)
         assert joint.a_bar.shape == (nobs, nvar)
@@ -18,7 +73,7 @@ class TestJointAssembly:
 
     def test_blocks_placed(self):
         net = network.two_node_chain()
-        joint = oracle.build_joint(net)
+        joint = dense_joint(net)
         # Node 1 observes x1 + x2, node 2 observes x2 only.
         assert np.array_equal(joint.a_bar, [[1.0, 1.0], [0.0, 1.0]])
         assert np.array_equal(joint.r_bar, np.eye(2))
@@ -46,7 +101,7 @@ class TestCentralizedPosterior:
 
     def test_matches_direct_formula_on_random_instance(self):
         net = network.generate_random(12, 6, "er", dim_range=(1, 3))
-        joint = oracle.build_joint(net)
+        joint = dense_joint(net)
         mean, cov = oracle.centralized_posterior(net)
         prec = np.linalg.inv(joint.w_bar) + joint.a_bar.T @ np.linalg.solve(
             joint.r_bar, joint.a_bar
@@ -59,12 +114,39 @@ class TestCentralizedPosterior:
     def test_marginals_are_slices(self):
         net = network.generate_random(13, 4, "er", dim_range=(2, 3))
         mean, cov = oracle.centralized_posterior(net)
-        joint = oracle.build_joint(net)
+        joint = dense_joint(net)
         marg = oracle.marginals(net)
         for i in net.ids:
             s = joint.var_spans[i]
             assert np.array_equal(marg[i][0], mean[s])
             assert np.array_equal(marg[i][1], cov[s, s])
+
+    @pytest.mark.parametrize("name", list(posterior_instances()))
+    def test_matches_dense_reference_blockwise(self, name):
+        net = posterior_instances()[name]
+        want_mean, want_cov, joint = dense_posterior(net)
+        marg = oracle.marginals(net)
+        mean, cov = oracle.centralized_posterior(net)
+        assert mean.shape == want_mean.shape and cov.shape == want_cov.shape
+        for i in net.ids:
+            s = joint.var_spans[i]
+            for got, want in ((marg[i][0], want_mean[s]), (marg[i][1], want_cov[s, s])):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            for j in net.ids:
+                block, want = cov[s, joint.var_spans[j]], want_cov[s, joint.var_spans[j]]
+                assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want_cov))
+
+    @pytest.mark.parametrize("field, what", [("noise_cov", "noise"), ("prior_cov", "prior")])
+    def test_non_pd_covariance_names_its_node(self, field, what):
+        # Built in Python, so validate() never sees the bad block.
+        net = network.generate_random(3, 6, "er", dim_range=(1, 3))
+        node = net.node(4)
+        bad = -np.eye(getattr(node, field).shape[0])
+        nodes = [dataclasses.replace(node, **{field: bad}) if i == 4 else net.node(i)
+                 for i in net.ids]
+        broken = network.GaussianNetwork(nodes, net.edges)
+        with pytest.raises(NumericalError, match=rf"^node 4 {what} covariance is not positive"):
+            oracle.marginals(broken)
 
 
 class TestTreeDetection:
