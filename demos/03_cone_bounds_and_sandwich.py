@@ -16,8 +16,9 @@ from gabp import analysis, cones, network
 
 net = network.generate_random(seed=3, num_nodes=5, topology="er", er_prob=0.6)
 op = analysis.build_stacked(net)
-print(f"stacked operator: C is {op.dim_c}x{op.dim_c} block diagonal, "
-      f"{op.phi} interference replicas, inner dimension {op.dim_inner}")
+sizes = {d: op.block_dims.count(d) for d in sorted(set(op.block_dims))}
+print(f"stacked operator: C is block diagonal with {len(op.edge_order)} edge blocks "
+      f"(blocks per size {sizes}), {op.phi} interference replicas")
 
 bounds = analysis.bounds_ul(op)
 print(f"bounds: lambda_min(L) = {cones.min_eigenvalue_blocks(bounds.l_blocks):.4f}, "

@@ -16,13 +16,11 @@ __version__ = "0.1.0"
 from .cones import (
     NotComparableError,
     NumericalError,
-    block_diag,
     is_pd,
     is_psd,
     loewner_geq,
     part_metric,
     part_metric_blocks,
-    split_blocks,
     symmetrize,
 )
 from .network import (
@@ -71,13 +69,11 @@ __all__ = [
     "__version__",
     "NotComparableError",
     "NumericalError",
-    "block_diag",
     "is_pd",
     "is_psd",
     "loewner_geq",
     "part_metric",
     "part_metric_blocks",
-    "split_blocks",
     "symmetrize",
     "DirectedEdge",
     "GaussianNetwork",

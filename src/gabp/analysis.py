@@ -78,14 +78,14 @@ class StackedOperator:
       omega  R_n per edge                                middle base
       h      H_nj^T per (factor n, variable j) key       inner operand
       psi    W_j^{-1} per (n, j) key                     inner base
-    ``dim_obs`` and ``dim_inner`` are the sizes of the global Omega and
-    Psi; ``phi`` counts K's replicas of C, one per entry of ``pair_order``.
+    ``dim_c`` is the size of C, the sum of ``block_dims``; ``phi`` counts
+    K's replicas of C, one per entry of ``pair_order``.
 
     ``c_groups`` maps each block size d to the edge positions of C's
-    blocks of that size (the order of the grouped layout) and their index
-    arrays in the dense form.  ``inner`` (one item per (n, j)) and
-    ``middle`` (one per edge) are F's layers; ``out_index`` gathers F(C)'s
-    groups from the middle layer's padded output.
+    blocks of that size, the order of the grouped layout.  ``inner`` (one
+    item per (n, j)) and ``middle`` (one per edge) are F's layers;
+    ``out_index`` gathers F(C)'s groups from the middle layer's padded
+    output.
     """
 
     edge_order: tuple
@@ -93,8 +93,6 @@ class StackedOperator:
     pair_order: tuple
     phi: int
     dim_c: int
-    dim_obs: int
-    dim_inner: int
     a: np.ndarray
     omega: np.ndarray
     h: np.ndarray
@@ -109,14 +107,6 @@ class StackedOperator:
             raise ValueError(
                 f"phi {self.phi} does not match the pair count {len(self.pair_order)}"
             )
-
-    def split(self, c):
-        """Cut a stacked matrix into per-edge blocks."""
-        return cones.split_blocks(c, self.block_dims)
-
-    def stack(self, blocks):
-        """Assemble per-edge blocks into the stacked form."""
-        return _dense(self, _group(self, blocks))
 
     @functools.cached_property
     def _bounds(self):
@@ -151,15 +141,13 @@ def build_stacked(net):
     if len(pairs) != phi:
         raise RuntimeError(f"pair count {len(pairs)} disagrees with the replica formula {phi}")
 
-    # C's blocks per size: edge positions, index arrays into the dense
-    # form, and each block's (offset, row stride) in the grouped input (the
-    # size groups raveled in ascending size).
-    starts = np.cumsum((0,) + block_dims)
+    # C's blocks per size: edge positions, and each block's (offset, row
+    # stride) in the grouped input (the size groups raveled in ascending
+    # size).
     c_groups, c_at, width = {}, {}, 0
     for d in sorted(set(block_dims)):
         pos = [x for x, dx in enumerate(block_dims) if dx == d]
-        span = np.add.outer(starts[pos], np.arange(d))
-        c_groups[d] = (np.array(pos), (span[:, :, None], span[:, None, :]))
+        c_groups[d] = np.array(pos)
         for x in pos:
             c_at[edges[x]], width = (width, d), width + d * d
 
@@ -183,14 +171,13 @@ def build_stacked(net):
     )
     # F(C)'s groups: the d x d corner of each edge's padded middle output.
     out_index = {}
-    for d, (pos, _) in c_groups.items():
+    for d, pos in c_groups.items():
         offset, stride = np.array([f_at[x] for x in pos]).T[:, :, None, None]
         out_index[d] = (offset + stride * np.arange(d)[:, None] + np.arange(d)).ravel()
     return StackedOperator(
         edge_order=tuple(edges), block_dims=block_dims, pair_order=tuple(pairs), phi=len(pairs),
-        dim_c=int(starts[-1]), dim_obs=sum(net.obs_dim(e.factor) for e in edges),
-        dim_inner=sum(net.var_dim(j) for _, j in pairs), a=a, omega=omega, h=h, psi=psi,
-        c_groups=c_groups, inner=inner, middle=middle, out_index=out_index,
+        dim_c=sum(block_dims), a=a, omega=omega, h=h, psi=psi, c_groups=c_groups,
+        inner=inner, middle=middle, out_index=out_index,
     )
 
 
@@ -288,48 +275,39 @@ def _sym(x):
     return (x + x.swapaxes(-1, -2)) / 2.0
 
 
+_LAYOUT = (
+    "C must be a block list in edge order or arrays grouped by block size, "
+    "{d: (E_d, d, d)}, in the operator's layout"
+)
+
+
 def _group(op, blocks):
     """A block list in edge order, grouped by block size."""
     blocks = [np.asarray(b, dtype=float) for b in blocks]
     if [b.shape for b in blocks] != [(d, d) for d in op.block_dims]:
-        raise ValueError("C's blocks do not match the operator layout")
-    return {d: np.stack([blocks[k] for k in pos]) for d, (pos, _) in op.c_groups.items()}
+        raise ValueError(_LAYOUT)
+    return {d: np.stack([blocks[k] for k in pos]) for d, pos in op.c_groups.items()}
 
 
 def _blocks(op, groups):
     """Grouped blocks as a list in edge order."""
-    at = {k: (d, y) for d, (pos, _) in op.c_groups.items() for y, k in enumerate(pos)}
+    at = {k: (d, y) for d, pos in op.c_groups.items() for y, k in enumerate(pos)}
     return [groups[d][y] for d, y in map(at.get, range(len(op.block_dims)))]
 
 
-def _dense(op, groups):
-    """Grouped blocks as the dense stacked matrix."""
-    out = np.zeros((op.dim_c, op.dim_c))
-    for d, (_, idx) in op.c_groups.items():
-        out[idx] = groups[d]
-    return out
-
-
 def _as_groups(op, c):
-    """C (grouped, a block list or dense) grouped by block size, symmetrized.
+    """C, grouped or a block list, grouped by block size and symmetrized.
 
-    A dense C must have the operator's shape and be block diagonal in its
-    edge layout: off block-diagonal entries would silently change the
-    meaning of the selection sums, so they are rejected.  Blocks or groups
-    must match the layout.  Either must be finite.
+    Either form must match the layout and be finite.  A dense stacked
+    matrix is neither: iterated, it yields rows, not blocks, so it is
+    rejected.
     """
     if isinstance(c, dict):
         groups = {d: np.asarray(c.get(d), dtype=float) for d in op.c_groups}
         if c.keys() != groups.keys() or any(
-            x.shape != (len(op.c_groups[d][0]), d, d) for d, x in groups.items()
+            x.shape != (len(op.c_groups[d]), d, d) for d, x in groups.items()
         ):
-            raise ValueError("C's groups do not match the operator layout")
-    elif isinstance(c, np.ndarray):
-        if c.shape != (op.dim_c, op.dim_c):
-            raise ValueError(f"C has shape {c.shape}, expected {(op.dim_c, op.dim_c)}")
-        groups = {d: c[idx] for d, (_, idx) in op.c_groups.items()}
-        if np.count_nonzero(c) != sum(np.count_nonzero(x) for x in groups.values()):
-            raise ValueError("C must be block diagonal in the operator's edge layout")
+            raise ValueError(_LAYOUT)
     else:
         groups = _group(op, c)
     if not all(np.all(np.isfinite(x)) for x in groups.values()):
@@ -341,13 +319,11 @@ def apply_stacked_operator(op, c):
     """Evaluate F(C) for a stacked (block diagonal, PSD) C.
 
     ``c`` is grouped by block size (``{d: (E_d, d, d)}`` in the edge order
-    of ``op.c_groups``), a block list in edge order, or the dense stacked
-    matrix, and F(C) comes back in the same form.
+    of ``op.c_groups``) or a block list in edge order, and F(C) comes back
+    in the same form.
     """
     out = _middle(op, _run_stage(op.inner, op.psi, op.h, _flat(_as_groups(op, c).values())))
-    if isinstance(c, dict):
-        return out
-    return _dense(op, out) if isinstance(c, np.ndarray) else _blocks(op, out)
+    return out if isinstance(c, dict) else _blocks(op, out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -375,9 +351,9 @@ def bounds_ul(op):
 
 def find_fixed_point(op, tol=1e-13, max_iterations=20000):
     """Iterate F from L until ||C_{k+1} - C_k||_F <= tol * ||C_{k+1}||_F, a
-    test that rescaling the instance does not change.  Returns (c_star,
-    iterations, converged), c_star as the dense stacked matrix.  Starting
-    at L keeps every iterate inside [L, U] from the first step.
+    test that rescaling the instance does not change.  Returns (blocks,
+    iterations, converged), the blocks of C* in edge order.  Starting at L
+    keeps every iterate inside [L, U] from the first step.
     """
     c = apply_stacked_operator(op, _group(op, [np.zeros((d, d)) for d in op.block_dims]))
     for it in range(1, max_iterations + 1):
@@ -385,8 +361,8 @@ def find_fixed_point(op, tol=1e-13, max_iterations=20000):
         delta = np.linalg.norm(_flat([nxt[d] - c[d] for d in c]))
         c = nxt
         if delta <= tol * np.linalg.norm(_flat(c.values())):
-            return _dense(op, c), it, True
-    return _dense(op, c), max_iterations, False
+            return _blocks(op, c), it, True
+    return _blocks(op, c), max_iterations, False
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +416,8 @@ def random_state_blocks(rng, dims, allow_singular=True, scale=1.0):
 
 
 def scaling_margins(op, c, alpha):
-    """Blockwise min eigenvalue of alpha*F(C) - F(alpha*C), for C grouped,
-    as blocks or dense.
+    """Blockwise min eigenvalue of alpha*F(C) - F(alpha*C), for C grouped
+    or a block list.
 
     The scaling law says this is strictly positive for PSD C and
     alpha > 1 (subhomogeneity with slack, the source of contraction)."""
@@ -528,8 +504,8 @@ class SandwichReport:
 def sandwich_sequences(op, c_star, alpha=2.0, max_steps=500, target=1e-6, order_tol=ORDER_TOL):
     """Run the two monotone envelope sequences around the fixed point.
 
-    ``c_star`` is the stacked fixed point (grouped, a block list or
-    dense).  The upper sequence starts at alpha * C*, the lower at
+    ``c_star`` is the stacked fixed point, grouped or a block list in edge
+    order.  The upper sequence starts at alpha * C*, the lower at
     L = F(0); both are driven by F alone, so their behavior is a property
     of the operator, not of the engine run that produced ``c_star``.
     """

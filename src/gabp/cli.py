@@ -9,9 +9,10 @@ Four subcommands cover the workflow end to end:
   gabp compare  check converged beliefs against the centralized posterior
 
 Exit codes: 0 success, 1 usage or input errors (bad flags, unreadable or
-invalid instance files, bad init states), 2 a quantitative check failed
-(comparison beyond tolerance, property or sandwich violations), 3 the
-message passing did not converge within the iteration budget.
+invalid instance files, unusable output directories, bad init states),
+2 a quantitative check failed (comparison beyond tolerance, property or
+sandwich violations), 3 the message passing did not converge within the
+iteration budget.
 
 Set GABP_LOG to a level name (debug, info, warning) to get progress logs
 on stderr.  Every JSON output embeds the package version, the instance
@@ -122,7 +123,7 @@ def main(argv=None):
     except (network.SchemaError, network.SemanticError) as exc:
         print(f"gabp: invalid instance: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"gabp: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
@@ -238,14 +239,16 @@ def _load_init_state(path, net):
     rejected up front."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "messages" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("messages"), list):
         raise ValueError(f"{path}: expected a JSON object with a 'messages' list")
     messages = {}
     for k, m in enumerate(doc["messages"]):
         try:
             edge = network.DirectedEdge(int(m["factor"]), int(m["variable"]))
             info = np.asarray(m["info"], dtype=float)
-            mean = np.asarray(m.get("mean", np.zeros(info.shape[0])), dtype=float)
+            if info.ndim != 2:
+                raise ValueError(f"info has shape {info.shape}, expected a matrix")
+            mean = np.asarray(m.get("mean", np.zeros(len(info))), dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: messages[{k}] is malformed: {exc}") from exc
         messages[edge] = engine.EdgeMessage(edge, info, mean)

@@ -30,8 +30,6 @@ __all__ = [
     "part_metric_blocks",
     "eigvalsh_blocks",
     "min_eigenvalue_blocks",
-    "block_diag",
-    "split_blocks",
     "cho_factor_pd",
     "solve_pd",
     "inv_pd",
@@ -223,33 +221,6 @@ def _batches(*block_lists):
             if not np.all(np.isfinite(s)):
                 raise ValueError("matrix has non-finite entries")
         yield pos, [(s + s.swapaxes(1, 2)) / 2.0 for s in stacks]
-
-
-def block_diag(blocks):
-    """Assemble square blocks into one dense block diagonal matrix."""
-    blocks = [symmetrize(b) if b.ndim == 2 else np.asarray(b, float) for b in blocks]
-    if not blocks:
-        return np.zeros((0, 0))
-    return scipy.linalg.block_diag(*blocks)
-
-
-def split_blocks(x, dims):
-    """Cut a block diagonal matrix back into its diagonal blocks.
-
-    ``dims`` lists the block sizes in order.  The off diagonal entries are
-    not checked; callers that care about exact block structure should test
-    that separately.
-    """
-    x = np.asarray(x, dtype=float)
-    total = int(sum(dims))
-    if x.shape != (total, total):
-        raise ValueError(f"matrix shape {x.shape} does not match dims sum {total}")
-    out = []
-    off = 0
-    for d in dims:
-        out.append(x[off : off + d, off : off + d].copy())
-        off += d
-    return out
 
 
 def cho_factor_pd(x, context="matrix"):

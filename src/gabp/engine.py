@@ -117,15 +117,6 @@ class MessageState:
         """Info matrices in ascending (factor, variable) edge order."""
         return [self.messages[e].info for e in self._order]
 
-    def stacked(self):
-        """Block diagonal of all info blocks, ascending edge order.
-
-        This is the state seen by the stacked covariance-matrix operator
-        in the analysis module; keeping the layout identical there and
-        here is what makes the two implementations comparable.
-        """
-        return cones.block_diag(self.info_blocks())
-
     def block_dims(self):
         return [self.messages[e].info.shape[0] for e in self._order]
 

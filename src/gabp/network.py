@@ -355,7 +355,7 @@ def _as_square(a, what):
         raise ValueError(f"{what}: expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what}: non-finite entries")
-    return cones.symmetrize(a)
+    return cones._sym(a)
 
 
 def _random_spd(rng, dim, lo=0.5, hi=2.0):
@@ -656,12 +656,11 @@ def _from_doc(doc):
 
 
 def _num_array(val, where, ndim):
+    """A numeric array of the given rank; ``NodeSpec`` checks finiteness."""
     try:
         arr = np.asarray(val, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: not a numeric array: {exc}") from exc
     if arr.ndim != ndim:
         raise SchemaError(f"{where}: expected a {ndim}-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{where}: non-finite entries")
     return arr

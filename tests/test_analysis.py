@@ -72,6 +72,26 @@ def dense_operator(net):
     )
 
 
+def stack(blocks):
+    """The dense stacked C of a block list: block diagonal, in edge order."""
+    return scipy.linalg.block_diag(*blocks)
+
+
+def split(c, dims):
+    """The diagonal blocks of a dense stacked C, of the given sizes."""
+    at = np.cumsum([0, *dims])
+    return [c[a:b, a:b] for a, b in zip(at[:-1], at[1:])]
+
+
+def group(op, blocks):
+    """A block list grouped by size, in the edge order of ``op.c_groups``."""
+    return {d: np.stack([blocks[k] for k in pos]) for d, pos in op.c_groups.items()}
+
+
+def zeros(op):
+    return [np.zeros((d, d)) for d in op.block_dims]
+
+
 def dense_f(ref, c):
     """Reference F(C): the Kronecker form with dense global solves."""
     mid = ref.omega
@@ -182,9 +202,8 @@ class TestBuildStacked:
         op = golden_op
         assert op.phi == 4
         assert op.dim_c == 4
-        assert op.dim_obs == 4      # four edges, scalar observation each
-        assert op.dim_inner == 4    # one interfering scalar per edge
         assert op.block_dims == (1, 1, 1, 1)
+        assert op.c_groups.keys() == {1} and np.array_equal(op.c_groups[1], np.arange(4))
         assert len(op.pair_order) == 4
 
     def test_star_replica_count(self):
@@ -239,7 +258,7 @@ class TestBuildStacked:
             net = network.generate_random(seed, 6, "er", dim_range=(1, 3))
             op = analysis.build_stacked(net)
             blocks = analysis.random_state_blocks(rng, op.block_dims)
-            c = op.stack(blocks)
+            c = stack(blocks)
             by_edge = dict(zip(op.edge_order, blocks))
             for (n, j), sel in dense_operator(net).xi.items():
                 got = np.asarray(sel @ c @ sel.T)
@@ -254,7 +273,7 @@ class TestBuildStacked:
         net = network.generate_random(52, 5, "er", dim_range=(1, 2))
         op = analysis.build_stacked(net)
         rng = np.random.default_rng(9)
-        c = op.stack(analysis.random_state_blocks(rng, op.block_dims))
+        c = stack(analysis.random_state_blocks(rng, op.block_dims))
         ref = dense_operator(net)
         assert ref.pairs == list(op.pair_order)
         kron = scipy.sparse.kron(scipy.sparse.identity(ref.phi), scipy.sparse.csr_matrix(c))
@@ -283,10 +302,10 @@ class TestApplyOperator:
     def test_golden_scalar_map(self, golden_op):
         # Every block obeys c -> (1 + c)/(2 + c).
         for c0 in (0.0, 0.3, 1.0, 10.0):
-            out = analysis.apply_stacked_operator(golden_op, c0 * np.eye(4))
+            out = analysis.apply_stacked_operator(golden_op, [c0 * np.eye(1)] * 4)
             want = (1 + c0) / (2 + c0)
-            assert np.allclose(np.diag(out), want, atol=1e-14)
-            assert np.allclose(out, np.diag(np.diag(out)), atol=1e-15)
+            assert [b.shape for b in out] == [(1, 1)] * 4
+            assert np.allclose(np.ravel(out), want, atol=1e-14)
 
     def test_matches_engine_sweep(self):
         rng = np.random.default_rng(10)
@@ -295,33 +314,30 @@ class TestApplyOperator:
             op = analysis.build_stacked(net)
             blocks = analysis.random_state_blocks(rng, op.block_dims)
             want = engine_one_sweep(net, blocks)
-            got = op.split(analysis.apply_stacked_operator(op, op.stack(blocks)))
+            got = analysis.apply_stacked_operator(op, blocks)
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12 * max(1.0, np.max(np.abs(w)))
 
-    def test_output_exactly_block_diagonal(self):
-        net = network.generate_random(63, 6, "er", dim_range=(2, 3))
-        op = analysis.build_stacked(net)
-        rng = np.random.default_rng(11)
-        out = analysis.apply_stacked_operator(
-            op, op.stack(analysis.random_state_blocks(rng, op.block_dims))
-        )
-        mask = np.ones_like(out, dtype=bool)
-        off = 0
-        for d in op.block_dims:
-            mask[off : off + d, off : off + d] = False
-            off += d
-        assert np.all(out[mask] == 0.0)
-
     def test_rejects_wrong_shape(self, golden_op):
-        with pytest.raises(ValueError, match="shape"):
-            analysis.apply_stacked_operator(golden_op, np.eye(5))
+        with pytest.raises(ValueError, match="layout"):
+            analysis.apply_stacked_operator(golden_op, [np.eye(2)] + [np.eye(1)] * 3)
 
     def test_rejects_off_block_content(self, golden_op):
-        c = np.eye(4)
-        c[0, 3] = c[3, 0] = 0.2
-        with pytest.raises(ValueError, match="block diagonal"):
-            analysis.apply_stacked_operator(golden_op, c)
+        # A dense stacked C is not read as a list of rows, with or without
+        # off block-diagonal content; the error names both accepted forms.
+        net = network.generate_random(63, 6, "er", dim_range=(1, 3))
+        op = analysis.build_stacked(net)
+        dense = stack(analysis.random_state_blocks(np.random.default_rng(11), op.block_dims))
+        off_block = np.eye(4)
+        off_block[0, 3] = off_block[3, 0] = 0.2
+        for o, c in ((op, dense), (golden_op, np.eye(4)), (golden_op, off_block)):
+            assert c.shape == (o.dim_c, o.dim_c)
+            with pytest.raises(ValueError, match=r"block list in edge order or .* grouped"):
+                analysis.apply_stacked_operator(o, c)
+            with pytest.raises(ValueError, match="block list"):
+                analysis.scaling_margins(o, c, 2.0)
+            with pytest.raises(ValueError, match="block list"):
+                analysis.sandwich_sequences(o, c)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
@@ -335,13 +351,12 @@ class TestApplyOperator:
                 k = next(k for k, d in enumerate(op.block_dims) if d >= 2 and k > 0)
                 g = rng.standard_normal(op.block_dims[k])
                 blocks[k] = np.outer(g, g)
-                c = op.stack(blocks)
-                want = dense_f(ref, c)
-                got = analysis.apply_stacked_operator(op, c)
+                want = dense_f(ref, stack(blocks))
+                got = stack(analysis.apply_stacked_operator(op, blocks))
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_block_list_in_block_list_out(self):
-        # The same F(C) bit for bit, whether C comes dense or as blocks.
+        # The same F(C) bit for bit, whether C comes grouped or as blocks.
         net = network.generate_random(64, 7, "er", dim_range=(1, 3))
         op = analysis.build_stacked(net)
         rng = np.random.default_rng(13)
@@ -349,10 +364,11 @@ class TestApplyOperator:
         got = analysis.apply_stacked_operator(op, blocks)
         assert isinstance(got, list)
         assert [b.shape for b in got] == [(d, d) for d in op.block_dims]
-        dense = analysis.apply_stacked_operator(op, op.stack(blocks))
-        assert np.array_equal(op.stack(got), dense)
+        grouped = analysis.apply_stacked_operator(op, group(op, blocks))
+        for d, x in group(op, got).items():
+            assert np.array_equal(x, grouped[d])
         assert analysis.scaling_margins(op, blocks, 3.0) == analysis.scaling_margins(
-            op, op.stack(blocks), 3.0
+            op, group(op, blocks), 3.0
         )
 
     def test_padded_batches_match_dense_oracle(self):
@@ -364,12 +380,11 @@ class TestApplyOperator:
             ref = dense_operator(net)
             for _ in range(3):
                 blocks = analysis.random_state_blocks(rng, op.block_dims)
-                c = op.stack(blocks)
-                want = dense_f(ref, c)
-                got = analysis.apply_stacked_operator(op, c)
+                want = dense_f(ref, stack(blocks))
+                got = stack(analysis.apply_stacked_operator(op, blocks))
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            f0 = analysis.apply_stacked_operator(op, np.zeros_like(c))
-            want = dense_f(ref, np.zeros_like(c))
+            f0 = stack(analysis.apply_stacked_operator(op, zeros(op)))
+            want = dense_f(ref, np.zeros((op.dim_c, op.dim_c)))
             assert np.max(np.abs(f0 - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_grouped_in_grouped_out(self):
@@ -378,12 +393,12 @@ class TestApplyOperator:
         net = network.generate_random(94, 8, "er", dim_range=(1, 4))
         op = analysis.build_stacked(net)
         blocks = analysis.random_state_blocks(np.random.default_rng(15), op.block_dims)
-        grouped = {d: np.stack([blocks[k] for k in pos]) for d, (pos, _) in op.c_groups.items()}
+        grouped = group(op, blocks)
         assert sorted(grouped) == sorted(set(op.block_dims))
         got = analysis.apply_stacked_operator(op, grouped)
         want = analysis.apply_stacked_operator(op, blocks)
         assert got.keys() == grouped.keys()
-        for d, (pos, _) in op.c_groups.items():
+        for d, pos in op.c_groups.items():
             assert got[d].shape == (len(pos), d, d)
             assert all(np.array_equal(g, want[k]) for g, k in zip(got[d], pos))
         with pytest.raises(ValueError, match="layout"):
@@ -403,7 +418,7 @@ class TestApplyOperator:
             tamper(op, getattr(op, layer), getattr(op, store), label, bad)
             with pytest.raises(cones.NumericalError, match=re.escape(label)):
                 if run == "apply":
-                    analysis.apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
+                    analysis.apply_stacked_operator(op, zeros(op))
                 else:
                     analysis.bounds_ul(op)
 
@@ -421,26 +436,23 @@ class TestApplyOperator:
         label = f"factor {e.factor} / variable {j} inner matrix"
         tamper(op, op.inner, op.psi, label, -np.eye(net.var_dim(j)))
         with pytest.raises(cones.NumericalError, match=label):
-            analysis.apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
+            analysis.apply_stacked_operator(op, zeros(op))
 
     def test_rejects_non_finite_input(self, golden_op):
-        c = np.eye(4)
-        c[1, 1] = np.nan
+        c = [np.eye(1)] * 4
+        c[1] = np.full((1, 1), np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             analysis.apply_stacked_operator(golden_op, c)
-
-    def test_stack_split_round_trip(self, golden_op):
-        blocks = [np.array([[float(k)]]) for k in range(1, 5)]
-        back = golden_op.split(golden_op.stack(blocks))
-        for b, r in zip(blocks, back):
-            assert np.array_equal(b, r)
+        with pytest.raises(ValueError, match="non-finite"):
+            analysis.apply_stacked_operator(golden_op, group(golden_op, c))
 
 
 class TestBounds:
     def test_golden_values(self, golden_op):
         b = analysis.bounds_ul(golden_op)
-        assert np.allclose(cones.block_diag(b.u_blocks), np.eye(4), atol=1e-14)
-        assert np.allclose(cones.block_diag(b.l_blocks), 0.5 * np.eye(4), atol=1e-14)
+        assert [x.shape for x in b.u_blocks + b.l_blocks] == [(1, 1)] * 8
+        assert np.allclose(np.ravel(b.u_blocks), 1.0, atol=1e-14)
+        assert np.allclose(np.ravel(b.l_blocks), 0.5, atol=1e-14)
 
     def test_l_is_f_of_zero(self):
         net = network.generate_random(70, 6, "er")
@@ -453,9 +465,9 @@ class TestBounds:
         for seed in (71, 72, 73):
             net = network.generate_random(seed, 8, "er", dim_range=(1, 3))
             b = analysis.bounds_ul(analysis.build_stacked(net))
-            u, l = cones.block_diag(b.u_blocks), cones.block_diag(b.l_blocks)
-            assert cones.loewner_geq(u, l)
-            assert cones.is_pd(l)
+            for u, l in zip(b.u_blocks, b.l_blocks, strict=True):
+                assert cones.loewner_geq(u, l)
+                assert cones.is_pd(l)
 
     def test_matches_dense_oracle(self):
         for net in oracle_instances():
@@ -464,9 +476,9 @@ class TestBounds:
             b = analysis.bounds_ul(op)
             want_u = dense_u(ref)
             want_l = dense_f(ref, np.zeros((op.dim_c, op.dim_c)))
-            for got, want in zip(b.u_blocks, op.split(want_u), strict=True):
+            for got, want in zip(b.u_blocks, split(want_u, op.block_dims), strict=True):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want_u))
-            for got, want in zip(b.l_blocks, op.split(want_l), strict=True):
+            for got, want in zip(b.l_blocks, split(want_l, op.block_dims), strict=True):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want_l))
 
     def test_names_edge_with_indefinite_noise(self):
@@ -496,17 +508,19 @@ class TestBounds:
 
     def test_fixed_point_inside(self, golden_op, golden_run):
         b = analysis.bounds_ul(golden_op)
-        star = golden_run.state.stacked()
-        assert cones.loewner_geq(star, cones.block_diag(b.l_blocks), tol=1e-9)
-        assert cones.loewner_geq(cones.block_diag(b.u_blocks), star, tol=1e-9)
+        for s, u, l in zip(golden_run.state.info_blocks(), b.u_blocks, b.l_blocks, strict=True):
+            assert cones.loewner_geq(s, l, tol=1e-9)
+            assert cones.loewner_geq(u, s, tol=1e-9)
 
 
 class TestFindFixedPoint:
     def test_matches_engine(self, golden_op, golden_run):
         c, iters, ok = analysis.find_fixed_point(golden_op, tol=1e-14)
         assert ok
-        assert np.max(np.abs(c - golden_run.state.stacked())) <= 1e-12
-        assert np.allclose(np.diag(c), GOLDEN_C, atol=1e-12)
+        assert isinstance(c, list) and [b.shape for b in c] == [(1, 1)] * 4
+        for b, want in zip(c, golden_run.state.info_blocks(), strict=True):
+            assert np.max(np.abs(b - want)) <= 1e-12
+        assert np.allclose(np.ravel(c), GOLDEN_C, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e5, 1e-4])
     def test_stops_relative_to_the_iterate(self, scale):
@@ -517,8 +531,8 @@ class TestFindFixedPoint:
         op = analysis.build_stacked(net)
         c, iters, ok = analysis.find_fixed_point(op, max_iterations=200)
         assert ok and iters < 200
-        residual = analysis.apply_stacked_operator(op, c) - c
-        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(c)
+        residual = stack(analysis.apply_stacked_operator(op, c)) - stack(c)
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(stack(c))
 
     def test_power_of_two_rescaling_changes_nothing(self):
         # x -> x / s with s a power of two scales every iterate by s^2
@@ -539,7 +553,7 @@ class TestFindFixedPoint:
             runs.append((s, c, iters))
         for s, c, iters in runs:
             assert iters == runs[1][2]
-            assert np.array_equal(c, s**2 * runs[1][1])
+            assert all(np.array_equal(x, s**2 * y) for x, y in zip(c, runs[1][1], strict=True))
 
     def test_budget_exhaustion_reported(self, golden_op):
         c, iters, ok = analysis.find_fixed_point(golden_op, tol=1e-16, max_iterations=3)
@@ -549,13 +563,13 @@ class TestFindFixedPoint:
 class TestPropertyHarness:
     def test_monotone_hand_values(self, golden_op):
         # F(0) = 1/2 and F(I) = 2/3 per block, so the monotone gap is 1/6.
-        f0 = analysis.apply_stacked_operator(golden_op, np.zeros((4, 4)))
-        f1 = analysis.apply_stacked_operator(golden_op, np.eye(4))
-        assert np.allclose(np.diag(f1 - f0), 1.0 / 6.0, atol=1e-14)
+        f0 = analysis.apply_stacked_operator(golden_op, zeros(golden_op))
+        f1 = analysis.apply_stacked_operator(golden_op, [np.eye(1)] * 4)
+        assert np.allclose(np.ravel(f1) - np.ravel(f0), 1.0 / 6.0, atol=1e-14)
 
     def test_scaling_hand_value(self, golden_op):
         # 2 F(I) - F(2I) = 4/3 - 3/4 = 7/12 per block.
-        margin = analysis.scaling_margins(golden_op, np.eye(4), 2.0)
+        margin = analysis.scaling_margins(golden_op, [np.eye(1)] * 4, 2.0)
         assert margin == pytest.approx(7.0 / 12.0, abs=1e-12)
 
     def test_clean_on_golden(self, golden_op):
@@ -618,7 +632,7 @@ class TestRandomStateBlocks:
 class TestSandwich:
     def test_golden_envelopes(self, golden_op, golden_run):
         rep = analysis.sandwich_sequences(
-            golden_op, golden_run.state.stacked(), alpha=2.0, target=1e-6
+            golden_op, golden_run.state.info_blocks(), alpha=2.0, target=1e-6
         )
         assert rep.failures == []
         assert rep.upper_monotone and rep.lower_monotone
@@ -637,13 +651,13 @@ class TestSandwich:
         assert ok
         rep = analysis.sandwich_sequences(op, c, alpha=2.0, target=1e-6)
         assert rep.failures == []
-        same = analysis.sandwich_sequences(op, op.split(c), alpha=2.0, target=1e-6)
+        same = analysis.sandwich_sequences(op, group(op, c), alpha=2.0, target=1e-6)
         assert same.upper_distances == rep.upper_distances
         assert same.lower_distances == rep.lower_distances
 
     def test_alpha_must_exceed_one(self, golden_op):
         with pytest.raises(ValueError, match="alpha"):
-            analysis.sandwich_sequences(golden_op, np.eye(4), alpha=1.0)
+            analysis.sandwich_sequences(golden_op, [np.eye(1)] * 4, alpha=1.0)
 
 
 class TestAnnotateTrace:

@@ -128,6 +128,17 @@ class TestRun:
         assert run_cli("run", "--instance", str(tmp_path / "no.json"),
                        "--out-dir", str(tmp_path / "o")) == 1
 
+    def test_unreadable_paths_exit_1(self, golden_instance, tmp_path, capsys):
+        # An instance that is a directory, and an output directory that is
+        # a file, are input errors with a message, not tracebacks.
+        assert run_cli("run", "--instance", str(tmp_path), "--out-dir", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith("gabp: [Errno")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("run", "--instance", golden_instance, "--out-dir", str(taken)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gabp: [Errno") and str(taken) in err
+
     def test_schema_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"nodes": []}')
@@ -194,6 +205,25 @@ class TestInitOption:
                                                   **{field: value})
             assert code == 1
             assert f"init {field} for edge (1, 1) has non-finite" in capsys.readouterr().err
+
+    def test_file_init_rejects_malformed_message(self, golden_instance, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"messages": [{"factor": 1, "variable": 1, "info": 5}]}))
+        code = run_cli(
+            "run", "--instance", golden_instance, "--out-dir", str(tmp_path / "o"),
+            "--init", f"file:{init}",
+        )
+        assert code == 1
+        assert "messages[0] is malformed: info has shape ()" in capsys.readouterr().err
+        assert self.run_with_tampered_message(golden_instance, tmp_path / "t", info=5) == 1
+        assert "messages[0] is malformed" in capsys.readouterr().err
+        init.write_text(json.dumps({"messages": 5}))
+        code = run_cli(
+            "run", "--instance", golden_instance, "--out-dir", str(tmp_path / "o"),
+            "--init", f"file:{init}",
+        )
+        assert code == 1
+        assert "expected a JSON object with a 'messages' list" in capsys.readouterr().err
 
     def test_workers_flag_is_a_usage_error(self, golden_instance, tmp_path):
         assert run_cli(
@@ -274,10 +304,13 @@ class TestAnalyze:
             a = node.coeff[e.variable]
             u_blocks.append(a.T @ np.linalg.solve(node.noise_cov, a))
         u = scipy.linalg.block_diag(*u_blocks)
-        l = analysis.apply_stacked_operator(op, np.zeros((op.dim_c, op.dim_c)))
+        l_blocks = analysis.apply_stacked_operator(
+            op, [np.zeros((d, d)) for d in op.block_dims]
+        )
         u_max = np.linalg.eigvalsh(u)[-1]
+        l_min = np.linalg.eigvalsh(scipy.linalg.block_diag(*l_blocks))[0]
         assert bounds["u_max_eig"] == pytest.approx(u_max, rel=1e-12)
-        assert bounds["l_min_eig"] == pytest.approx(np.linalg.eigvalsh(l)[0], rel=1e-12)
+        assert bounds["l_min_eig"] == pytest.approx(l_min, rel=1e-12)
         assert abs(u_max - np.max(np.abs(u))) > 1e-3 * u_max
 
     def test_non_convergence_exit_3(self, golden_instance, tmp_path):

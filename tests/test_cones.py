@@ -240,7 +240,7 @@ class TestPartMetricBlocks:
         dims = [2, 1, 3]
         xs = [random_spd(rng, d) for d in dims]
         ys = [random_spd(rng, d) for d in dims]
-        dense = cones.part_metric(cones.block_diag(xs), cones.block_diag(ys))
+        dense = cones.part_metric(scipy.linalg.block_diag(*xs), scipy.linalg.block_diag(*ys))
         assert cones.part_metric_blocks(xs, ys) == pytest.approx(dense, abs=1e-10)
 
     def test_block_count_mismatch(self):
@@ -312,25 +312,6 @@ class TestMinEigenvalueBlocks:
         assert cones.min_eigenvalue_blocks([]) == np.inf
         with pytest.raises(ValueError):
             cones.min_eigenvalue_blocks([np.eye(2), np.full((2, 2), np.nan)])
-
-
-class TestBlockHelpers:
-    def test_round_trip(self):
-        rng = np.random.default_rng(37)
-        dims = [1, 3, 2]
-        blocks = [random_spd(rng, d) for d in dims]
-        dense = cones.block_diag(blocks)
-        assert dense.shape == (6, 6)
-        back = cones.split_blocks(dense, dims)
-        for b, r in zip(blocks, back):
-            assert np.allclose(b, r, atol=1e-15)
-
-    def test_split_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            cones.split_blocks(np.eye(4), [1, 2])
-
-    def test_empty(self):
-        assert cones.block_diag([]).shape == (0, 0)
 
 
 class TestSolvers:

@@ -40,10 +40,10 @@ class TestInitialState:
     def test_stacked_layout(self):
         net = network.generate_random(3, 4, "er", dim_range=(1, 3))
         st = engine.initial_state(net, "identity")
-        stacked = st.stacked()
-        total = sum(net.var_dim(e.variable) for e in net.directed_edges)
-        assert stacked.shape == (total, total)
-        assert np.array_equal(stacked, np.eye(total))
+        blocks = st.info_blocks()
+        dims = [net.var_dim(e.variable) for e in net.directed_edges]
+        assert st.block_dims() == dims
+        assert all(np.array_equal(b, np.eye(d)) for b, d in zip(blocks, dims, strict=True))
 
 
 class TestCheckInitState:
@@ -353,6 +353,11 @@ class TestNonFinite:
             assert engine._max_block_norm(flat, dims) == want
 
 
+def frobenius_gap(xs, ys):
+    """Frobenius norm of the difference of two block diagonal states."""
+    return np.sqrt(sum(np.sum((x - y) ** 2) for x, y in zip(xs, ys, strict=True)))
+
+
 class TestInitIndependence:
     def test_same_fixed_point_from_three_starts(self):
         net = network.generate_random(30, 6, "er")
@@ -365,9 +370,9 @@ class TestInitIndependence:
                 ),
             )
             assert res.converged
-            finals.append(res.state.stacked())
+            finals.append(res.state.info_blocks())
         for other in finals[1:]:
-            assert np.linalg.norm(other - finals[0], "fro") <= 1e-9
+            assert frobenius_gap(other, finals[0]) <= 1e-9
 
     def test_random_psd_start(self):
         net = network.generate_random(31, 5, "er")
@@ -385,7 +390,7 @@ class TestInitIndependence:
         )
         res_b = engine.run(net, ScheduleConfig(max_iterations=3000, tol_frobenius=1e-12))
         assert res_a.converged and res_b.converged
-        diff = np.linalg.norm(res_a.state.stacked() - res_b.state.stacked(), "fro")
+        diff = frobenius_gap(res_a.state.info_blocks(), res_b.state.info_blocks())
         assert diff <= 1e-9
 
 

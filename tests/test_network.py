@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,27 @@ class TestFileFormat:
         doc["nodes"][0]["W"] = [["a"]]
         with pytest.raises(SchemaError, match=r"nodes\[0\].W"):
             network.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "key, field",
+        [("W", "prior_cov"), ("R", "noise_cov"), ("y", "obs"), ("A", "coeff[2]")],
+    )
+    def test_non_finite_entry_names_node_and_field(self, key, field, value):
+        doc = json.loads(network.dumps(network.two_node_chain()))
+        node = doc["nodes"][1]
+        if key == "A":
+            node["A"]["2"][0][0] = value
+        elif key == "y":
+            node["y"][0] = value
+        else:
+            node[key][0][0] = value
+        text = json.dumps(doc)
+        assert ("NaN" if np.isnan(value) else "Infinity") in text
+        with pytest.raises(
+            SchemaError, match=rf"^nodes\[1\]: node 2:? {re.escape(field)}:? .*non-finite"
+        ):
+            network.loads(text)
 
     def test_bad_edge_entry(self):
         doc = json.loads(network.dumps(network.two_node_chain()))
