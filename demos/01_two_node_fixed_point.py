@@ -32,7 +32,8 @@ print("\nscalar map vs engine, first five iterations:")
 c = 0.0
 for rec in result.trace.records[1:6]:
     c = (1.0 + c) / (2.0 + c)
-    c_engine = result.trace.info_blocks[rec.iteration][0][0, 0]
+    # the blocks are scalars, so column 0 of a trace row is the first edge's info
+    c_engine = result.trace.info[result.trace.rows[rec.iteration], 0]
     print(f"  l={rec.iteration}:  map {c:.10f}   engine {c_engine:.10f}"
           f"   delta recorded {rec.frobenius_delta:.2e}")
 

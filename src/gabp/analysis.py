@@ -441,6 +441,8 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
       scaling:  PD C, alpha in (1, 10]         =>  alpha F(C) > F(alpha C)
       bounds:   PSD C                          =>  L <= F(C) <= U
     """
+    if not trials >= 0:
+        raise ValueError(f"trials must be >= 0, got {trials!r}")
     bounds = bounds_ul(op)
     lower, upper = _group(op, bounds.l_blocks), _group(op, bounds.u_blocks)
     failures = []
@@ -509,8 +511,8 @@ def sandwich_sequences(op, c_star, alpha=2.0, max_steps=500, target=1e-6, order_
     L = F(0); both are driven by F alone, so their behavior is a property
     of the operator, not of the engine run that produced ``c_star``.
     """
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha!r}")
     star = _as_groups(op, c_star)
     upper = {d: alpha * b for d, b in star.items()}
     lower = _group(op, bounds_ul(op).l_blocks)
@@ -567,19 +569,15 @@ def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
 
     for both the spectral and Frobenius norms, where d is the part
     distance.  Iterations where the state is not PD (a zero init) get
-    None for the part-metric fields.  Each distinct info list is read once:
-    the mean-only tail repeats one held list (and the trace keeps every
-    list alive, so identities are not reused).
+    None for the part-metric fields.  Each row of ``trace.info`` is
+    evaluated once, and each record reads the figures of its row.
     """
     star = [np.asarray(b, dtype=float) for b in fixed_point_blocks]
     if [b.shape for b in star] != [(d, d) for d in trace.block_dims]:
         raise ValueError("fixed point blocks do not match the trace layout")
     trace.fixed_point_blocks = star
-    snapshots = list({id(b): b for b in trace.info_blocks}.values())
-    row = {id(b): t for t, b in enumerate(snapshots)}
-    dist, part, margin, slack = _trace_figures(snapshots, star, bounds, trace.block_dims)
-    for rec, blocks in zip(trace.records, trace.info_blocks):
-        t = row[id(blocks)]
+    dist, part, margin, slack = _trace_figures(trace.info, star, bounds, trace.block_dims)
+    for rec, t in zip(trace.records, trace.rows):
         rec.dist_frobenius = float(dist[t])
         rec.part_distance = None if np.isnan(part[t]) else float(part[t])
         if rec.iteration >= 1:
@@ -590,16 +588,17 @@ def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
     return trace
 
 
-def _trace_figures(snapshots, star, bounds, dims):
+def _trace_figures(info, star, bounds, dims):
     """Frobenius and part distance to the fixed point (nan unless every
-    block pair is PD), [L, U] margin and norm-domination slack per
-    snapshot: one batched eigensolve per figure and (T, E_d, d, d) stack."""
-    dist2, fro2, spec, spec_diff, alpha = np.zeros((5, len(snapshots)))
-    margin = np.full(len(snapshots), np.inf)
+    block pair is PD), [L, U] margin and norm-domination slack per row of
+    ``info``: one gather and one batched eigensolve per figure and size d."""
+    info, at = np.asarray(info, dtype=float), np.cumsum([0] + [d * d for d in dims])
+    dist2, fro2, spec, spec_diff, alpha = np.zeros((5, len(info)))
+    margin = np.full(len(info), np.inf)
     star_fro2 = star_spec = 0.0
     for d in sorted(set(dims)):
         pos = [k for k, dk in enumerate(dims) if dk == d]
-        raw = np.array([[snap[k] for k in pos] for snap in snapshots], dtype=float)
+        raw = info[:, at[pos][:, None] + np.arange(d * d)].reshape(len(info), len(pos), d, d)
         s_raw = np.stack([star[k] for k in pos])
         if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(s_raw))):
             raise ValueError("matrix has non-finite entries")

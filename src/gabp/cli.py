@@ -269,8 +269,7 @@ def _cmd_run(args):
         # Annotate against the run's own terminal state so the trace CSV
         # carries the cone diagnostics; analyze does the same with a
         # tighter fixed point.
-        op = analysis.build_stacked(net)
-        bounds = analysis.bounds_ul(op)
+        bounds = analysis.bounds_ul(analysis.build_stacked(net))
         analysis.annotate_trace(result.trace, bounds, result.state.info_blocks())
     analysis.write_trace_csv(result.trace, os.path.join(args.out_dir, "trace.csv"))
     last = result.trace.records[-1]

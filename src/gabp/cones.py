@@ -35,7 +35,7 @@ __all__ = [
     "inv_pd",
 ]
 
-# Relative floor used when the caller does not pin an explicit tolerance.
+# Default tolerances are REL_TOL times the largest entry, with no absolute floor.
 REL_TOL = 1e-10
 
 
@@ -68,13 +68,9 @@ def symmetrize(a):
 
 
 def default_tolerance(*mats):
-    """Eigenvalue tolerance scaled to the magnitude of the arguments."""
-    largest = 0.0
-    for m in mats:
-        m = np.asarray(m, dtype=float)
-        if m.size:
-            largest = max(largest, float(np.max(np.abs(m))))
-    return REL_TOL * (1.0 + largest)
+    """Eigenvalue tolerance: REL_TOL times the largest entry of the arguments."""
+    largest = [np.abs(np.asarray(m, dtype=float)).max(initial=0.0) for m in mats]
+    return REL_TOL * float(max(largest, default=0.0))
 
 
 def min_eigenvalue(x):
@@ -157,12 +153,12 @@ def part_metric_blocks(xs, ys, tol=None):
 def _part_alpha(x, y, tol=None):
     """exp of the part metric per block pair of symmetric stacks x (..., n,
     d, d) and y (n, d, d), nan unless both are PD beyond the pair's
-    tolerance (default REL_TOL * (1 + largest entry)); also the eigenvalues
+    tolerance (default REL_TOL * largest entry); also the eigenvalues
     of x and y and the tolerances.  The pencil's eigenvalues are those of
     L^{-1} X L^{-T}, Y = L L^T, with L inverted once for all of x."""
     eigs = np.linalg.eigvalsh(x), np.linalg.eigvalsh(y)
     largest = np.maximum(np.abs(x).max(axis=(-2, -1)), np.abs(y).max(axis=(-2, -1)))
-    t = REL_TOL * (1.0 + largest) if tol is None else np.broadcast_to(tol, largest.shape)
+    t = REL_TOL * largest if tol is None else np.broadcast_to(tol, largest.shape)
     ok = (eigs[0][..., 0] > t) & (eigs[1][..., 0] > t)
     y = np.where(ok.reshape(-1, len(y)).any(axis=0)[:, None, None], y, np.eye(y.shape[-1]))
     inv = np.linalg.inv(np.linalg.cholesky(y))
@@ -176,7 +172,7 @@ def _pd_flags(blocks):
     ok = np.ones(len(blocks), dtype=bool)
     for pos, (x,) in _batches(blocks):
         if x.shape[1]:
-            tol = REL_TOL * (1.0 + np.abs(x).max(axis=(1, 2)))
+            tol = REL_TOL * np.abs(x).max(axis=(1, 2))
             ok[pos] = np.linalg.eigvalsh(x)[:, 0] > tol
     return ok
 

@@ -140,15 +140,15 @@ class ScheduleConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.tol_frobenius <= 0:
-            raise ValueError("tol_frobenius must be positive")
+        if not self.max_iterations >= 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
+        if not self.tol_frobenius > 0:
+            raise ValueError(f"tol_frobenius must be positive, got {self.tol_frobenius!r}")
         if isinstance(self.init, str):
             if self.init not in ("zero", "identity"):
                 raise ValueError(f"unknown init {self.init!r}")
-            if self.init == "identity" and self.init_scale < 0:
-                raise ValueError("init_scale must be >= 0")
+            if self.init == "identity" and not 0 <= self.init_scale < np.inf:
+                raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale!r}")
         elif not isinstance(self.init, MessageState):
             raise ValueError("init must be 'zero', 'identity', or a MessageState")
 
@@ -174,17 +174,27 @@ class TraceRecord:
 
 @dataclasses.dataclass
 class ConvergenceTrace:
-    """Iteration history: one TraceRecord plus one info-block snapshot per
-    state, starting from the initial state at iteration 0."""
+    """Iteration history from iteration 0: one TraceRecord per iteration;
+    ``info``, read-only, one row per distinct info state (its blocks raveled
+    in edge order); ``rows[t]``, the row of ``records[t]``."""
 
     edge_order: tuple
     block_dims: tuple
     records: list
-    info_blocks: list
+    info: np.ndarray
+    rows: tuple
     fixed_point_blocks: list = None
 
     def __len__(self):
         return len(self.records)
+
+    @property
+    def info_blocks(self):
+        """Read-only views of each record's info blocks, in edge order."""
+        at = np.cumsum([0] + [d * d for d in self.block_dims])
+        views = [[x[a:a + d * d].reshape(d, d) for a, d in zip(at, self.block_dims)]
+                 for x in self.info]
+        return [views[r] for r in self.rows]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -442,14 +452,6 @@ def compute_belief(net, state, variable):
     return Belief(variable, cov @ rhs, cov)
 
 
-def _state_deltas(new, old):
-    """Max over edges of the Frobenius change, for infos and for means
-    (NaN if any change is NaN)."""
-    dims = np.array(new.block_dims())
-    df = np.concatenate(new.info_blocks(), axis=None) - np.concatenate(old.info_blocks(), axis=None)
-    return _max_block_norm(df, dims * dims), _max_block_norm(_means(new) - _means(old), dims)
-
-
 def _means(state):
     return np.concatenate([state.messages[e].mean for e in state.edges])
 
@@ -478,9 +480,9 @@ def run(net, config=None):
     so once the info delta passes, the infos are held and each further
     iteration applies :func:`mean_map`, one sparse product, until the
     means pass too (``mean_converged``) or the budget runs out.  These
-    rows record ``frobenius_delta == 0.0`` and the held info blocks, whose
-    distance to the final state is 0 (part distance: up to rounding).  The
-    trace keeps references to each iteration's info blocks (never modified).
+    records have ``frobenius_delta == 0.0`` and share the held info row of
+    the trace, whose distance to the final state is 0 (part distance: up
+    to rounding).
     """
     if config is None:
         config = ScheduleConfig()
@@ -488,31 +490,34 @@ def run(net, config=None):
         state = check_init_state(net, config.init)
     else:
         state = initial_state(net, config.init, config.init_scale)
-    tol, budget = config.tol_frobenius, config.max_iterations
+    tol, budget, dims = config.tol_frobenius, config.max_iterations, np.array(state.block_dims())
     records = [TraceRecord(0, np.nan, np.nan)]
-    snapshots = [state.info_blocks()]
+    infos, means = [np.concatenate(state.info_blocks(), axis=None)], _means(state)
     converged = mean_converged = False
     while state.iteration < budget and not converged:
-        new = combined_update(net, state)
-        df, dm = _state_deltas(new, state)
-        records.append(TraceRecord(new.iteration, df, dm))
-        snapshots.append(new.info_blocks())
-        state = new
-        converged, mean_converged = df <= tol, df <= tol and dm <= tol
+        state = combined_update(net, state)
+        infos.append(np.concatenate(state.info_blocks(), axis=None))
+        new = _means(state)
+        df = _max_block_norm(infos[-1] - infos[-2], dims * dims)
+        dm = _max_block_norm(new - means, dims)
+        records.append(TraceRecord(state.iteration, df, dm))
+        means, converged, mean_converged = new, df <= tol, df <= tol and dm <= tol
     if converged and not mean_converged and state.iteration < budget:
         matrix, offset = mean_map(net, state)
-        dims, means, iteration = state.block_dims(), _means(state), state.iteration
+        iteration = state.iteration
         # A non-finite mean ends the loop, and _check_messages names its edge.
         while iteration < budget and not mean_converged and np.all(np.isfinite(means)):
             new = matrix @ means + offset
             dm = _max_block_norm(new - means, dims)
             iteration, means, mean_converged = iteration + 1, new, dm <= tol
             records.append(TraceRecord(iteration, 0.0, dm))
-            snapshots.append(snapshots[-1])  # the held info blocks
         split = np.split(means, np.cumsum(dims)[:-1])
-        messages = [EdgeMessage(e, b, m) for e, b, m in zip(state.edges, snapshots[-1], split)]
+        messages = [EdgeMessage(e, state.messages[e].info, m) for e, m in zip(state.edges, split)]
         _check_messages(messages)
         state = MessageState(iteration, {m.edge: m for m in messages})
     beliefs = {i: compute_belief(net, state, i) for i in net.ids}
-    trace = ConvergenceTrace(tuple(state.edges), tuple(state.block_dims()), records, snapshots)
+    info = np.array(infos)
+    info.setflags(write=False)
+    rows = tuple(min(t, len(info) - 1) for t in range(len(records)))
+    trace = ConvergenceTrace(tuple(state.edges), tuple(state.block_dims()), records, info, rows)
     return RunResult(state, beliefs, trace, converged, mean_converged, state.iteration)

@@ -173,7 +173,7 @@ def snapshot_figures(blocks, star, bounds):
     dist = np.sqrt(sum(float(np.sum(d * d)) for d in diff))
     comparable = all(
         min(np.linalg.eigvalsh(b)[0], np.linalg.eigvalsh(s)[0])
-        > cones.REL_TOL * (1.0 + max(np.abs(b).max(), np.abs(s).max()))
+        > cones.REL_TOL * max(np.abs(b).max(), np.abs(s).max())
         for b, s in zip(blocks, star)
     )
     part = max(part_metric_pencil(b, s) for b, s in zip(blocks, star)) if comparable else None
@@ -536,7 +536,8 @@ class TestFindFixedPoint:
 
     def test_power_of_two_rescaling_changes_nothing(self):
         # x -> x / s with s a power of two scales every iterate by s^2
-        # exactly, so a scale-free stop takes the same steps.
+        # exactly, so a scale-free stop takes the same steps, and the
+        # relative tolerances of validate and bounds_ul give the same verdict.
         net = network.generate_random(91, 8, "er", dim_range=(1, 3))
         runs = []
         for s in (2.0**-20, 1.0, 2.0**20):
@@ -548,12 +549,17 @@ class TestFindFixedPoint:
                 for i in net.ids
             ]
             scaled = network.GaussianNetwork(nodes, net.edges)
-            c, iters, ok = analysis.find_fixed_point(analysis.build_stacked(scaled))
+            assert network.validate(scaled) == []
+            op = analysis.build_stacked(scaled)
+            c, iters, ok = analysis.find_fixed_point(op)
             assert ok
-            runs.append((s, c, iters))
-        for s, c, iters in runs:
+            runs.append((s, c, iters, analysis.bounds_ul(op)))
+        for s, c, iters, bounds in runs:
             assert iters == runs[1][2]
             assert all(np.array_equal(x, s**2 * y) for x, y in zip(c, runs[1][1], strict=True))
+            for field in ("u_blocks", "l_blocks"):
+                got, want = getattr(bounds, field), getattr(runs[1][3], field)
+                assert all(np.array_equal(x, s**2 * y) for x, y in zip(got, want, strict=True))
 
     def test_budget_exhaustion_reported(self, golden_op):
         c, iters, ok = analysis.find_fixed_point(golden_op, tol=1e-16, max_iterations=3)
@@ -690,23 +696,25 @@ class TestAnnotateTrace:
         assert res.trace.records[0].part_distance == pytest.approx(want, abs=1e-9)
 
     def test_held_snapshot_annotated_once(self, monkeypatch):
-        # The mean-only tail repeats one held info list; it is stacked once
-        # and its figures equal those of per-row copies of the list.
+        # The mean-only tail repeats one held info row; it is evaluated once
+        # and its figures equal those of a trace with one row per record,
+        # stored in reverse order so that each record must follow its row.
         net = network.generate_random(1, 16, "grid", grid_shape=(4, 4))
         res = engine.run(net, ScheduleConfig(tol_frobenius=1e-13))
-        distinct = len({id(b) for b in res.trace.info_blocks})
-        assert distinct < len(res.trace.records)
+        distinct = len(set(res.trace.rows))
+        assert distinct == len(res.trace.info) < len(res.trace.records)
         bounds = analysis.bounds_ul(analysis.build_stacked(net))
         copied = dataclasses.replace(
             res.trace,
             records=[dataclasses.replace(r) for r in res.trace.records],
-            info_blocks=[list(b) for b in res.trace.info_blocks],
+            info=res.trace.info[list(res.trace.rows)][::-1],
+            rows=tuple(range(len(res.trace.records)))[::-1],
         )
         analysis.annotate_trace(copied, bounds, res.state.info_blocks())
         stacked = []
         real = analysis._trace_figures
         monkeypatch.setattr(
-            analysis, "_trace_figures", lambda snaps, *a: stacked.append(len(snaps)) or real(snaps, *a)
+            analysis, "_trace_figures", lambda info, *a: stacked.append(len(info)) or real(info, *a)
         )
         analysis.annotate_trace(res.trace, bounds, res.state.info_blocks())
         assert stacked == [distinct]
@@ -714,8 +722,8 @@ class TestAnnotateTrace:
 
     @pytest.mark.parametrize("case", ["zero", "identity", "tail", "singular"])
     def test_matches_per_snapshot_oracle(self, case):
-        # zero: row 0 has no part distance; tail: rows share one held list;
-        # singular: one block of one snapshot is singular, so that snapshot
+        # zero: row 0 has no part distance; tail: records share one held
+        # row; singular: one block of one row is singular, so that row
         # alone has no part distance.
         if case == "tail":
             net = network.generate_random(1, 16, "grid", grid_shape=(4, 4))
@@ -727,13 +735,13 @@ class TestAnnotateTrace:
         res = engine.run(net, config)
         trace = res.trace
         if case == "tail":
-            assert len({id(b) for b in trace.info_blocks}) < len(trace.records)
+            assert len(set(trace.rows)) < len(trace.records)
         if case == "singular":
-            snaps = list(trace.info_blocks)
-            snaps[4] = list(snaps[4])
+            info = trace.info.copy()
             k = next(k for k, d in enumerate(trace.block_dims) if d >= 2)
-            snaps[4][k] = np.diag([1.0] * (trace.block_dims[k] - 1) + [0.0])
-            trace = dataclasses.replace(trace, info_blocks=snaps)
+            d, at = trace.block_dims[k], sum(d * d for d in trace.block_dims[:k])
+            info[trace.rows[4], at:at + d * d] = np.diag([1.0] * (d - 1) + [0.0]).ravel()
+            trace = dataclasses.replace(trace, info=info)
         bounds = analysis.bounds_ul(analysis.build_stacked(net))
         star = res.state.info_blocks()
         analysis.annotate_trace(trace, bounds, star)

@@ -124,6 +124,19 @@ class TestRun:
         assert summary["converged"] is False
         assert summary["fixed_point_hash"] is None
 
+    @pytest.mark.parametrize("argv,message", [
+        (("compare", "--tol", "nan", "--max-iters", "20"), "tol_frobenius must be positive, got nan"),
+        (("run", "--init", "identity:nan"), "init_scale must be finite and >= 0, got nan"),
+        (("run", "--init", "identity:inf"), "init_scale must be finite and >= 0, got inf"),
+        (("analyze", "--trials", "-3"), "trials must be >= 0, got -3"),
+        (("analyze", "--alpha", "nan"), "alpha must exceed 1, got nan"),
+    ])
+    def test_bad_run_settings_exit_1(self, golden_instance, tmp_path, capsys, argv, message):
+        code = run_cli(argv[0], "--instance", golden_instance, "--out-dir", str(tmp_path / "o"),
+                       *argv[1:])
+        assert code == 1
+        assert f"gabp: error: {message}" in capsys.readouterr().err
+
     def test_missing_instance_exit_1(self, tmp_path):
         assert run_cli("run", "--instance", str(tmp_path / "no.json"),
                        "--out-dir", str(tmp_path / "o")) == 1

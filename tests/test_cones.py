@@ -183,7 +183,8 @@ class TestPartMetric:
             assert dxz <= dxy + dyz + 1e-9
 
     def test_invariance_under_congruence(self):
-        # d(M X M^T, M Y M^T) = d(X, Y) for invertible M.
+        # d(M X M^T, M Y M^T) = d(X, Y) for invertible M, including a tiny
+        # power-of-two multiple of I, which the relative tolerance admits.
         rng = np.random.default_rng(19)
         for _ in range(50):
             n = rng.integers(1, 5)
@@ -195,6 +196,7 @@ class TestPartMetric:
                 cones.symmetrize(m @ x @ m.T), cones.symmetrize(m @ y @ m.T)
             )
             assert d1 == pytest.approx(d0, abs=1e-8)
+            assert cones.part_metric(2.0**-40 * x, 2.0**-40 * y) == pytest.approx(d0, rel=1e-12)
 
     def test_sandwich_tightness(self):
         # exp(d)*X >= Y >= exp(-d)*X holds, and fails once d is shrunk.
@@ -275,9 +277,10 @@ class TestPartMetricBlocks:
             cones.part_metric_blocks(xs, ys)
 
     def test_tolerance_edge_matches_per_block(self):
-        # A block whose smallest eigenvalue sits just above or just below
-        # the default tolerance (2e-10 here) is judged as the per-block
-        # test judges it.
+        # A block whose smallest eigenvalue sits just above or at the
+        # default tolerance (1e-10 here: REL_TOL times the pair's largest
+        # entry, with no absolute floor) is judged as the per-block test
+        # judges it.
         for low, ok in ((3e-10, True), (1e-10, False)):
             xs = [np.eye(2), np.diag([1.0, low])]
             ys = [np.eye(2), np.eye(2)]

@@ -101,13 +101,18 @@ class TestScheduleConfig:
         "kw",
         [
             {"max_iterations": -1},
+            {"max_iterations": float("nan")},
             {"tol_frobenius": 0.0},
+            {"tol_frobenius": float("nan")},
             {"init": "ones"},
             {"init": 42},
+            {"init": "identity", "init_scale": -1.0},
+            {"init": "identity", "init_scale": float("nan")},
+            {"init": "identity", "init_scale": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="|".join(kw)):
             ScheduleConfig(**kw)
 
 
@@ -318,13 +323,13 @@ class TestNonFinite:
                 engine.run(big, ScheduleConfig(max_iterations=5))
 
     def test_nan_delta_is_not_read_as_zero(self):
-        net = network.two_node_symmetric()
-        old = engine.initial_state(net)
-        new = engine.initial_state(net)
-        new.messages[DirectedEdge(2, 2)].info[0, 0] = np.nan
-        new.messages[DirectedEdge(1, 2)].mean[0] = np.nan
-        df, dm = engine._state_deltas(new, old)
-        assert np.isnan(df) and np.isnan(dm)
+        # A NaN entry in any block of a flat info row or mean vector, the
+        # block with the largest norm or not, makes the delta NaN.
+        sizes = np.array([1, 4, 9, 4])
+        for k in range(len(sizes)):
+            flat = np.full(int(sizes.sum()), 1e3)
+            flat[np.cumsum(sizes)[k] - 1] = np.nan
+            assert np.isnan(engine._max_block_norm(flat, sizes))
 
     def test_deltas_of_huge_finite_means_stay_finite(self):
         # Means near 1e308 differ by finite amounts whose squares overflow.
@@ -502,6 +507,7 @@ class TestFrozenGainTail:
         frozen = next(r.iteration for r in res.trace.records[1:]
                       if r.frobenius_delta <= cfg.tol_frobenius)
         assert frozen < res.iterations
+        assert len(res.trace.info) == frozen + 1
         assert len(res.trace.info_blocks) == len(snapshots)
         for k, (got, want) in enumerate(zip(res.trace.info_blocks, snapshots)):
             held = snapshots[min(k, frozen)]
@@ -513,7 +519,29 @@ class TestFrozenGainTail:
             assert rec.dist_frobenius == 0.0 and rec.part_distance <= 1e-14
             if rec.iteration > frozen:
                 assert rec.frobenius_delta == 0.0
-                assert res.trace.info_blocks[rec.iteration] is res.trace.info_blocks[-1]
+                assert res.trace.rows[rec.iteration] == res.trace.rows[-1] == frozen
+
+    def test_info_blocks_are_each_states_blocks(self):
+        net = network.generate_random(60, 10, "er", dim_range=(1, 3))
+        res = engine.run(net, ScheduleConfig(max_iterations=500, tol_frobenius=1e-10))
+        frozen = len(res.trace.info) - 1
+        assert frozen < res.iterations
+        states = [engine.initial_state(net)]
+        for _ in range(frozen):
+            states.append(engine.combined_update(net, states[-1]))
+        states += [res.state] * (res.iterations - frozen)
+        for got, state in zip(res.trace.info_blocks, states, strict=True):
+            want = state.info_blocks()
+            assert [g.shape for g in got] == [w.shape for w in want]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+    def test_trace_info_is_read_only(self):
+        res = engine.run(network.generate_random(60, 10, "er", dim_range=(1, 3)))
+        assert res.trace.info.ndim == 2 and res.trace.info.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            res.trace.info[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            res.trace.info_blocks[-1][0][0, 0] = 1.0
 
     def test_state_deltas_match_per_edge_norms(self):
         net = network.generate_random(62, 8, "er", dim_range=(1, 4))
@@ -523,7 +551,8 @@ class TestFrozenGainTail:
             max(np.linalg.norm(new.messages[e].info - old.messages[e].info) for e in new.edges),
             max(np.linalg.norm(new.messages[e].mean - old.messages[e].mean) for e in new.edges),
         ]
-        assert engine._state_deltas(new, old) == pytest.approx(want, rel=1e-14)
+        rec = engine.run(net, ScheduleConfig(max_iterations=1, init="identity")).trace.records[1]
+        assert [rec.frobenius_delta, rec.mean_delta] == pytest.approx(want, rel=1e-14)
 
     def test_mean_map_is_one_sweep_of_the_means(self):
         net = network.generate_random(61, 7, "grid", dim_range=(1, 3))

@@ -241,10 +241,10 @@ class TestBatchedValidate:
         assert network.validate(net) == [] == per_block_violations(net)
 
     def test_borderline_blocks_use_the_per_block_tolerance(self):
-        # Each block's tolerance comes from its own largest entry, not from
-        # the batch's: beside a block of scale 1e6, a unit-scale block whose
-        # min eigenvalue is twice its own tolerance passes and one at half
-        # of it fails.
+        # Each block's tolerance is REL_TOL times its own largest entry
+        # (1e-10 for a unit-scale block), not the batch's: beside a block of
+        # scale 1e6, a unit-scale block whose min eigenvalue is twice its own
+        # tolerance passes and one at half of it fails.
         tol = cones.default_tolerance(np.eye(2))
         nodes = [make_node(1, dim=2, prior=np.diag([1e6, 1.0])),
                  make_node(2, dim=2, prior=np.diag([1.0, 2 * tol])),
