@@ -513,6 +513,8 @@ def sandwich_sequences(op, c_star, alpha=2.0, max_steps=500, target=1e-6, order_
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha!r}")
+    if not target >= 0.0:
+        raise ValueError(f"target must be >= 0, got {target!r}")
     star = _as_groups(op, c_star)
     upper = {d: alpha * b for d, b in star.items()}
     lower = _group(op, bounds_ul(op).l_blocks)
@@ -654,6 +656,8 @@ def rate_analysis(trace_or_distances, epsilon=None):
     distances indexed by iteration (iteration 0 first).  For traces,
     epsilon defaults to 1e-8 times the Frobenius norm of the fixed point.
     """
+    if epsilon is not None and not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     norm_all = None
     worst_slack = float("nan")
     if isinstance(trace_or_distances, ConvergenceTrace):

@@ -407,6 +407,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_compare(args):
+    for flag, tol in (("--mean-tol", args.mean_tol), ("--cov-tol", args.cov_tol)):
+        if not tol >= 0.0:
+            raise ValueError(f"{flag} must be >= 0, got {tol!r}")
     net, result, doc = _run_instance(args)
     report = oracle.compare(net, result.beliefs, converged=result.converged)
     within = None

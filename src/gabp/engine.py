@@ -260,7 +260,7 @@ def check_init_state(net, state):
             raise ValueError(f"init info for edge {tuple(edge)} has non-finite entries")
         if not np.all(np.isfinite(mean)):
             raise ValueError(f"init mean for edge {tuple(edge)} has non-finite entries")
-        if not np.allclose(info, info.T, atol=1e-12 * (1.0 + np.abs(info).max())):
+        if not np.allclose(info, info.T, atol=1e-12 * np.abs(info).max()):
             raise ValueError(f"init info for edge {tuple(edge)} is not symmetric")
         if not cones.is_psd(info):
             raise ValueError(

@@ -16,10 +16,13 @@ generation, and the JSON file format.  It knows nothing about inference.
 """
 
 import dataclasses
+import heapq
+import itertools
 import json
+import math
+import random
 from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 from . import cones
@@ -323,14 +326,28 @@ def validate(net):
         out.append(
             Violation("ids-not-dense", "-", f"ids are {net.ids}, expected 1..{net.num_nodes}")
         )
-    if net.num_nodes > 1:
-        g = nx.Graph()
-        g.add_nodes_from(net.ids)
-        g.add_edges_from(net.edges)
-        if not nx.is_connected(g):
-            detail = f"{nx.number_connected_components(g)} components"
-            out.append(Violation("not-connected", "-", detail))
+    k = _components(net.ids, net.edges)
+    if k > 1:
+        out.append(Violation("not-connected", "-", f"{k} components"))
     return out
+
+
+def _components(vertices, edges):
+    """Number of connected components of a graph, by union-find."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    count = len(root)
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            count -= 1
+    return count
 
 
 def _full_rank_flags(mats):
@@ -381,12 +398,15 @@ def _topology_edges(rng, m, topology, er_prob, grid_shape):
         if m == 1:
             return [], None
         # Resample until connected; the added spanning check keeps small
-        # probabilities from stalling the generator forever.
+        # probabilities from stalling the generator forever.  Each draw is
+        # G(m, p) from a stdlib generator seeded off ``rng``, pair by pair.
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
         for _ in range(1000):
-            g = nx.gnp_random_graph(m, er_prob, seed=int(rng.integers(2**32)))
-            if nx.is_connected(g):
-                return [(a + 1, b + 1) for a, b in g.edges], None
-        raise RuntimeError(
+            draw = random.Random(int(rng.integers(2**32)))
+            edges = [e for e in pairs if draw.random() < er_prob]
+            if _components(range(1, m + 1), edges) == 1:
+                return edges, None
+        raise ValueError(
             f"no connected draw in 1000 tries (m={m}, p={er_prob}); raise --er-prob"
         )
     if topology == "ring":
@@ -401,23 +421,45 @@ def _topology_edges(rng, m, topology, er_prob, grid_shape):
         rows, cols = grid_shape if grid_shape else _near_square(m)
         if rows * cols != m:
             raise ValueError(f"grid {rows}x{cols} does not cover {m} nodes")
-        g = nx.grid_2d_graph(rows, cols)
-        order = {rc: k + 1 for k, rc in enumerate(sorted(g.nodes))}
-        return [(order[a], order[b]) for a, b in g.edges], None
+        # Row-major numbering: right neighbors, then lower neighbors.
+        right = [(k, k + 1) for k in range(1, m + 1) if k % cols]
+        return right + [(k, k + cols) for k in range(1, m - cols + 1)], None
     if topology == "tree":
         if m == 1:
             return [], {}
-        if m == 2:
-            tree = nx.Graph([(0, 1)])
-        else:
-            seq = [int(v) for v in rng.integers(0, m, size=m - 2)]
-            tree = nx.from_prufer_sequence(seq)
-        edges = [(a + 1, b + 1) for a, b in tree.edges]
-        parent = {}
-        for child, par in nx.bfs_predecessors(tree, 0):
-            parent[child + 1] = par + 1
+        seq = [int(v) + 1 for v in rng.integers(0, m, size=m - 2)] if m > 2 else []
+        edges = _prufer_edges(m, seq)
+        adjacent = {i: [] for i in range(1, m + 1)}
+        for a, b in edges:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        parent, stack = {}, [1]
+        while stack:
+            u = stack.pop()
+            for v in adjacent[u]:
+                if v != parent.get(u):
+                    parent[v] = u
+                    stack.append(v)
         return edges, parent
     raise ValueError(f"unknown topology {topology!r}; choose from {TOPOLOGIES}")
+
+
+def _prufer_edges(m, seq):
+    """Edges of the tree on 1..m whose Prufer sequence is ``seq``: each
+    entry joins the smallest remaining leaf, and the last two leaves join."""
+    degree = [1] * (m + 1)
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(1, m + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
 
 
 def _near_square(m):
@@ -456,6 +498,10 @@ def generate_random(
     lo, hi = int(dim_range[0]), int(dim_range[1])
     if lo < 1 or hi < lo:
         raise ValueError(f"bad dim_range {dim_range}")
+    if not 0.0 <= er_prob <= 1.0:
+        raise ValueError(f"er_prob must be in [0, 1], got {er_prob!r}")
+    if not (math.isfinite(coeff_scale) and coeff_scale > 0.0):
+        raise ValueError(f"coeff_scale must be finite and > 0, got {coeff_scale!r}")
     edges, parent = _topology_edges(rng, m, topology, er_prob, grid_shape)
     neighbors = {i: set() for i in range(1, m + 1)}
     for a, b in edges:

@@ -27,10 +27,9 @@ which regime they are in.
 
 import dataclasses
 
-import networkx as nx
 import numpy as np
 
-from . import cones
+from . import cones, network
 
 __all__ = [
     "centralized_posterior",
@@ -81,15 +80,11 @@ def factor_graph_is_tree(net):
     per observation, with an edge for every (factor, variable in scope)
     pair.  A network edge whose both endpoints observe each other creates
     a 4-cycle here, so network trees are not automatically factor trees.
+    A graph is a forest exactly when |E| = |V| - (number of components).
     """
-    g = nx.Graph()
-    for i in net.ids:
-        g.add_node(("v", i))
-        g.add_node(("f", i))
-    for n in net.ids:
-        for j in net.factor_scope(n):
-            g.add_edge(("f", n), ("v", j))
-    return nx.is_forest(g)
+    vertices = [(kind, i) for i in net.ids for kind in "vf"]
+    edges = [(("f", n), ("v", j)) for n in net.ids for j in net.factor_scope(n)]
+    return len(edges) == len(vertices) - network._components(vertices, edges)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,7 +1,14 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
 import gabp
 from gabp import analysis, cones, engine, network, oracle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", [gabp, network, engine, oracle, analysis, cones])
@@ -9,3 +16,32 @@ def test_every_exported_name_resolves(module):
     # The benchmark's tracer wraps each entry, so a stale one would crash it.
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def _third_party_imports(paths):
+    """Top-level names of absolute imports that are neither stdlib nor gabp."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"gabp"}
+
+
+def _declared_dependencies(pyproject):
+    """Distribution names in ``[project] dependencies`` (a flat list of
+    quoted requirement strings), without their version specifiers."""
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject, re.DOTALL | re.MULTILINE)
+    assert block, "pyproject.toml has no dependencies list"
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+            for req in re.findall(r"\"([^\"]+)\"", block.group(1))}
+
+
+def test_dependencies_match_imports():
+    # Every third-party module the package imports is declared, and every
+    # declared distribution is imported (its import name is its own).
+    imported = _third_party_imports(sorted((ROOT / "src" / "gabp").glob("*.py")))
+    declared = _declared_dependencies((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert imported == declared

@@ -78,6 +78,23 @@ class TestGen:
         assert code == 1
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--er-prob", "nan"), "er_prob must be in [0, 1], got nan"),
+        (("--er-prob", "-0.2"), "er_prob must be in [0, 1], got -0.2"),
+        (("--er-prob", "1.5"), "er_prob must be in [0, 1], got 1.5"),
+        (("--er-prob", "0.01"), "no connected draw in 1000 tries (m=6, p=0.01); raise --er-prob"),
+        (("--coeff-scale", "0"), "coeff_scale must be finite and > 0, got 0.0"),
+        (("--coeff-scale", "inf"), "coeff_scale must be finite and > 0, got inf"),
+        (("--coeff-scale", "nan"), "coeff_scale must be finite and > 0, got nan"),
+    ])
+    def test_bad_generator_settings_exit_1(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.json"
+        code = run_cli("gen", "--out", str(out), "--seed", "1", "--nodes", "6", *argv)
+        assert code == 1
+        assert capsys.readouterr().err == f"gabp: error: {message}\n"
+        assert not out.exists()
+
+
 class TestRun:
     def test_golden_run(self, golden_instance, tmp_path, capsys):
         out = tmp_path / "out"
@@ -130,6 +147,10 @@ class TestRun:
         (("run", "--init", "identity:inf"), "init_scale must be finite and >= 0, got inf"),
         (("analyze", "--trials", "-3"), "trials must be >= 0, got -3"),
         (("analyze", "--alpha", "nan"), "alpha must exceed 1, got nan"),
+        (("analyze", "--sandwich-target", "nan"), "target must be >= 0, got nan"),
+        (("analyze", "--epsilon", "nan"), "epsilon must be >= 0, got nan"),
+        (("compare", "--mean-tol", "nan"), "--mean-tol must be >= 0, got nan"),
+        (("compare", "--cov-tol", "nan"), "--cov-tol must be >= 0, got nan"),
     ])
     def test_bad_run_settings_exit_1(self, golden_instance, tmp_path, capsys, argv, message):
         code = run_cli(argv[0], "--instance", golden_instance, "--out-dir", str(tmp_path / "o"),
@@ -409,6 +430,22 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "INFO" in proc.stderr
         assert out.exists()
+
+    def test_commands_never_import_networkx(self, tmp_path):
+        # Each process pays for every module it imports; the graph checks
+        # and generators need nothing beyond numpy and scipy.
+        script = f"""
+import sys
+from gabp import cli
+inst, out = {str(tmp_path / "inst.json")!r}, {str(tmp_path)!r}
+assert cli.main(["gen", "--out", inst, "--seed", "2", "--nodes", "4", "--topology", "grid"]) == 0
+for argv in (["run"], ["analyze", "--trials", "2"], ["compare"]):
+    code = cli.main([*argv, "--instance", inst, "--out-dir", out + "/" + argv[0]])
+    assert code == 0, (argv, code)
+assert "networkx" not in sys.modules, "networkx was imported"
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_version_flag(self):
         proc = subprocess.run(

@@ -85,6 +85,23 @@ class TestCheckInitState:
         with pytest.raises(ValueError, match="positive semidefinite"):
             engine.check_init_state(net, self.make(net, edit))
 
+    def test_symmetry_is_relative_to_the_block(self):
+        # A 10 % asymmetry is not rounding, however small the entries are.
+        net = network.generate_random(4, 4, "er", dim_range=(2, 2))
+        e = net.directed_edges[0]
+
+        def edit(m, info):
+            m[e] = engine.EdgeMessage(e, np.array(info), np.zeros(2))
+
+        with pytest.raises(ValueError, match="not symmetric"):
+            engine.check_init_state(
+                net, self.make(net, lambda m: edit(m, [[1e-12, 1e-13], [0.0, 1e-12]]))
+            )
+        # Asymmetry at rounding level of the block's own size still passes.
+        near = [[1e-12, 1e-13], [1e-13 * (1 + 1e-15), 1e-12]]
+        out = engine.check_init_state(net, self.make(net, lambda m: edit(m, near)))
+        assert np.array_equal(out.messages[e].info, out.messages[e].info.T)
+
     def test_psd_boundary_accepted(self):
         # Zero blocks are legal starts; the cone's boundary is included.
         net = network.two_node_symmetric()

@@ -176,7 +176,16 @@ class TestValidate:
     def test_not_connected(self):
         net = GaussianNetwork([make_node(1), make_node(2)], [])
         out = network.validate(net)
-        assert any(v.rule == "not-connected" for v in out)
+        assert [str(v) for v in out] == ["not-connected@-: 2 components"]
+
+    @pytest.mark.parametrize("edges, count", [
+        ([], 4),
+        ([(1, 2), (3, 4)], 2),
+        ([(1, 2), (2, 3), (3, 1)], 2),
+        ([(4, 3), (3, 2), (2, 1), (1, 4)], 1),
+    ])
+    def test_components(self, edges, count):
+        assert network._components(range(1, 5), edges) == count
 
     def test_violations_sorted_by_node(self):
         bad1 = make_node(1, prior=np.array([[-1.0]]))
@@ -292,6 +301,52 @@ class TestGenerateRandom:
     def test_grid_shape_must_cover(self):
         with pytest.raises(ValueError, match="grid"):
             network.generate_random(1, 6, "grid", grid_shape=(2, 2))
+
+    @pytest.mark.parametrize("kw, field", [
+        ({"er_prob": float("nan")}, "er_prob"),
+        ({"er_prob": -0.2}, "er_prob"),
+        ({"er_prob": 1.5}, "er_prob"),
+        ({"coeff_scale": 0.0}, "coeff_scale"),
+        ({"coeff_scale": -1.0}, "coeff_scale"),
+        ({"coeff_scale": float("inf")}, "coeff_scale"),
+        ({"coeff_scale": float("nan")}, "coeff_scale"),
+    ])
+    def test_rejects_bad_parameters(self, kw, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            network.generate_random(1, 4, "er", **kw)
+
+    def test_unconnectable_er_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no connected draw in 1000 tries"):
+            network.generate_random(1, 6, "er", er_prob=0.01)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (3, 4), (4, 3)])
+    def test_grid_edges_are_lattice_neighbors(self, shape):
+        rows, cols = shape
+        net = network.generate_random(2, rows * cols, "grid", grid_shape=shape)
+        cells = {k: divmod(k - 1, cols) for k in net.ids}
+        want = {
+            (a, b) for a in net.ids for b in net.ids
+            if a < b and abs(cells[a][0] - cells[b][0]) + abs(cells[a][1] - cells[b][1]) == 1
+        }
+        assert set(net.edges) == want
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 11])
+    def test_tree_is_spanning_and_rooted_at_1(self, m):
+        net = network.generate_random(m, m, "tree")
+        assert len(net.edges) == m - 1
+        assert network._components(net.ids, net.edges) == 1
+        assert net.factor_scope(1) == (1,)
+        parents = [set(net.factor_scope(i)) - {i} for i in net.ids[1:]]
+        assert all(len(p) == 1 for p in parents)
+
+    @pytest.mark.parametrize("seq, want", [
+        ([], {(1, 2)}),
+        ([4, 4, 4, 5], {(1, 4), (2, 4), (3, 4), (4, 5), (5, 6)}),
+        ([3, 1], {(2, 3), (3, 1), (1, 4)}),
+    ])
+    def test_prufer_decoding(self, seq, want):
+        edges = network._prufer_edges(len(seq) + 2, seq)
+        assert {tuple(sorted(e)) for e in edges} == {tuple(sorted(e)) for e in want}
 
     def test_unknown_topology(self):
         with pytest.raises(ValueError, match="unknown topology"):

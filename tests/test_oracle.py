@@ -167,6 +167,25 @@ class TestTreeDetection:
         net = network.generate_random(3, 6, "er")
         assert not oracle.factor_graph_is_tree(net)
 
+    def test_forest_of_several_components(self):
+        # Every node observes only itself: one factor-variable edge per
+        # node, m components, still cycle free.
+        one = np.eye(1)
+        nodes = [network.NodeSpec(i, 1, one, one, [0.1], {i: one}) for i in (1, 2, 3)]
+        assert oracle.factor_graph_is_tree(network.GaussianNetwork(nodes, [(1, 2), (2, 3)]))
+
+    def test_cycle_through_three_factors_is_loopy(self):
+        # f1 - x2 - f2 - x3 - f3 - x1 - f1: no two factors share a pair of
+        # variables, yet the factor graph has a 6-cycle.
+        one = np.eye(1)
+        scopes = {1: (1, 2), 2: (2, 3), 3: (3, 1)}
+        nodes = [
+            network.NodeSpec(i, 1, one, np.eye(1), [0.1], {j: one for j in scopes[i]})
+            for i in scopes
+        ]
+        net = network.GaussianNetwork(nodes, [(1, 2), (2, 3), (1, 3)])
+        assert not oracle.factor_graph_is_tree(net)
+
     def test_single_node_is_tree(self):
         one = network.NodeSpec(1, 1, np.eye(1), np.eye(1), [0.1], {1: np.eye(1)})
         assert oracle.factor_graph_is_tree(network.GaussianNetwork([one], []))
