@@ -227,7 +227,7 @@ def _stage(blocks, sources, width, labels):
         shapes, scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), (ob, width)),
         *(np.concatenate(x + [np.zeros(0, dtype=int)]) for x in at), [labels[k] for k in order], p,
     )
-    base = _flat([_sym(np.asarray(blocks[k][0], dtype=float)) for k in order])
+    base = _flat([cones._sym(np.asarray(blocks[k][0], dtype=float)) for k in order])
     return layer, base, _flat([blocks[k][1] for k in order]), out
 
 
@@ -264,15 +264,11 @@ def _run_stage(layer, base, operand, src):
 def _middle(op, t):
     """F's middle layer on the inner outputs ``t``, grouped (U at t = 0)."""
     out = _run_stage(op.middle, op.omega, op.a, t)
-    return {d: _sym(out[idx].reshape(-1, d, d)) for d, idx in op.out_index.items()}
+    return {d: cones._sym(out[idx].reshape(-1, d, d)) for d, idx in op.out_index.items()}
 
 
 def _flat(arrays):
     return np.concatenate([np.ravel(x) for x in arrays] + [np.zeros(0)])
-
-
-def _sym(x):
-    return (x + x.swapaxes(-1, -2)) / 2.0
 
 
 _LAYOUT = (
@@ -312,7 +308,7 @@ def _as_groups(op, c):
         groups = _group(op, c)
     if not all(np.all(np.isfinite(x)) for x in groups.values()):
         raise ValueError("C has non-finite entries")
-    return {d: _sym(x) for d, x in groups.items()}
+    return {d: cones._sym(x) for d, x in groups.items()}
 
 
 def apply_stacked_operator(op, c):
@@ -604,8 +600,9 @@ def _trace_figures(info, star, bounds, dims):
         s_raw = np.stack([star[k] for k in pos])
         if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(s_raw))):
             raise ValueError("matrix has non-finite entries")
-        x, s = _sym(raw), _sym(s_raw)
-        lo, up = (_sym(np.stack([b[k] for k in pos])) for b in (bounds.l_blocks, bounds.u_blocks))
+        x, s = cones._sym(raw), cones._sym(s_raw)
+        lo, up = (cones._sym(np.stack([b[k] for k in pos]))
+                  for b in (bounds.l_blocks, bounds.u_blocks))
         a, (w, w_star), _ = cones._part_alpha(x, s)
         alpha = np.maximum(alpha, a.max(axis=1))
         dist2 += ((raw - s_raw) ** 2).sum(axis=(1, 2, 3))

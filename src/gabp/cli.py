@@ -304,6 +304,16 @@ def _cmd_run(args):
 
 
 def _cmd_analyze(args):
+    # The options of each enabled part fail before the engine runs, as they would there.
+    epsilon = 0.0 if args.epsilon is None else args.epsilon
+    for skipped, ok, name, value, rule in (
+        (args.no_properties, args.trials >= 0, "trials", args.trials, "be >= 0"),
+        (args.no_rate, epsilon >= 0, "epsilon", epsilon, "be >= 0"),
+        (args.no_sandwich, args.alpha > 1.0, "alpha", args.alpha, "exceed 1"),
+        (args.no_sandwich, args.sandwich_target >= 0.0, "target", args.sandwich_target, "be >= 0"),
+    ):
+        if not (skipped or ok):
+            raise ValueError(f"{name} must {rule}, got {value!r}")
     net, result, doc = _run_instance(args)
     op = analysis.build_stacked(net)
     doc["phi"] = op.phi

@@ -299,7 +299,7 @@ def _cho_solve(c, b):
 
 
 def _sym(a):
-    s = a + a.T
+    s = a + a.swapaxes(-1, -2)
     s *= 0.5  # the same bits as / 2.0, without a second temporary
     return s
 

@@ -14,11 +14,11 @@ corresponding mean estimate.  One iteration is the two-stage composition
       info_{f_n -> i} = A[n][i]^T S^{-1} A[n][i]
       mean solves info @ mean = A[n][i]^T S^{-1} (y_n - sum A[n][j] mean_{j -> f_n})
 
-Stage 1 also projects its message into the target factor's observation
-space, ``A[n][j] Cov_{j -> f_n} A[n][j]^T`` and ``A[n][j] mean_{j -> f_n}``,
-once per (variable, factor) pair; stage 2 reads those projections and only
-adds them, so the products are not repeated for every other edge of the
-factor.
+Both sums leave one term out, so each is summed once and every edge takes
+its own term back out: per variable ``T_j = W_j^{-1} + sum_k info_{f_k -> j}``
+(the beliefs read it whole), per factor ``S_n = R_n + sum_j P_nj`` with
+``P_nj = A[n][j] Cov_{j -> f_n} A[n][j]^T``, and likewise for the means.
+A sweep costs O(deg) per edge, not O(deg^2).
 
 All factors update from the same previous state (Jacobi schedule), sums
 run in ascending node id order, and nothing here depends on wall clock,
@@ -27,8 +27,8 @@ converged, the means follow one fixed affine map (:func:`mean_map`).
 
 The sweep factors and solves with the unchecked LAPACK core of ``cones``:
 inputs are validated where they enter (``NodeSpec``, the JSON loader,
-:func:`check_init_state`), and :func:`combined_update` checks once per
-stage that the innovation covariances and the new messages are finite.
+:func:`check_init_state`), and :func:`combined_update` checks that the
+innovation covariances and the new messages are finite.
 """
 
 import dataclasses
@@ -102,12 +102,23 @@ class MessageState:
         self.iteration = int(iteration)
         self.messages = dict(messages)
         self._order = tuple(sorted(self.messages))
+        self._totals = (None, None)
 
     @functools.cached_property
     def _info_means(self):
-        """``info @ mean`` per message, once per state: stage 1 reads each
-        one for every other factor of its variable."""
+        """``info @ mean`` per message, once per state."""
         return {e: m.info @ m.mean for e, m in self.messages.items()}
+
+    def _var_totals(self, net):
+        """Per variable j, ``T_j = W_j^{-1} + sum_k C_kj`` and ``sum_k C_kj
+        m_kj``, summed in ascending factor order once per state and network."""
+        if self._totals[0] is not net:
+            totals = {j: [net.prior_info(j).copy(), np.zeros(net.var_dim(j))] for j in net.ids}
+            for k, j in self._order:
+                totals[j][0] += self.messages[(k, j)].info
+                totals[j][1] += self._info_means[(k, j)]
+            self._totals = net, totals
+        return self._totals[1]
 
     @property
     def edges(self):
@@ -285,47 +296,59 @@ def var_to_factor(net, state, variable, factor):
 
 
 def _var_to_factor(net, state, variable, factor):
-    info = net.prior_info(variable).copy()
-    rhs = np.zeros(net.var_dim(variable))
-    for k in net.var_factors(variable):
-        if k == factor:
-            continue
-        info += state.messages[(k, variable)].info
-        rhs += state._info_means[(k, variable)]
-    # A sum of exactly symmetric blocks is exactly symmetric.
+    total, rhs = state._var_totals(net)[variable]
+    # T_j and C_nj are exactly symmetric, and so is their difference.
+    info = total - state.messages[(factor, variable)].info
     cov = cones._inv_pd(info, f"variable {variable} -> factor {factor} information")
-    mean = cov @ rhs
+    mean = cov @ (rhs - state._info_means[(factor, variable)])
     a = net.node(factor).coeff[variable]
     return VarToFactorMessage(variable, factor, info, mean, cov, a @ cov @ a.T, a @ mean)
 
 
-def _innovation(net, incoming, factor, variable):
-    """S = R_n + sum_{j != i} A_nj Cov_j A_nj^T and the residual
-    y_n - sum_{j != i} A_nj mean_j for edge (factor, variable), summed in
-    ascending j from the stage-1 projections."""
+class _Inbox(dict):
+    """The stage-1 messages into ``factor``, by variable, and ``totals``:
+    ``S_n = R_n + sum_j P_nj`` (not symmetrized: potrf reads its lower
+    triangle) and ``y_n - sum_j A_nj mean_{j->n}``, or None if not finite."""
+
+    def __init__(self, net, state, factor, stage1):
+        super().__init__((j, stage1(net, state, j, factor)) for j in net.factor_scope(factor))
+        s, e = _sums(net, self, factor)
+        self.totals = (s, e) if np.all(np.isfinite(s)) and np.all(np.isfinite(e)) else None
+        # Every edge's S is at most S_n in the PSD order, so its entries are
+        # bounded by S_n's diagonal: only an overflowed S_n needs each S.
+        for i in net.factor_scope(factor) if self.totals is None else ():
+            if not np.all(np.isfinite(_sums(net, self, factor, skip=i)[0])):
+                raise cones.NumericalError(f"factor {factor} innovation covariance for edge "
+                                           f"({factor}, {i}) has non-finite entries")
+
+
+def _sums(net, incoming, factor, skip=None):
+    """``R_n + sum_j P_nj`` and ``y_n - sum_j A_nj mean_{j->n}`` over the
+    factor's scope less ``skip``, in ascending j."""
     node = net.node(factor)
-    s = node.noise_cov.copy()
-    resid = node.obs.copy()
+    s, e = node.noise_cov.copy(), node.obs.copy()
     for j in net.factor_scope(factor):
-        if j == variable:
+        if j == skip:
             continue
         if j not in incoming:
             raise ValueError(
                 f"missing stage-1 message {j} -> {factor} while updating "
-                f"edge ({factor},{variable})"
+                f"edge ({factor},{skip})"
             )
-        msg = incoming[j]
-        s += msg.proj_cov
-        resid -= msg.proj_mean
-    return cones._sym(s), resid
+        s += incoming[j].proj_cov
+        e -= incoming[j].proj_mean
+    return s, e
 
 
 def _gain(net, incoming, factor, variable):
-    """Info, gain ``K = info^{-1} A_i^T S^{-1}`` and residual of an edge."""
-    s, resid = _innovation(net, incoming, factor, variable)
-    s_factor = cones._cho_factor(
-        s, f"factor {factor} innovation covariance (invariant breach)"
-    )
+    """Info, gain ``K = info^{-1} A_i^T S^{-1}`` and residual of an edge: the
+    totals less the edge's own terms, or, without totals, the others summed."""
+    if getattr(incoming, "totals", None) is None:
+        s, resid = _sums(net, incoming, factor, skip=variable)
+    else:
+        own = incoming[variable]
+        s, resid = incoming.totals[0] - own.proj_cov, incoming.totals[1] + own.proj_mean
+    s_factor = cones._cho_factor(s, f"factor {factor} innovation covariance (invariant breach)")
     a_i = net.node(factor).coeff[variable]
     s_inv_a = cones._cho_solve(s_factor, a_i)
     info = cones._sym(a_i.T @ s_inv_a)
@@ -355,40 +378,16 @@ def factor_to_var(net, incoming, factor, variable):
 def combined_update(net, state):
     """One full synchronous sweep: all stage-1 then all stage-2 updates.
 
-    Every update reads only the previous state (Jacobi schedule).  After
-    each stage one check covers all its outputs: NumericalError names the
-    first edge whose innovation covariance, or whose new message, is not
-    finite (an overflow, say), before it can turn into a misleading
-    factorization failure or a NaN delta.
+    Every update reads only the previous state (Jacobi schedule).
+    NumericalError names the first edge whose innovation covariance (checked
+    per factor) or whose new message (checked once) is not finite, an
+    overflow say, before it can turn into a misleading factorization
+    failure or a NaN delta.
     """
-    incoming = {
-        n: {j: var_to_factor(net, state, j, n) for j in net.factor_scope(n)}
-        for n in net.ids
-    }
-    _check_innovations(net, incoming)
-    outputs = [
-        factor_to_var(net, incoming[e.factor], e.factor, e.variable)
-        for e in net.directed_edges
-    ]
+    incoming = {n: _Inbox(net, state, n, var_to_factor) for n in net.ids}
+    outputs = [factor_to_var(net, incoming[n], n, i) for n, i in net.directed_edges]
     _check_messages(outputs)
     return MessageState(state.iteration + 1, {m.edge: m for m in outputs})
-
-
-def _check_innovations(net, incoming):
-    # The projections are positive semidefinite, so the diagonal of every
-    # edge's S is at most that of the factor's full sum R_n + sum_j P_nj,
-    # and a PSD matrix's entries are bounded by its diagonal: if the full
-    # sums are finite, so is every S.
-    for n, msgs in incoming.items():
-        total = net.node(n).noise_cov + sum(m.proj_cov for m in msgs.values())
-        if np.all(np.isfinite(total)):
-            continue
-        for i in net.factor_scope(n):
-            if not np.all(np.isfinite(_innovation(net, msgs, n, i)[0])):
-                raise cones.NumericalError(
-                    f"factor {n} innovation covariance for edge ({n}, {i}) "
-                    "has non-finite entries"
-                )
 
 
 def _check_messages(messages):
@@ -410,9 +409,7 @@ def mean_map(net, state):
     var_at = np.cumsum([0] + state.block_dims())
     obs_at = np.cumsum([0] + [net.obs_dim(n) for n, _ in state.edges])
     at, obs = dict(zip(state.edges, var_at)), dict(zip(state.edges, obs_at))
-    incoming = {n: {j: _var_to_factor(net, state, j, n) for j in net.factor_scope(n)}
-                for n in net.ids}
-    _check_innovations(net, incoming)
+    incoming = {n: _Inbox(net, state, n, _var_to_factor) for n in net.ids}
     stage1, stage2, offset = [], [], [np.zeros(0)]
     for n, i in state.edges:
         a_cov = net.node(n).coeff[i] @ incoming[n][i].cov
@@ -443,11 +440,7 @@ def _block_matrix(blocks, shape):
 
 def compute_belief(net, state, variable):
     """Posterior belief for one variable from the current messages."""
-    info = net.prior_info(variable).copy()
-    rhs = np.zeros(net.var_dim(variable))
-    for k in net.var_factors(variable):
-        info += state.messages[(k, variable)].info
-        rhs += state._info_means[(k, variable)]
+    info, rhs = state._var_totals(net)[variable]
     cov = cones.inv_pd(info, context=f"belief information for variable {variable}")
     return Belief(variable, cov @ rhs, cov)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gabp import analysis, cli, network
+from gabp import analysis, cli, engine, network
 
 GOLDEN_C = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -355,6 +355,29 @@ class TestAnalyze:
         )
         assert code == 3
         assert read_json(out / "analysis.json")["converged"] is False
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--trials", "-3"), "trials must be >= 0, got -3"),
+        (("--alpha", "nan"), "alpha must exceed 1, got nan"),
+        (("--sandwich-target", "-1"), "target must be >= 0, got -1.0"),
+        (("--epsilon", "nan"), "epsilon must be >= 0, got nan"),
+    ])
+    def test_bad_options_fail_before_the_engine_runs(self, golden_instance, tmp_path, capsys,
+                                                     monkeypatch, argv, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("engine.run was called")
+
+        monkeypatch.setattr(engine, "run", no_run)
+        code = run_cli("analyze", "--instance", golden_instance, "--out-dir",
+                       str(tmp_path / "o"), *argv)
+        assert code == 1
+        assert f"gabp: error: {message}" in capsys.readouterr().err
+
+    def test_options_of_skipped_parts_are_not_checked(self, golden_instance, tmp_path):
+        code = run_cli("analyze", "--instance", golden_instance, "--out-dir", str(tmp_path / "o"),
+                       "--no-properties", "--trials", "-3", "--no-rate", "--epsilon", "nan",
+                       "--no-sandwich", "--alpha", "nan", "--sandwich-target", "-1")
+        assert code == 0
 
 
 class TestCompare:

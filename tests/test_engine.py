@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -171,33 +172,43 @@ class TestSingleSweep:
                 assert np.array_equal(msg.proj_mean, a @ msg.mean)
 
     def test_products_shared_across_targets_bitwise(self):
-        # Each info @ mean is computed once per state and reused for every
-        # target factor; sums run in the same ascending order as taking the
-        # product per target, so every stage-1 message and belief keeps its
-        # bits.
+        # Each variable's totals T_j = W_j^{-1} + sum_k C_kj and r_j = sum_k
+        # C_kj m_kj are summed once per state in ascending factor order, with
+        # each info @ mean computed once; every stage-1 message takes its own
+        # term out of them and every belief reads them whole, so both keep
+        # these bits.  The direct leave-one-out sums they replace agree to
+        # rounding.
         net = network.generate_random(8, 8, "er", dim_range=(1, 4))
         state = engine.initial_state(net)
         for _ in range(3):
             state = engine.combined_update(net, state)
-        def combined(j, skip=None):
+        def sums(j, skip=None):
             info = net.prior_info(j).copy()
             rhs = np.zeros(net.var_dim(j))
             for k in net.var_factors(j):
                 if k != skip:
                     info += state.messages[(k, j)].info
                     rhs += state.messages[(k, j)].info @ state.messages[(k, j)].mean
-            cov = cones.inv_pd(info)
-            return info, cov, cov @ rhs
+            return info, rhs
 
         for j in net.ids:
+            total, r = sums(j)
             for n in net.var_factors(j):
-                info, cov, mean = combined(j, skip=n)
+                own = state.messages[(n, j)]
+                info = total - own.info
+                cov = cones.inv_pd(info)
+                mean = cov @ (r - own.info @ own.mean)
                 msg = engine.var_to_factor(net, state, j, n)
                 assert np.array_equal(msg.info, info) and np.array_equal(msg.cov, cov)
                 assert np.array_equal(msg.mean, mean)
-            _, cov, mean = combined(j)
+                direct_info, direct_rhs = sums(j, skip=n)
+                direct_cov = cones.inv_pd(direct_info)
+                for got, want in ((msg.info, direct_info), (msg.cov, direct_cov),
+                                  (msg.mean, direct_cov @ direct_rhs)):
+                    assert close([got], [want], 1e-14)
+            cov = cones.inv_pd(total)
             belief = engine.compute_belief(net, state, j)
-            assert np.array_equal(belief.cov, cov) and np.array_equal(belief.mean, mean)
+            assert np.array_equal(belief.cov, cov) and np.array_equal(belief.mean, cov @ r)
 
     def test_var_to_factor_rejects_non_adjacent(self):
         net = network.two_node_chain()
@@ -617,3 +628,81 @@ class TestFrozenGainTail:
         assert res.converged and res.mean_converged
         truth = oracle.marginals(net)
         assert close([res.beliefs[i].mean for i in net.ids], [truth[i][0] for i in net.ids], 1e-8)
+
+
+def direct_sweep(net, state):
+    """One synchronous sweep with every leave-one-out sum taken directly,
+    O(deg) terms per edge: the reference for the engine's totals."""
+    cov, mean = {}, {}
+    for n in net.ids:
+        for j in net.factor_scope(n):
+            info, rhs = net.prior_info(j).copy(), np.zeros(net.var_dim(j))
+            for k in net.var_factors(j):
+                if k != n:
+                    info += state.messages[(k, j)].info
+                    rhs += state.messages[(k, j)].info @ state.messages[(k, j)].mean
+            cov[(n, j)] = np.linalg.inv(info)
+            mean[(n, j)] = cov[(n, j)] @ rhs
+    out = {}
+    for n, i in net.directed_edges:
+        node = net.node(n)
+        s, resid = node.noise_cov.copy(), node.obs.copy()
+        for j in net.factor_scope(n):
+            if j != i:
+                s += node.coeff[j] @ cov[(n, j)] @ node.coeff[j].T
+                resid -= node.coeff[j] @ mean[(n, j)]
+        s_inv_a = np.linalg.solve(s, node.coeff[i])
+        info = s_inv_a.T @ node.coeff[i]
+        out[(n, i)] = info, np.linalg.solve(info, s_inv_a.T @ resid)
+    return out
+
+
+def amplified(seed):
+    """The er instance with the coefficients and observations of nodes 1 and
+    2 scaled by 1e4: their messages are 1e8 times the rest."""
+    net = network.generate_random(seed, 10, "er", er_prob=0.4)
+    specs = [net.node(i) for i in net.ids]
+    specs = [dataclasses.replace(s, coeff={j: 1e4 * a for j, a in s.coeff.items()},
+                                 obs=1e4 * s.obs) if s.id in (1, 2) else s for s in specs]
+    return network.GaussianNetwork(specs, net.edges)
+
+
+class TestLeaveOneOutTotals:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=strategies.integers(0, 10_000),
+        topology=strategies.sampled_from(["er", "grid", "tree"]),
+        num_nodes=strategies.integers(2, 9),
+        max_dim=strategies.integers(1, 4),
+    )
+    def test_sweep_matches_direct_sums(self, seed, topology, num_nodes, max_dim):
+        if topology == "grid":
+            num_nodes = 2 * (num_nodes // 2)
+        net = network.generate_random(seed, num_nodes, topology, dim_range=(1, max_dim),
+                                      er_prob=0.5)
+        rng = np.random.default_rng(seed)
+        dims = [net.var_dim(e.variable) for e in net.directed_edges]
+        blocks = analysis.random_state_blocks(rng, dims)
+        state = MessageState(0, {
+            e: engine.EdgeMessage(e, b, rng.standard_normal(b.shape[0]))
+            for e, b in zip(net.directed_edges, blocks)
+        })
+        got = engine.combined_update(net, state)
+        want = direct_sweep(net, state)
+        for e in net.directed_edges:
+            assert close([got.messages[e].info], [want[e][0]], 1e-12)
+        assert close([got.messages[e].mean for e in net.directed_edges],
+                     [want[e][1] for e in net.directed_edges], 1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_amplified_messages_keep_the_fixed_point(self, seed):
+        # Taking a 1e8-times-larger message out of its variable's or factor's
+        # total cancels most of it.  find_fixed_point's own relative stopping
+        # test never passes on these instances (its iterates wander at about
+        # 1e-9 relative), so it is given a fixed 300 iterations.
+        net = amplified(seed)
+        res = engine.run(net, ScheduleConfig(max_iterations=80, tol_frobenius=1e-300))
+        assert res.iterations == 80
+        star, _, _ = analysis.find_fixed_point(analysis.build_stacked(net), max_iterations=300)
+        for got, want in zip(res.state.info_blocks(), star, strict=True):
+            assert close([got], [want], 1e-7)
