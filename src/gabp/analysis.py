@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 ORDER_TOL = 1e-9
+SANDWICH_MAX_STEPS = 500
 
 # One layer of F (``_stage``): (count, P, Q) per padded batch, the input's
 # route into the padded B blocks, where the base store, identity padding and
@@ -79,7 +80,7 @@ class StackedOperator:
       h      H_nj^T per (factor n, variable j) key       inner operand
       psi    W_j^{-1} per (n, j) key                     inner base
     ``dim_c`` is the size of C, the sum of ``block_dims``; ``phi`` counts
-    K's replicas of C, one per entry of ``pair_order``.
+    K's replicas of C, one per entry of ``pair_order``.  Both are derived.
 
     ``c_groups`` maps each block size d to the edge positions of C's
     blocks of that size, the order of the grouped layout.  ``inner`` (one
@@ -91,8 +92,6 @@ class StackedOperator:
     edge_order: tuple
     block_dims: tuple
     pair_order: tuple
-    phi: int
-    dim_c: int
     a: np.ndarray
     omega: np.ndarray
     h: np.ndarray
@@ -102,11 +101,13 @@ class StackedOperator:
     middle: _Layer
     out_index: dict
 
-    def __post_init__(self):
-        if self.phi != len(self.pair_order):
-            raise ValueError(
-                f"phi {self.phi} does not match the pair count {len(self.pair_order)}"
-            )
+    @property
+    def phi(self):
+        return len(self.pair_order)
+
+    @property
+    def dim_c(self):
+        return sum(self.block_dims)
 
     @functools.cached_property
     def _bounds(self):
@@ -175,9 +176,9 @@ def build_stacked(net):
         offset, stride = np.array([f_at[x] for x in pos]).T[:, :, None, None]
         out_index[d] = (offset + stride * np.arange(d)[:, None] + np.arange(d)).ravel()
     return StackedOperator(
-        edge_order=tuple(edges), block_dims=block_dims, pair_order=tuple(pairs), phi=len(pairs),
-        dim_c=sum(block_dims), a=a, omega=omega, h=h, psi=psi, c_groups=c_groups,
-        inner=inner, middle=middle, out_index=out_index,
+        edge_order=tuple(edges), block_dims=block_dims, pair_order=tuple(pairs), a=a,
+        omega=omega, h=h, psi=psi, c_groups=c_groups, inner=inner, middle=middle,
+        out_index=out_index,
     )
 
 
@@ -349,15 +350,21 @@ def find_fixed_point(op, tol=1e-13, max_iterations=20000):
     """Iterate F from L until ||C_{k+1} - C_k||_F <= tol * ||C_{k+1}||_F, a
     test that rescaling the instance does not change.  Returns (blocks,
     iterations, converged), the blocks of C* in edge order.  Starting at L
-    keeps every iterate inside [L, U] from the first step.
+    keeps every iterate inside [L, U] from the first step.  F is
+    non-expansive in the part metric (Lemmens & Nussbaum 2012), so a
+    d_T(C_{k+1}, C_k) that does not fall is rounding: it stops unconverged.
     """
     c = apply_stacked_operator(op, _group(op, [np.zeros((d, d)) for d in op.block_dims]))
+    step = np.inf
     for it in range(1, max_iterations + 1):
         nxt = apply_stacked_operator(op, c)
         delta = np.linalg.norm(_flat([nxt[d] - c[d] for d in c]))
+        if delta <= tol * np.linalg.norm(_flat(nxt.values())):
+            return _blocks(op, nxt), it, True
+        last, step = step, cones.part_metric_blocks(nxt, c)
         c = nxt
-        if delta <= tol * np.linalg.norm(_flat(c.values())):
-            return _blocks(op, c), it, True
+        if step >= last:
+            return _blocks(op, c), it, False
     return _blocks(op, c), max_iterations, False
 
 
@@ -367,18 +374,16 @@ def find_fixed_point(op, tol=1e-13, max_iterations=20000):
 
 @dataclasses.dataclass(frozen=True)
 class HarnessReport:
-    """Outcome of randomized order/scaling/bounds checks on F.
-
-    ``failures`` holds one human-readable string per violated property
+    """Outcome of randomized order/scaling/bounds checks on F; every field
+    is written to analysis.json.  ``failures`` holds one human-readable string per violated property
     instance; empty means every check passed.  Margins are smallest
     eigenvalues of the differences that the properties require to be PSD
     (or strictly PD for the scaling law), so "worst" close to zero from
-    above is tight but fine, below -tolerance is a failure.
+    above is tight but fine, below -ORDER_TOL is a failure.
     """
 
     trials: int
     seed: int
-    order_tol: float
     monotone_checks: int
     scaling_checks: int
     bounds_checks: int
@@ -388,7 +393,7 @@ class HarnessReport:
     worst_bounds_margin: float
 
 
-def random_state_blocks(rng, dims, allow_singular=True, scale=1.0):
+def random_state_blocks(rng, dims, allow_singular=True):
     """Random blockwise PSD state in the operator layout.
 
     Blocks are Gram matrices G G^T with G of random inner dimension, so
@@ -403,7 +408,7 @@ def random_state_blocks(rng, dims, allow_singular=True, scale=1.0):
             blocks.append(np.zeros((d, d)))
             continue
         rank = int(rng.integers(1, d + 1)) if allow_singular else d
-        g = rng.standard_normal((d, rank)) * scale
+        g = rng.standard_normal((d, rank))
         b = g @ g.T
         if not allow_singular:
             b += (0.1 + rng.random()) * np.eye(d)
@@ -428,7 +433,7 @@ def _margin(xs, ys):
     return cones.min_eigenvalue_blocks({d: xs[d] - ys[d] for d in xs})
 
 
-def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
+def property_harness(op, trials=100, seed=0):
     """Randomized verification of the operator's cone properties.
 
     Per trial t (seeded by (seed, t) so any failure replays in
@@ -436,6 +441,7 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
       monotone: C1 <= C2 = C1 + PSD increment  =>  F(C1) <= F(C2)
       scaling:  PD C, alpha in (1, 10]         =>  alpha F(C) > F(alpha C)
       bounds:   PSD C                          =>  L <= F(C) <= U
+    Order margins below -ORDER_TOL fail; the scaling law must be strict.
     """
     if not trials >= 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
@@ -452,7 +458,7 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
         f2 = apply_stacked_operator(op, {d: c1[d] + inc[d] for d in c1})
         margin = _margin(f2, f1)
         worst_mono = min(worst_mono, margin)
-        if margin < -order_tol:
+        if margin < -ORDER_TOL:
             failures.append(f"trial {t}: monotonicity violated, margin {margin:.3e}")
 
         pd = _group(op, random_state_blocks(rng, op.block_dims, allow_singular=False))
@@ -466,10 +472,10 @@ def property_harness(op, trials=100, seed=0, order_tol=ORDER_TOL):
         for f, label in ((f1, "F(C1)"), (f2, "F(C2)")):
             margin = min(_margin(f, lower), _margin(upper, f))
             worst_bnds = min(worst_bnds, margin)
-            if margin < -order_tol:
+            if margin < -ORDER_TOL:
                 failures.append(f"trial {t}: {label} escaped [L, U], margin {margin:.3e}")
     return HarnessReport(
-        trials, seed, order_tol, trials, trials, 2 * trials, failures,
+        trials, seed, trials, trials, 2 * trials, failures,
         float(worst_mono), float(worst_scal), float(worst_bnds),
     )
 
@@ -499,13 +505,14 @@ class SandwichReport:
     failures: list
 
 
-def sandwich_sequences(op, c_star, alpha=2.0, max_steps=500, target=1e-6, order_tol=ORDER_TOL):
+def sandwich_sequences(op, c_star, alpha=2.0, target=1e-6):
     """Run the two monotone envelope sequences around the fixed point.
 
     ``c_star`` is the stacked fixed point, grouped or a block list in edge
     order.  The upper sequence starts at alpha * C*, the lower at
     L = F(0); both are driven by F alone, so their behavior is a property
-    of the operator, not of the engine run that produced ``c_star``.
+    of the operator, not of the engine run that produced ``c_star``.  At
+    most SANDWICH_MAX_STEPS steps; order margins below -ORDER_TOL fail.
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha!r}")
@@ -519,21 +526,21 @@ def sandwich_sequences(op, c_star, alpha=2.0, max_steps=500, target=1e-6, order_
     failures = []
     upper_mono = lower_mono = contains = True
     steps = 0
-    for step in range(1, max_steps + 1):
+    for step in range(1, SANDWICH_MAX_STEPS + 1):
         new_upper = apply_stacked_operator(op, upper)
         new_lower = apply_stacked_operator(op, lower)
         m_up = _margin(upper, new_upper)
         m_lo = _margin(new_lower, lower)
-        if m_up < -order_tol:
+        if m_up < -ORDER_TOL:
             upper_mono = False
             failures.append(f"step {step}: upper sequence increased, margin {m_up:.3e}")
-        if m_lo < -order_tol:
+        if m_lo < -ORDER_TOL:
             lower_mono = False
             failures.append(f"step {step}: lower sequence decreased, margin {m_lo:.3e}")
         upper, lower = new_upper, new_lower
         m_in_up = _margin(upper, star)
         m_in_lo = _margin(star, lower)
-        if min(m_in_up, m_in_lo) < -order_tol:
+        if min(m_in_up, m_in_lo) < -ORDER_TOL:
             contains = False
             failures.append(f"step {step}: fixed point escaped the sandwich, "
                             f"margins ({m_in_up:.3e}, {m_in_lo:.3e})")
@@ -556,7 +563,7 @@ def sandwich_sequences(op, c_star, alpha=2.0, max_steps=500, target=1e-6, order_
 # trace annotation and rate estimation
 
 
-def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
+def annotate_trace(trace, bounds, fixed_point_blocks):
     """Fill the cone-geometry fields of an engine trace in place.
 
     Per iteration: Frobenius and part-metric distance to the fixed point,
@@ -566,9 +573,9 @@ def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
         ||C - C*|| <= (2 e^d - e^{-d} - 1) * min(||C||, ||C*||)
 
     for both the spectral and Frobenius norms, where d is the part
-    distance.  Iterations where the state is not PD (a zero init) get
-    None for the part-metric fields.  Each row of ``trace.info`` is
-    evaluated once, and each record reads the figures of its row.
+    distance; margins below -ORDER_TOL fail.  Iterations where the state
+    is not PD (a zero init) get None for the part-metric fields.  Each row
+    of ``trace.info`` is evaluated once, and each record reads its row.
     """
     star = [np.asarray(b, dtype=float) for b in fixed_point_blocks]
     if [b.shape for b in star] != [(d, d) for d in trace.block_dims]:
@@ -579,10 +586,10 @@ def annotate_trace(trace, bounds, fixed_point_blocks, order_tol=ORDER_TOL):
         rec.dist_frobenius = float(dist[t])
         rec.part_distance = None if np.isnan(part[t]) else float(part[t])
         if rec.iteration >= 1:
-            rec.in_bounds = bool(margin[t] >= -order_tol)
+            rec.in_bounds = bool(margin[t] >= -ORDER_TOL)
         if rec.part_distance is not None:
             rec.norm_slack = float(slack[t])
-            rec.norm_bound_ok = bool(slack[t] >= -order_tol)
+            rec.norm_bound_ok = bool(slack[t] >= -ORDER_TOL)
     return trace
 
 

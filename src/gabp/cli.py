@@ -82,10 +82,6 @@ def _build_parser():
         default=None,
         help="rate-fit exclusion radius (default: 1e-8 * |C*|_F)",
     )
-    ana.add_argument("--no-bounds", action="store_true", help="skip bound checks")
-    ana.add_argument("--no-rate", action="store_true", help="skip the rate fit")
-    ana.add_argument("--no-properties", action="store_true", help="skip the harness")
-    ana.add_argument("--no-sandwich", action="store_true", help="skip the sandwich")
 
     cmp_ = sub.add_parser("compare", help="compare beliefs to the exact posterior")
     _common_run_args(cmp_, tol=1e-10, iters=500)
@@ -304,15 +300,15 @@ def _cmd_run(args):
 
 
 def _cmd_analyze(args):
-    # The options of each enabled part fail before the engine runs, as they would there.
+    # Bad options fail before the engine runs, with the analysis functions' messages.
     epsilon = 0.0 if args.epsilon is None else args.epsilon
-    for skipped, ok, name, value, rule in (
-        (args.no_properties, args.trials >= 0, "trials", args.trials, "be >= 0"),
-        (args.no_rate, epsilon >= 0, "epsilon", epsilon, "be >= 0"),
-        (args.no_sandwich, args.alpha > 1.0, "alpha", args.alpha, "exceed 1"),
-        (args.no_sandwich, args.sandwich_target >= 0.0, "target", args.sandwich_target, "be >= 0"),
+    for ok, name, value, rule in (
+        (args.trials >= 0, "trials", args.trials, "be >= 0"),
+        (epsilon >= 0, "epsilon", epsilon, "be >= 0"),
+        (args.alpha > 1.0, "alpha", args.alpha, "exceed 1"),
+        (args.sandwich_target >= 0.0, "target", args.sandwich_target, "be >= 0"),
     ):
-        if not (skipped or ok):
+        if not ok:
             raise ValueError(f"{name} must {rule}, got {value!r}")
     net, result, doc = _run_instance(args)
     op = analysis.build_stacked(net)
@@ -335,72 +331,55 @@ def _cmd_analyze(args):
     log.info("stacked operator residual at the engine fixed point: %.3e", residual)
 
     quantitative_failures = []
-    if not (args.no_bounds and args.no_rate):
-        # The rate fit reads the part distances that annotation fills in.
-        bounds = analysis.bounds_ul(op)
-        analysis.annotate_trace(result.trace, bounds, star_blocks)
-    if not args.no_bounds:
-        in_bounds = [r.in_bounds for r in result.trace.records if r.in_bounds is not None]
-        doc["bounds"] = {
-            "l_min_eig": cones.min_eigenvalue_blocks(bounds.l_blocks),
-            "u_max_eig": float(np.max(cones.eigvalsh_blocks(bounds.u_blocks))),
-            "trace_in_bounds_all": bool(all(in_bounds)) if in_bounds else None,
-        }
-        if in_bounds and not all(in_bounds):
-            quantitative_failures.append("trace left the [L, U] interval")
+    bounds = analysis.bounds_ul(op)
+    analysis.annotate_trace(result.trace, bounds, star_blocks)
+    in_bounds = [r.in_bounds for r in result.trace.records if r.in_bounds is not None]
+    doc["bounds"] = {
+        "l_min_eig": cones.min_eigenvalue_blocks(bounds.l_blocks),
+        "u_max_eig": float(np.max(cones.eigvalsh_blocks(bounds.u_blocks))),
+        "trace_in_bounds_all": bool(all(in_bounds)) if in_bounds else None,
+    }
+    if in_bounds and not all(in_bounds):
+        quantitative_failures.append("trace left the [L, U] interval")
 
-    if not args.no_rate:
-        rate = analysis.rate_analysis(result.trace, epsilon=args.epsilon)
-        doc["rate"] = {
-            "c_estimate": rate.c_estimate,
-            "r_squared": rate.r_squared,
-            "window_start": rate.window[0] if rate.window else None,
-            "window_end": rate.window[-1] if rate.window else None,
-            "window_size": len(rate.window),
-            "epsilon": rate.epsilon,
-            "strictly_decreasing": rate.strictly_decreasing,
-            "degenerate": rate.degenerate,
-            "note": rate.note,
-        }
-        doc["norm_domination"] = {
-            "all_ok": rate.norm_bound_all,
-            "worst_slack": rate.worst_norm_slack,
-        }
-        if rate.norm_bound_all is False:
-            quantitative_failures.append("norm domination failed on the trace")
+    rate = analysis.rate_analysis(result.trace, epsilon=args.epsilon)
+    doc["rate"] = {
+        "c_estimate": rate.c_estimate,
+        "r_squared": rate.r_squared,
+        "window_start": rate.window[0] if rate.window else None,
+        "window_end": rate.window[-1] if rate.window else None,
+        "window_size": len(rate.window),
+        "epsilon": rate.epsilon,
+        "strictly_decreasing": rate.strictly_decreasing,
+        "degenerate": rate.degenerate,
+        "note": rate.note,
+    }
+    doc["norm_domination"] = {
+        "all_ok": rate.norm_bound_all,
+        "worst_slack": rate.worst_norm_slack,
+    }
+    if rate.norm_bound_all is False:
+        quantitative_failures.append("norm domination failed on the trace")
 
-    if not args.no_properties:
-        report = analysis.property_harness(op, trials=args.trials, seed=args.seed)
-        doc["harness"] = {
-            "trials": report.trials,
-            "seed": report.seed,
-            "monotone_checks": report.monotone_checks,
-            "scaling_checks": report.scaling_checks,
-            "bounds_checks": report.bounds_checks,
-            "failures": report.failures,
-            "worst_monotone_margin": report.worst_monotone_margin,
-            "worst_scaling_margin": report.worst_scaling_margin,
-            "worst_bounds_margin": report.worst_bounds_margin,
-        }
-        quantitative_failures.extend(report.failures)
+    doc["harness"] = analysis.property_harness(op, trials=args.trials, seed=args.seed)
+    quantitative_failures.extend(doc["harness"].failures)
 
-    if not args.no_sandwich:
-        sandwich = analysis.sandwich_sequences(
-            op, star_blocks, alpha=args.alpha, target=args.sandwich_target
-        )
-        doc["sandwich"] = {
-            "alpha": sandwich.alpha,
-            "steps": sandwich.steps,
-            "target": sandwich.target,
-            "upper_monotone": sandwich.upper_monotone,
-            "lower_monotone": sandwich.lower_monotone,
-            "contains_fixed_point": sandwich.contains_fixed_point,
-            "reached_target": sandwich.reached_target,
-            "final_upper_distance": sandwich.upper_distances[-1],
-            "final_lower_distance": sandwich.lower_distances[-1],
-            "failures": sandwich.failures,
-        }
-        quantitative_failures.extend(sandwich.failures)
+    sandwich = analysis.sandwich_sequences(
+        op, star_blocks, alpha=args.alpha, target=args.sandwich_target
+    )
+    doc["sandwich"] = {
+        "alpha": sandwich.alpha,
+        "steps": sandwich.steps,
+        "target": sandwich.target,
+        "upper_monotone": sandwich.upper_monotone,
+        "lower_monotone": sandwich.lower_monotone,
+        "contains_fixed_point": sandwich.contains_fixed_point,
+        "reached_target": sandwich.reached_target,
+        "final_upper_distance": sandwich.upper_distances[-1],
+        "final_lower_distance": sandwich.lower_distances[-1],
+        "failures": sandwich.failures,
+    }
+    quantitative_failures.extend(sandwich.failures)
 
     analysis.write_trace_csv(result.trace, os.path.join(args.out_dir, "trace.csv"))
     doc["quantitative_failures"] = quantitative_failures
@@ -410,8 +389,8 @@ def _cmd_analyze(args):
             print(f"check failed: {f}", file=sys.stderr)
         return 2
     rate_str = ""
-    if "rate" in doc and doc["rate"]["c_estimate"] is not None:
-        rate_str = f", contraction ~ {doc['rate']['c_estimate']:.4f}"
+    if rate.c_estimate is not None:
+        rate_str = f", contraction ~ {rate.c_estimate:.4f}"
     print(f"analysis ok: {result.iterations} iterations{rate_str}")
     return 0
 
@@ -431,7 +410,7 @@ def _cmd_compare(args):
         "mean_tol": args.mean_tol,
         "cov_tol": args.cov_tol,
         "within_tolerance": within,
-        "report": report.to_dict(),
+        "report": report,
     })
     _write_outputs(args, "compare.json", doc)
     if not result.converged:

@@ -106,7 +106,7 @@ def loewner_geq(x, y, tol=None):
     return is_psd(x - y, tol=tol)
 
 
-def part_metric(x, y, tol=None):
+def part_metric(x, y):
     """Part (Thompson) metric between positive definite matrices.
 
     d(X, Y) = log inf{a >= 1 : a*X >= Y and a*Y >= X}.  For X, Y > 0 the
@@ -115,21 +115,21 @@ def part_metric(x, y, tol=None):
     definite eigensolve gives the exact value, no search needed.
 
     Raises NotComparableError when either argument is not positive
-    definite (smallest eigenvalue at most ``tol``, by default
-    ``default_tolerance(x, y)``), since such points do not share a part of
-    the cone.
+    definite (smallest eigenvalue at most ``default_tolerance(x, y)``),
+    since such points do not share a part of the cone.
     """
-    return part_metric_blocks([x], [y], tol=tol)
+    return part_metric_blocks([x], [y])
 
 
-def part_metric_blocks(xs, ys, tol=None):
+def part_metric_blocks(xs, ys):
     """Part metric between two block diagonal matrices given as block lists,
     or both grouped by block size as ``{d: (count, d, d)}`` arrays.
 
     The metric decomposes over a direct sum: the scaling factor must work
-    for every block at once, so the distance is the max over blocks.  The
-    default tolerance is per block pair, and each block size takes one
-    batched eigensolve per step (``_part_alpha``).
+    for every block at once, so the distance is the max over blocks.  A
+    block counts as positive definite when its smallest eigenvalue exceeds
+    REL_TOL times the largest entry of its pair, and each block size takes
+    one batched eigensolve per step (``_part_alpha``).
     """
     if len(xs) != len(ys):
         raise ValueError(f"block count mismatch {len(xs)} vs {len(ys)}")
@@ -138,7 +138,7 @@ def part_metric_blocks(xs, ys, tol=None):
     for pos, (x, y) in _batches(xs, ys):
         if x.shape[1] == 0:
             continue
-        alpha, eigs, t = _part_alpha(x, y, tol)
+        alpha, eigs, t = _part_alpha(x, y)
         for w, which in zip(eigs, ("first", "second")):
             bad = np.flatnonzero(~(w[:, 0] > t))
             if bad.size:
@@ -150,15 +150,15 @@ def part_metric_blocks(xs, ys, tol=None):
     return dist
 
 
-def _part_alpha(x, y, tol=None):
+def _part_alpha(x, y):
     """exp of the part metric per block pair of symmetric stacks x (..., n,
     d, d) and y (n, d, d), nan unless both are PD beyond the pair's
-    tolerance (default REL_TOL * largest entry); also the eigenvalues
+    tolerance, REL_TOL * largest entry of the pair; also the eigenvalues
     of x and y and the tolerances.  The pencil's eigenvalues are those of
     L^{-1} X L^{-T}, Y = L L^T, with L inverted once for all of x."""
     eigs = np.linalg.eigvalsh(x), np.linalg.eigvalsh(y)
     largest = np.maximum(np.abs(x).max(axis=(-2, -1)), np.abs(y).max(axis=(-2, -1)))
-    t = REL_TOL * largest if tol is None else np.broadcast_to(tol, largest.shape)
+    t = REL_TOL * largest
     ok = (eigs[0][..., 0] > t) & (eigs[1][..., 0] > t)
     y = np.where(ok.reshape(-1, len(y)).any(axis=0)[:, None, None], y, np.eye(y.shape[-1]))
     inv = np.linalg.inv(np.linalg.cholesky(y))
@@ -254,6 +254,11 @@ def inv_pd(x, context="matrix"):
     """
     x = np.asarray(x, dtype=float)
     return symmetrize(solve_pd(x, np.eye(x.shape[0]), context=context))
+
+
+def _is_symmetric(x):
+    """Symmetric up to rounding: max|x - x^T| <= 1e-12 max|x|, no per-entry term."""
+    return np.abs(x - x.T).max(initial=0.0) <= 1e-12 * np.abs(x).max(initial=0.0)
 
 
 def _checked_square(x):

@@ -241,9 +241,9 @@ def initial_state(net, init="zero", scale=1.0):
 def check_init_state(net, state):
     """Validate an explicit initial state against the network.
 
-    Every directed edge must be present with a correctly shaped symmetric
-    positive semidefinite info block and a finite mean.  Returns a normalized copy at
-    iteration 0.
+    Every directed edge must be present with a correctly shaped PSD info
+    block, symmetric up to rounding (``cones._is_symmetric``), and a finite
+    mean.  Returns a normalized copy at iteration 0.
     """
     required = set(net.directed_edges)
     given = set(state.messages)
@@ -271,7 +271,7 @@ def check_init_state(net, state):
             raise ValueError(f"init info for edge {tuple(edge)} has non-finite entries")
         if not np.all(np.isfinite(mean)):
             raise ValueError(f"init mean for edge {tuple(edge)} has non-finite entries")
-        if not np.allclose(info, info.T, atol=1e-12 * np.abs(info).max()):
+        if not cones._is_symmetric(info):
             raise ValueError(f"init info for edge {tuple(edge)} is not symmetric")
         if not cones.is_psd(info):
             raise ValueError(

@@ -89,7 +89,8 @@ class NodeSpec:
 
     ``coeff`` maps variable id j -> A[n][j], the observation matrix that
     multiplies x_j inside this node's measurement.  It must contain the
-    node's own id; validation checks everything else.
+    node's own id; validation checks everything else.  ``prior_cov`` and
+    ``noise_cov`` must be symmetric up to rounding (``cones._is_symmetric``).
     """
 
     id: int
@@ -298,8 +299,8 @@ def validate(net):
 
     Rules (rule id in brackets):
       [bad-dim]         variable dimension below 1
-      [prior-not-pd]    W_n not symmetric positive definite
-      [noise-not-pd]    R_n not symmetric positive definite
+      [prior-not-pd]    W_n not positive definite (NodeSpec checks symmetry)
+      [noise-not-pd]    R_n not positive definite (NodeSpec checks symmetry)
       [rank-deficient]  some A[n][j] has column rank below dim(x_j)
       [ids-not-dense]   node ids are not exactly 1..M
       [not-connected]   the communication graph is disconnected
@@ -372,12 +373,14 @@ def _as_square(a, what):
         raise ValueError(f"{what}: expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what}: non-finite entries")
+    if not cones._is_symmetric(a):
+        raise ValueError(f"{what}: not symmetric")
     return cones._sym(a)
 
 
-def _random_spd(rng, dim, lo=0.5, hi=2.0):
-    """SPD matrix with eigenvalues uniform in [lo, hi]."""
-    lam = rng.uniform(lo, hi, size=dim)
+def _random_spd(rng, dim):
+    """SPD matrix with eigenvalues uniform in [0.5, 2]."""
+    lam = rng.uniform(0.5, 2.0, size=dim)
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     return cones.symmetrize(q @ np.diag(lam) @ q.T)
 

@@ -105,17 +105,6 @@ class CompareReport:
     max_mean_error: float
     max_cov_error: float
 
-    def to_dict(self):
-        return {
-            "applicable": self.applicable,
-            "is_tree": self.is_tree,
-            "cov_comparable": self.cov_comparable,
-            "mean_errors": {str(k): v for k, v in sorted(self.mean_errors.items())},
-            "cov_errors": {str(k): v for k, v in sorted(self.cov_errors.items())},
-            "max_mean_error": self.max_mean_error,
-            "max_cov_error": self.max_cov_error,
-        }
-
 
 def compare(net, beliefs, converged=True):
     """Compare belief marginals to the exact centralized marginals.

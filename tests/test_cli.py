@@ -189,6 +189,42 @@ class TestRun:
         assert code == 1
         assert "prior-not-pd" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,rel,error", [
+        ("W", 0.9, "gabp: invalid instance: nodes[0]: node 1 prior_cov: not symmetric"),
+        ("R", 0.9, "gabp: invalid instance: nodes[0]: node 1 noise_cov: not symmetric"),
+        ("info", 9e-7, "init info for edge (1, 1) is not symmetric"),
+        ("W", 1e-14, None),
+        ("info", 1e-14, None),
+    ], ids=["prior", "noise", "init", "prior-rounding", "init-rounding"])
+    def test_asymmetric_matrices_are_rejected(self, tmp_path, capsys, key, rel, error):
+        # An asymmetry beyond 1e-12 of the largest entry is an input error,
+        # not something to average away; rounding-level ones still load.
+        def skew(x):
+            x = np.array(x)
+            x[0, 1] += rel * np.abs(x).max()
+            return x.tolist()
+
+        inst = tmp_path / "inst.json"
+        network.save(network.generate_random(5, 4, "tree", dim_range=(2, 2)), inst)
+        argv = ["run", "--instance", str(inst), "--out-dir", str(tmp_path / "o")]
+        if key == "info":
+            assert run_cli(*argv) == 0
+            doc = read_json(tmp_path / "o" / "summary.json")
+            doc["messages"][0]["info"] = skew(doc["messages"][0]["info"])
+            (tmp_path / "init.json").write_text(json.dumps(doc))
+            argv += ["--init", f"file:{tmp_path / 'init.json'}"]
+        else:
+            doc = read_json(inst)
+            doc["nodes"][0][key] = skew(doc["nodes"][0][key])
+            inst.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli(*argv)
+        if error is None:
+            assert code == 0
+        else:
+            assert code == 1
+            assert error in capsys.readouterr().err
+
 
 class TestInitOption:
     def test_identity_scale(self, golden_instance, tmp_path):
@@ -293,29 +329,21 @@ class TestAnalyze:
         assert doc["sandwich"]["reached_target"] is True
         assert doc["quantitative_failures"] == []
 
-    def test_toggles_skip_sections(self, golden_instance, tmp_path):
+    def test_zero_trials_skip_only_the_harness_work(self, golden_instance, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
-            "analyze", "--instance", golden_instance, "--out-dir", str(out),
-            "--no-rate", "--no-properties", "--no-sandwich",
+            "analyze", "--instance", golden_instance, "--out-dir", str(out), "--trials", "0",
         )
         assert code == 0
         doc = read_json(out / "analysis.json")
-        assert "rate" not in doc and "harness" not in doc and "sandwich" not in doc
-        assert "bounds" in doc
-
-    def test_rate_without_bounds_section(self, golden_instance, tmp_path):
-        # The rate fit needs the annotated trace even when --no-bounds
-        # drops the bounds section.
-        out = tmp_path / "out"
-        code = run_cli(
-            "analyze", "--instance", golden_instance, "--out-dir", str(out),
-            "--no-bounds", "--no-properties", "--no-sandwich",
-        )
-        assert code == 0
-        doc = read_json(out / "analysis.json")
-        assert "bounds" not in doc
+        assert doc["harness"]["trials"] == 0
+        assert doc["harness"]["monotone_checks"] == 0
+        assert doc["harness"]["failures"] == []
+        for section in ("bounds", "rate", "norm_domination", "sandwich"):
+            assert section in doc
+        assert doc["bounds"]["trace_in_bounds_all"] is True
         assert doc["rate"]["c_estimate"] == pytest.approx(0.146, abs=0.02)
+        assert doc["sandwich"]["reached_target"] is True
 
     def test_bound_eigenvalues_on_larger_blocks(self, tmp_path):
         # With 2x2 and 3x3 blocks the largest entry of U is not its largest
@@ -325,8 +353,7 @@ class TestAnalyze:
         network.save(net, inst)
         out = tmp_path / "out"
         code = run_cli(
-            "analyze", "--instance", str(inst), "--out-dir", str(out),
-            "--no-properties", "--no-sandwich",
+            "analyze", "--instance", str(inst), "--out-dir", str(out), "--trials", "0",
         )
         assert code == 0
         bounds = read_json(out / "analysis.json")["bounds"]
@@ -373,11 +400,14 @@ class TestAnalyze:
         assert code == 1
         assert f"gabp: error: {message}" in capsys.readouterr().err
 
-    def test_options_of_skipped_parts_are_not_checked(self, golden_instance, tmp_path):
-        code = run_cli("analyze", "--instance", golden_instance, "--out-dir", str(tmp_path / "o"),
-                       "--no-properties", "--trials", "-3", "--no-rate", "--epsilon", "nan",
-                       "--no-sandwich", "--alpha", "nan", "--sandwich-target", "-1")
-        assert code == 0
+    @pytest.mark.parametrize("flag", ["--no-bounds", "--no-rate", "--no-properties",
+                                      "--no-sandwich"])
+    def test_section_toggles_are_usage_errors(self, golden_instance, tmp_path, capsys, flag):
+        code = run_cli("analyze", "--instance", golden_instance, "--out-dir",
+                       str(tmp_path / "o"), flag)
+        assert code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCompare:

@@ -697,12 +697,23 @@ class TestLeaveOneOutTotals:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_amplified_messages_keep_the_fixed_point(self, seed):
         # Taking a 1e8-times-larger message out of its variable's or factor's
-        # total cancels most of it.  find_fixed_point's own relative stopping
-        # test never passes on these instances (its iterates wander at about
-        # 1e-9 relative), so it is given a fixed 300 iterations.
+        # total cancels most of it.
         net = amplified(seed)
         res = engine.run(net, ScheduleConfig(max_iterations=80, tol_frobenius=1e-300))
         assert res.iterations == 80
-        star, _, _ = analysis.find_fixed_point(analysis.build_stacked(net), max_iterations=300)
+        star, _, _ = analysis.find_fixed_point(analysis.build_stacked(net))
         for got, want in zip(res.state.info_blocks(), star, strict=True):
             assert close([got], [want], 1e-7)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fixed_point_search_stops_at_the_rounding_floor(self, seed):
+        # The relative test never passes here: F's iterates wander at about
+        # 1e-9 relative.  The part-metric increments stop falling instead.
+        op = analysis.build_stacked(amplified(seed))
+        star, iterations, converged = analysis.find_fixed_point(op)
+        assert iterations <= 20 and not converged
+        c = analysis.apply_stacked_operator(op, [np.zeros((d, d)) for d in op.block_dims])
+        for _ in range(300):
+            c = analysis.apply_stacked_operator(op, c)
+        for got, want in zip(star, c, strict=True):
+            assert close([got], [want], 1e-8)

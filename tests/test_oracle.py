@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gabp import engine, network, oracle
+from gabp import cli, engine, network, oracle
 from gabp.cones import NumericalError
 from gabp.engine import ScheduleConfig
 
@@ -222,11 +222,11 @@ class TestCompare:
         assert not rep.applicable
         assert np.isnan(rep.max_mean_error)
 
-    def test_to_dict_round_trips_through_json(self):
+    def test_report_round_trips_through_json(self):
         import json
 
         net = network.two_node_chain()
         rep = oracle.compare(net, self.run(net).beliefs)
-        doc = json.loads(json.dumps(rep.to_dict()))
+        doc = json.loads(json.dumps(cli._jsonable(rep)))
         assert doc["is_tree"] is True
         assert set(doc["mean_errors"]) == {"1", "2"}
