@@ -114,14 +114,21 @@ class StackedOperator:
         """(U, L), computed and checked once: see ``bounds_ul``."""
         u = _middle(self, np.zeros(self.middle.route.shape[1]))
         l = apply_stacked_operator(self, _group(self, [np.zeros((d, d)) for d in self.block_dims]))
-        tol = cones.default_tolerance(_flat(u.values()), _flat(l.values()))
-        l_min = cones.min_eigenvalue_blocks(l)
-        if not l_min > tol:
+        l_blocks = _blocks(self, l)
+        bad = np.flatnonzero(~cones._pd_flags(l_blocks))
+        if bad.size:
             raise cones.NumericalError(
-                f"lower bound is not positive definite (min eig {l_min:.3e})"
+                f"lower bound on edge {tuple(self.edge_order[bad[0]])} is not positive "
+                f"definite (min eig {cones.min_eigenvalue(l_blocks[bad[0]]):.3e})"
             )
-        if _margin(u, l) < -tol:
-            raise cones.NumericalError("upper bound does not dominate the lower bound")
+        dominated = np.ones(len(l_blocks), dtype=bool)
+        for d, pos in self.c_groups.items():
+            largest = np.maximum(np.abs(u[d]).max(axis=(1, 2)), np.abs(l[d]).max(axis=(1, 2)))
+            dominated[pos] = np.linalg.eigvalsh(u[d] - l[d])[:, 0] >= -cones.REL_TOL * largest
+        bad = np.flatnonzero(~dominated)
+        if bad.size:
+            raise cones.NumericalError(f"upper bound on edge {tuple(self.edge_order[bad[0]])} "
+                                       "does not dominate the lower bound")
         for x in (*u.values(), *l.values()):
             x.setflags(write=False)
         return ConeBounds(tuple(_blocks(self, u)), tuple(_blocks(self, l)))
@@ -341,7 +348,9 @@ def bounds_ul(op):
     U = A^T Omega^{-1} A and L = F(0) = A^T (Omega + H Psi^{-1} H^T)^{-1} A,
     both per edge.  A violation of either order relation means the
     instance data broke an invariant (priors or noises not PD, A rank
-    deficient), so it raises rather than returning garbage bounds.
+    deficient), so it raises NumericalError naming the first bad edge.
+    Each edge is judged on its own scale: L_e > 0 beyond REL_TOL *
+    max|L_e|, U_e >= L_e within REL_TOL * max(|U_e|, |L_e|).
     """
     return op._bounds
 

@@ -298,7 +298,6 @@ def validate(net):
     """Collect all semantic violations, ascending by node id.
 
     Rules (rule id in brackets):
-      [bad-dim]         variable dimension below 1
       [prior-not-pd]    W_n not positive definite (NodeSpec checks symmetry)
       [noise-not-pd]    R_n not positive definite (NodeSpec checks symmetry)
       [rank-deficient]  some A[n][j] has column rank below dim(x_j)
@@ -312,8 +311,6 @@ def validate(net):
     out = []
     for node, p_ok, r_ok in zip(nodes, prior_ok, noise_ok):
         i = node.id
-        if node.dim < 1:
-            out.append(Violation("bad-dim", str(i), f"dim={node.dim}"))
         for rule, ok, cov in (("prior", p_ok, node.prior_cov), ("noise", r_ok, node.noise_cov)):
             if not ok:
                 detail = f"min eigenvalue {cones.min_eigenvalue(cov):.3e}"

@@ -49,7 +49,8 @@ def _var_spans(net):
 def centralized_posterior(net):
     """Exact joint posterior (mean, cov) over all variables, stacked in
     ascending id.  NumericalError names the node whose prior or noise
-    covariance is not positive definite."""
+    covariance is not positive definite or whose observation term
+    overflows the information vector."""
     spans, total = _var_spans(net)
     prec = np.zeros((total, total))
     info = np.zeros(total)
@@ -63,6 +64,8 @@ def centralized_posterior(net):
         at = np.r_[tuple(spans[j] for j in scope)]
         prec[np.ix_(at, at)] += a.T @ r_inv[:, :-1]
         info[at] += a.T @ r_inv[:, -1]
+        if not np.all(np.isfinite(info[at])):
+            raise cones.NumericalError(f"information vector overflows at node {n}'s observation")
     cov = cones.inv_pd(cones.symmetrize(prec), context="joint posterior precision")
     return cov @ info, cov
 

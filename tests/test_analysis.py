@@ -493,6 +493,18 @@ class TestBounds:
         ):
             analysis.bounds_ul(op)
 
+    def test_names_edge_with_singular_lower_bound(self):
+        # A[1][1] = 0 is rank deficient, which validate would reject; the
+        # operator is built from the unvalidated network.
+        one = np.eye(1)
+        net = network.GaussianNetwork([
+            network.NodeSpec(1, 1, one, one, [0.3], {1: 0 * one, 2: one}),
+            network.NodeSpec(2, 1, one, one, [-0.2], {1: one, 2: one}),
+        ], [(1, 2)])
+        with pytest.raises(cones.NumericalError,
+                           match=r"lower bound on edge \(1, 1\) is not positive definite"):
+            analysis.bounds_ul(analysis.build_stacked(net))
+
     def test_computed_once_per_operator(self):
         op = analysis.build_stacked(network.generate_random(75, 6, "er", dim_range=(1, 3)))
         first = analysis.bounds_ul(op)

@@ -1,21 +1,44 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import gabp
 from gabp import analysis, cones, engine, network, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = [network, engine, oracle, analysis, cones]
 
 
-@pytest.mark.parametrize("module", [gabp, network, engine, oracle, analysis, cones])
+@pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
     # The benchmark's tracer wraps each entry, so a stale one would crash it.
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exports_are_the_public_definitions(module):
+    # __all__ is the module's one export list, and the benchmark's tracer
+    # times exactly its functions: a public function left out would run
+    # untimed.
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    public = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert sorted(module.__all__) == sorted(public)
+
+
+def test_package_import_loads_no_module():
+    # Each name has one import path, its module: the package itself
+    # re-exports nothing, so importing it loads none of them.
+    script = "import gabp, sys; print(sorted(m for m in sys.modules if m.startswith('gabp.')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cones.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _third_party_imports(paths):

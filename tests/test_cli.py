@@ -158,6 +158,15 @@ class TestRun:
         assert code == 1
         assert f"gabp: error: {message}" in capsys.readouterr().err
 
+    def test_numerical_failure_exit_1(self, tmp_path, capsys):
+        inst = tmp_path / "huge.json"
+        network.save(network.two_node_symmetric(y=(1.7e308, -1.7e308)), inst)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("run", "--instance", str(inst), "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert ("gabp: numerical failure: message on edge (1, 1) has non-finite entries"
+                in capsys.readouterr().err)
+
     def test_missing_instance_exit_1(self, tmp_path):
         assert run_cli("run", "--instance", str(tmp_path / "no.json"),
                        "--out-dir", str(tmp_path / "o")) == 1
@@ -179,6 +188,15 @@ class TestRun:
         code = run_cli("run", "--instance", str(bad), "--out-dir", str(tmp_path / "o"))
         assert code == 1
         assert "invalid instance" in capsys.readouterr().err
+
+    def test_zero_dim_is_a_located_input_error(self, tmp_path, capsys):
+        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc["nodes"][0]["dim"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run_cli("run", "--instance", str(bad), "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "nodes[0]: node 1: dim must be >= 1, got 0" in capsys.readouterr().err
 
     def test_semantic_error_reports_rule(self, tmp_path, capsys):
         doc = json.loads(network.dumps(network.two_node_chain()))
@@ -235,6 +253,14 @@ class TestInitOption:
         )
         assert code == 0
         assert read_json(out / "summary.json")["schedule"]["init_scale"] == 5.0
+
+    def test_identity_without_scale_is_scale_1(self, golden_instance, tmp_path):
+        for spec in ("identity", "identity:1"):
+            assert run_cli("run", "--instance", golden_instance, "--out-dir",
+                           str(tmp_path / spec), "--init", spec) == 0
+        hashes = {read_json(tmp_path / spec / "summary.json")["content_hash"]
+                  for spec in ("identity", "identity:1")}
+        assert len(hashes) == 1
 
     def test_file_init_round_trip(self, golden_instance, tmp_path):
         first = tmp_path / "first"
@@ -374,6 +400,18 @@ class TestAnalyze:
         assert bounds["l_min_eig"] == pytest.approx(l_min, rel=1e-12)
         assert abs(u_max - np.max(np.abs(u))) > 1e-3 * u_max
 
+    def test_quantitative_failure_exit_2(self, golden_instance, tmp_path, capsys):
+        # Rounding keeps the sandwich distances just above 0.
+        out = tmp_path / "out"
+        code = run_cli("analyze", "--instance", golden_instance, "--out-dir", str(out),
+                       "--sandwich-target", "0", "--trials", "2")
+        assert code == 2
+        failure = "did not reach 0.0e+00 in 500 steps"
+        err = capsys.readouterr().err
+        assert "check failed: distances (" in err and failure in err
+        [listed] = read_json(out / "analysis.json")["quantitative_failures"]
+        assert listed.startswith("distances (") and listed.endswith(failure)
+
     def test_non_convergence_exit_3(self, golden_instance, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
@@ -449,6 +487,17 @@ class TestCompare:
         assert "disagree" in capsys.readouterr().err
         assert read_json(out / "compare.json")["within_tolerance"] is False
 
+    def test_oracle_overflow_exit_1(self, tmp_path, capsys):
+        # The run converges with finite beliefs (true mean 4e307), but the
+        # centralized information vector sums to 2e308.
+        inst = tmp_path / "big.json"
+        network.save(network.two_node_symmetric(y=(1e308, 1e308)), inst)
+        with np.errstate(over="ignore"):
+            code = run_cli("compare", "--instance", str(inst), "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert ("gabp: numerical failure: information vector overflows at node 2's observation"
+                in capsys.readouterr().err)
+
     def test_non_convergence_exit_3(self, golden_instance, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
@@ -483,6 +532,16 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "INFO" in proc.stderr
         assert out.exists()
+
+    def test_info_log_reports_the_loaded_instance(self, golden_instance, tmp_path):
+        env = dict(os.environ, GABP_LOG="info")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gabp.cli", "run", "--instance", golden_instance,
+             "--out-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        assert f"INFO gabp.cli: loaded {golden_instance}: 2 nodes, 4 directed edges" in proc.stderr
 
     def test_commands_never_import_networkx(self, tmp_path):
         # Each process pays for every module it imports; the graph checks

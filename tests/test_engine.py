@@ -657,13 +657,13 @@ def direct_sweep(net, state):
     return out
 
 
-def amplified(seed):
+def amplified(seed, scale=1e4):
     """The er instance with the coefficients and observations of nodes 1 and
-    2 scaled by 1e4: their messages are 1e8 times the rest."""
+    2 scaled by ``scale``: their messages are scale**2 times the rest."""
     net = network.generate_random(seed, 10, "er", er_prob=0.4)
     specs = [net.node(i) for i in net.ids]
-    specs = [dataclasses.replace(s, coeff={j: 1e4 * a for j, a in s.coeff.items()},
-                                 obs=1e4 * s.obs) if s.id in (1, 2) else s for s in specs]
+    specs = [dataclasses.replace(s, coeff={j: scale * a for j, a in s.coeff.items()},
+                                 obs=scale * s.obs) if s.id in (1, 2) else s for s in specs]
     return network.GaussianNetwork(specs, net.edges)
 
 
@@ -704,6 +704,15 @@ class TestLeaveOneOutTotals:
         star, _, _ = analysis.find_fixed_point(analysis.build_stacked(net))
         for got, want in zip(res.state.info_blocks(), star, strict=True):
             assert close([got], [want], 1e-7)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bounds_judge_each_edge_by_its_own_scale(self, seed, scale):
+        # The bound blocks span scale**2 in size: against one tolerance for
+        # the whole operator, the smallest L blocks look indefinite.
+        b = analysis.bounds_ul(analysis.build_stacked(amplified(seed, scale)))
+        for u, l in zip(b.u_blocks, b.l_blocks, strict=True):
+            assert cones.is_pd(l) and cones.loewner_geq(u, l)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fixed_point_search_stops_at_the_rounding_floor(self, seed):
