@@ -111,27 +111,24 @@ class StackedOperator:
 
     @functools.cached_property
     def _bounds(self):
-        """(U, L), computed and checked once: see ``bounds_ul``."""
+        """(U, L), computed and checked once (see ``bounds_ul``) by
+        ``cones._pd_flags`` (L > 0) and ``cones._geq_flags`` (U >= L)."""
         u = _middle(self, np.zeros(self.middle.route.shape[1]))
         l = apply_stacked_operator(self, _group(self, [np.zeros((d, d)) for d in self.block_dims]))
-        l_blocks = _blocks(self, l)
+        for x in (*u.values(), *l.values()):
+            x.setflags(write=False)
+        u_blocks, l_blocks = _blocks(self, u), _blocks(self, l)
         bad = np.flatnonzero(~cones._pd_flags(l_blocks))
         if bad.size:
             raise cones.NumericalError(
                 f"lower bound on edge {tuple(self.edge_order[bad[0]])} is not positive "
-                f"definite (min eig {cones.min_eigenvalue(l_blocks[bad[0]]):.3e})"
+                f"definite (min eig {cones.min_eigenvalue_blocks([l_blocks[bad[0]]]):.3e})"
             )
-        dominated = np.ones(len(l_blocks), dtype=bool)
-        for d, pos in self.c_groups.items():
-            largest = np.maximum(np.abs(u[d]).max(axis=(1, 2)), np.abs(l[d]).max(axis=(1, 2)))
-            dominated[pos] = np.linalg.eigvalsh(u[d] - l[d])[:, 0] >= -cones.REL_TOL * largest
-        bad = np.flatnonzero(~dominated)
+        bad = np.flatnonzero(~cones._geq_flags(u_blocks, l_blocks))
         if bad.size:
             raise cones.NumericalError(f"upper bound on edge {tuple(self.edge_order[bad[0]])} "
                                        "does not dominate the lower bound")
-        for x in (*u.values(), *l.values()):
-            x.setflags(write=False)
-        return ConeBounds(tuple(_blocks(self, u)), tuple(_blocks(self, l)))
+        return ConeBounds(tuple(u_blocks), tuple(l_blocks))
 
 
 def build_stacked(net):
@@ -349,8 +346,9 @@ def bounds_ul(op):
     both per edge.  A violation of either order relation means the
     instance data broke an invariant (priors or noises not PD, A rank
     deficient), so it raises NumericalError naming the first bad edge.
-    Each edge is judged on its own scale: L_e > 0 beyond REL_TOL *
-    max|L_e|, U_e >= L_e within REL_TOL * max(|U_e|, |L_e|).
+    Each edge is judged on its own scale, by the cone's one tolerance
+    (``cones._tolerance``): L_e > 0 beyond it for L_e, U_e >= L_e within
+    it for the pair (U_e, L_e).
     """
     return op._bounds
 

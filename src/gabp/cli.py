@@ -22,6 +22,7 @@ timestamp line and can be diffed by hash.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -106,16 +107,12 @@ def main(argv=None):
     _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"gen": _cmd_gen, "run": _cmd_run, "analyze": _cmd_analyze, "compare": _cmd_compare}
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        # Every overflow is caught and named below; numpy's warnings about
+        # it would only print a line of source ahead of the message.
+        with np.errstate(all="ignore"):
+            return commands[args.command](args)
     except (network.SchemaError, network.SemanticError) as exc:
         print(f"gabp: invalid instance: {exc}", file=sys.stderr)
         return 1
@@ -218,7 +215,8 @@ def _parse_init(spec, net):
     if spec == "identity":
         return "identity", 1.0
     if spec.startswith("identity:"):
-        return "identity", float(spec.split(":", 1)[1])
+        with contextlib.suppress(ValueError):
+            return "identity", float(spec.split(":", 1)[1])
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         return _load_init_state(path, net), 1.0

@@ -14,19 +14,12 @@ positive semidefinite), ``X > 0`` means positive definite.
 import functools
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 __all__ = [
     "NotComparableError",
     "NumericalError",
     "symmetrize",
-    "default_tolerance",
-    "min_eigenvalue",
-    "is_psd",
-    "is_pd",
-    "loewner_geq",
-    "part_metric",
     "part_metric_blocks",
     "eigvalsh_blocks",
     "min_eigenvalue_blocks",
@@ -35,7 +28,7 @@ __all__ = [
     "inv_pd",
 ]
 
-# Default tolerances are REL_TOL times the largest entry, with no absolute floor.
+# Every cone test's tolerance is REL_TOL times the largest entry (``_tolerance``).
 REL_TOL = 1e-10
 
 
@@ -67,69 +60,16 @@ def symmetrize(a):
     return _sym(_checked_square(a))
 
 
-def default_tolerance(*mats):
-    """Eigenvalue tolerance: REL_TOL times the largest entry of the arguments."""
-    largest = [np.abs(np.asarray(m, dtype=float)).max(initial=0.0) for m in mats]
-    return REL_TOL * float(max(largest, default=0.0))
-
-
-def min_eigenvalue(x):
-    """Smallest eigenvalue of a symmetric matrix."""
-    x = symmetrize(x)
-    if x.shape[0] == 0:
-        return np.inf
-    return float(scipy.linalg.eigvalsh(x)[0])
-
-
-def is_psd(x, tol=None):
-    """True if ``x`` is symmetric positive semidefinite up to ``tol``."""
-    if tol is None:
-        tol = default_tolerance(x)
-    return min_eigenvalue(x) >= -tol
-
-
-def is_pd(x, tol=None):
-    """True if ``x`` is symmetric positive definite (min eigenvalue > tol)."""
-    if tol is None:
-        tol = default_tolerance(x)
-    return min_eigenvalue(x) > tol
-
-
-def loewner_geq(x, y, tol=None):
-    """True if ``x >= y`` in the Loewner order, up to ``tol``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    if tol is None:
-        tol = default_tolerance(x, y)
-    return is_psd(x - y, tol=tol)
-
-
-def part_metric(x, y):
-    """Part (Thompson) metric between positive definite matrices.
-
-    d(X, Y) = log inf{a >= 1 : a*X >= Y and a*Y >= X}.  For X, Y > 0 the
-    infimum is max(lmax, 1/lmin) where lmin, lmax are the extreme
-    generalized eigenvalues of the pencil (Y, X); a single symmetric
-    definite eigensolve gives the exact value, no search needed.
-
-    Raises NotComparableError when either argument is not positive
-    definite (smallest eigenvalue at most ``default_tolerance(x, y)``),
-    since such points do not share a part of the cone.
-    """
-    return part_metric_blocks([x], [y])
-
-
 def part_metric_blocks(xs, ys):
-    """Part metric between two block diagonal matrices given as block lists,
-    or both grouped by block size as ``{d: (count, d, d)}`` arrays.
+    """Part (Thompson) metric between two block diagonal matrices given as
+    block lists, or both grouped by block size as ``{d: (count, d, d)}``.
 
-    The metric decomposes over a direct sum: the scaling factor must work
-    for every block at once, so the distance is the max over blocks.  A
-    block counts as positive definite when its smallest eigenvalue exceeds
-    REL_TOL times the largest entry of its pair, and each block size takes
-    one batched eigensolve per step (``_part_alpha``).
+    d(X, Y) = log inf{a >= 1 : a*X >= Y and a*Y >= X}.  Per block pair the
+    infimum is max(lmax, 1/lmin) over the generalized eigenvalues of the
+    pencil (Y, X); over a direct sum it is the max over blocks.  Each block
+    size takes one batched eigensolve per step (``_part_alpha``).  Raises
+    NotComparableError when a block is not positive definite beyond its
+    pair's tolerance (``_tolerance``): such points share no part.
     """
     if len(xs) != len(ys):
         raise ValueError(f"block count mismatch {len(xs)} vs {len(ys)}")
@@ -153,12 +93,11 @@ def part_metric_blocks(xs, ys):
 def _part_alpha(x, y):
     """exp of the part metric per block pair of symmetric stacks x (..., n,
     d, d) and y (n, d, d), nan unless both are PD beyond the pair's
-    tolerance, REL_TOL * largest entry of the pair; also the eigenvalues
-    of x and y and the tolerances.  The pencil's eigenvalues are those of
-    L^{-1} X L^{-T}, Y = L L^T, with L inverted once for all of x."""
+    tolerance; also the eigenvalues of x and y and the tolerances.  The
+    pencil's eigenvalues are those of L^{-1} X L^{-T}, Y = L L^T, with L
+    inverted once for all of x."""
     eigs = np.linalg.eigvalsh(x), np.linalg.eigvalsh(y)
-    largest = np.maximum(np.abs(x).max(axis=(-2, -1)), np.abs(y).max(axis=(-2, -1)))
-    t = REL_TOL * largest
+    t = _tolerance(x, y)
     ok = (eigs[0][..., 0] > t) & (eigs[1][..., 0] > t)
     y = np.where(ok.reshape(-1, len(y)).any(axis=0)[:, None, None], y, np.eye(y.shape[-1]))
     inv = np.linalg.inv(np.linalg.cholesky(y))
@@ -166,14 +105,31 @@ def _part_alpha(x, y):
     return np.where(ok, np.maximum(w[..., -1], 1.0 / w[..., 0]), np.nan), eigs, t
 
 
+def _tolerance(*stacks):
+    """REL_TOL times the largest entry of each block, or of each block pair,
+    of symmetric stacks (..., d, d): the one boundary of every cone test.
+    It has no absolute floor, so rescaling an instance changes no verdict."""
+    return REL_TOL * functools.reduce(np.maximum, [np.abs(s).max(axis=(-2, -1)) for s in stacks])
+
+
 def _pd_flags(blocks):
-    """``is_pd`` of each symmetric block of a list, with the default
-    tolerance per block: one batched eigensolve per block size."""
+    """``X > 0`` beyond its tolerance for each symmetric block of a list:
+    one batched eigensolve per block size."""
     ok = np.ones(len(blocks), dtype=bool)
     for pos, (x,) in _batches(blocks):
         if x.shape[1]:
-            tol = REL_TOL * np.abs(x).max(axis=(1, 2))
-            ok[pos] = np.linalg.eigvalsh(x)[:, 0] > tol
+            ok[pos] = np.linalg.eigvalsh(x)[:, 0] > _tolerance(x)
+    return ok
+
+
+def _geq_flags(xs, ys):
+    """``X >= Y`` within the pair's tolerance for each pair of symmetric
+    blocks of two lists (PSD is ``X >= 0``): one batched eigensolve per
+    block size."""
+    ok = np.ones(len(xs), dtype=bool)
+    for pos, (x, y) in _batches(xs, ys):
+        if x.shape[1]:
+            ok[pos] = np.linalg.eigvalsh(x - y)[:, 0] >= -_tolerance(x, y)
     return ok
 
 
@@ -324,7 +280,7 @@ def _inv_pd(x, context):
 
 def _condition_estimate(x):
     try:
-        w = np.abs(scipy.linalg.eigvalsh(x))
+        w = np.abs(np.linalg.eigvalsh(x))
         small = float(np.min(w))
         if small == 0.0:
             return np.inf

@@ -241,9 +241,10 @@ def initial_state(net, init="zero", scale=1.0):
 def check_init_state(net, state):
     """Validate an explicit initial state against the network.
 
-    Every directed edge must be present with a correctly shaped PSD info
-    block, symmetric up to rounding (``cones._is_symmetric``), and a finite
-    mean.  Returns a normalized copy at iteration 0.
+    Every directed edge must be present with a correctly shaped info block,
+    symmetric up to rounding (``cones._is_symmetric``), and a finite mean;
+    then all blocks, in one batched pass, PSD within their own tolerance
+    (``cones._geq_flags``).  Returns a normalized copy at iteration 0.
     """
     required = set(net.directed_edges)
     given = set(state.messages)
@@ -273,12 +274,14 @@ def check_init_state(net, state):
             raise ValueError(f"init mean for edge {tuple(edge)} has non-finite entries")
         if not cones._is_symmetric(info):
             raise ValueError(f"init info for edge {tuple(edge)} is not symmetric")
-        if not cones.is_psd(info):
-            raise ValueError(
-                f"init info for edge {tuple(edge)} is not positive semidefinite "
-                f"(min eigenvalue {cones.min_eigenvalue(info):.3e})"
-            )
         messages[edge] = EdgeMessage(edge, cones.symmetrize(info), mean)
+    infos = [m.info for m in messages.values()]
+    bad = np.flatnonzero(~cones._geq_flags(infos, [np.zeros_like(x) for x in infos]))
+    if bad.size:
+        raise ValueError(
+            f"init info for edge {tuple(net.directed_edges[bad[0]])} is not positive "
+            f"semidefinite (min eigenvalue {cones.min_eigenvalue_blocks([infos[bad[0]]]):.3e})"
+        )
     return MessageState(0, messages)
 
 

@@ -313,7 +313,7 @@ def validate(net):
         i = node.id
         for rule, ok, cov in (("prior", p_ok, node.prior_cov), ("noise", r_ok, node.noise_cov)):
             if not ok:
-                detail = f"min eigenvalue {cones.min_eigenvalue(cov):.3e}"
+                detail = f"min eigenvalue {cones.min_eigenvalue_blocks([cov]):.3e}"
                 out.append(Violation(f"{rule}-not-pd", str(i), detail))
         for j in node.scope():
             a = node.coeff[j]

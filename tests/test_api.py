@@ -68,3 +68,26 @@ def test_dependencies_match_imports():
     imported = _third_party_imports(sorted((ROOT / "src" / "gabp").glob("*.py")))
     declared = _declared_dependencies((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert imported == declared
+
+
+def test_cone_tolerance_is_decided_in_cones():
+    # REL_TOL sets the boundary of every cone verdict and scipy.linalg is
+    # a second eigen library: outside cones, either would be a second rule.
+    found = []
+    for path in sorted((ROOT / "src" / "gabp").glob("*.py")):
+        if path.name == "cones.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[-1] == "REL_TOL" or name.startswith("scipy.linalg")]
+    assert found == []

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,10 @@ class TestRun:
         (("analyze", "--epsilon", "nan"), "epsilon must be >= 0, got nan"),
         (("compare", "--mean-tol", "nan"), "--mean-tol must be >= 0, got nan"),
         (("compare", "--cov-tol", "nan"), "--cov-tol must be >= 0, got nan"),
+        (("run", "--init", "identity:abc"),
+         "bad --init 'identity:abc': expected zero, identity[:scale], or file:PATH"),
+        (("run", "--init", "identity:"),
+         "bad --init 'identity:': expected zero, identity[:scale], or file:PATH"),
     ])
     def test_bad_run_settings_exit_1(self, golden_instance, tmp_path, capsys, argv, message):
         code = run_cli(argv[0], "--instance", golden_instance, "--out-dir", str(tmp_path / "o"),
@@ -161,11 +166,15 @@ class TestRun:
     def test_numerical_failure_exit_1(self, tmp_path, capsys):
         inst = tmp_path / "huge.json"
         network.save(network.two_node_symmetric(y=(1.7e308, -1.7e308)), inst)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli("run", "--instance", str(inst), "--out-dir", str(tmp_path / "o"))
         assert code == 1
-        assert ("gabp: numerical failure: message on edge (1, 1) has non-finite entries"
-                in capsys.readouterr().err)
+        # The overflow is named once, with no numpy warning ahead of it.
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "gabp: numerical failure: message on edge (1, 1) has non-finite entries")
 
     def test_missing_instance_exit_1(self, tmp_path):
         assert run_cli("run", "--instance", str(tmp_path / "no.json"),
@@ -492,11 +501,14 @@ class TestCompare:
         # centralized information vector sums to 2e308.
         inst = tmp_path / "big.json"
         network.save(network.two_node_symmetric(y=(1e308, 1e308)), inst)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli("compare", "--instance", str(inst), "--out-dir", str(tmp_path / "o"))
         assert code == 1
-        assert ("gabp: numerical failure: information vector overflows at node 2's observation"
-                in capsys.readouterr().err)
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "gabp: numerical failure: information vector overflows at node 2's observation")
 
     def test_non_convergence_exit_3(self, golden_instance, tmp_path):
         out = tmp_path / "out"
@@ -548,6 +560,7 @@ class TestConsoleScript:
         # and generators need nothing beyond numpy and scipy.
         script = f"""
 import sys
+import warnings
 from gabp import cli
 inst, out = {str(tmp_path / "inst.json")!r}, {str(tmp_path)!r}
 assert cli.main(["gen", "--out", inst, "--seed", "2", "--nodes", "4", "--topology", "grid"]) == 0

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gabp import cones
+from gabp import analysis, cones, engine, network
 
 
 def random_spd(rng, n, lo=0.5, hi=2.0):
@@ -59,13 +61,39 @@ def part_metric_pencil(x, y):
     return max(float(np.log(max(w[-1], 1.0 / w[0]))), 0.0)
 
 
+def min_eigenvalue(x):
+    """Per-matrix reference: smallest eigenvalue of the symmetric part."""
+    x = np.asarray(x, dtype=float)
+    return float(scipy.linalg.eigvalsh((x + x.T) / 2.0)[0]) if x.size else np.inf
+
+
+def default_tolerance(*mats):
+    """Per-matrix reference: REL_TOL times the largest entry of the arguments."""
+    return cones.REL_TOL * max(float(np.abs(m).max(initial=0.0)) for m in mats)
+
+
 def comparable_per_block(xs, ys):
     """Per-block reference of the part metric's domain: both blocks of
     every pair have smallest eigenvalue above default_tolerance(x, y)."""
     return all(
-        min(cones.min_eigenvalue(x), cones.min_eigenvalue(y)) > cones.default_tolerance(x, y)
+        min(min_eigenvalue(x), min_eigenvalue(y)) > default_tolerance(x, y)
         for x, y in zip(xs, ys)
     )
+
+
+def part_metric_pair(x, y):
+    """d_T of one block pair, through the batched implementation."""
+    return cones.part_metric_blocks([x], [y])
+
+
+def pd(x):
+    """X > 0 for one block, through the batched implementation."""
+    return bool(cones._pd_flags([x])[0])
+
+
+def geq(x, y=None):
+    """X >= Y (X >= 0 without y) for one block, through the batched implementation."""
+    return bool(cones._geq_flags([x], [np.zeros_like(x) if y is None else y])[0])
 
 
 class TestSymmetrize:
@@ -86,36 +114,51 @@ class TestSymmetrize:
 
 class TestOrderPredicates:
     def test_identity_is_pd(self):
-        assert cones.is_pd(np.eye(3))
-        assert cones.is_psd(np.eye(3))
+        assert pd(np.eye(3))
+        assert geq(np.eye(3))
 
     def test_zero_is_psd_not_pd(self):
         z = np.zeros((2, 2))
-        assert cones.is_psd(z)
-        assert not cones.is_pd(z)
+        assert geq(z)
+        assert not pd(z)
 
     def test_rank_one_boundary(self):
         v = np.array([1.0, -2.0])
         x = np.outer(v, v)
-        assert cones.is_psd(x)
-        assert not cones.is_pd(x)
+        assert geq(x)
+        assert not pd(x)
 
     def test_indefinite(self):
         x = np.diag([1.0, -1e-6])
-        assert not cones.is_psd(x)
+        assert not geq(x)
 
     def test_loewner_order(self):
-        assert cones.loewner_geq(2 * np.eye(2), np.eye(2))
-        assert not cones.loewner_geq(np.eye(2), 2 * np.eye(2))
+        assert geq(2 * np.eye(2), np.eye(2))
+        assert not geq(np.eye(2), 2 * np.eye(2))
         # Incomparable pair: neither direction holds.
         x = np.diag([2.0, 0.5])
         y = np.diag([1.0, 1.0])
-        assert not cones.loewner_geq(x, y)
-        assert not cones.loewner_geq(y, x)
+        assert not geq(x, y)
+        assert not geq(y, x)
 
     def test_tolerance_absorbs_roundoff(self):
         x = np.eye(2) - 1e-13 * np.eye(2)
-        assert cones.loewner_geq(x, np.eye(2))
+        assert geq(x, np.eye(2))
+
+    def test_flags_match_per_block_reference(self):
+        # Mixed sizes, so each flag has to land back at its block's position.
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            dims = rng.integers(1, 5, size=30)
+            xs = [random_spd(rng, d) - rng.uniform(0, 1) * np.eye(d) for d in dims]
+            ys = [random_spd(rng, d) * rng.uniform(0.2, 2) for d in dims]
+            want_pd = [min_eigenvalue(x) > default_tolerance(x) for x in xs]
+            want_geq = [min_eigenvalue(x - y) >= -default_tolerance(x, y) for x, y in zip(xs, ys)]
+            assert cones._pd_flags(xs).tolist() == want_pd
+            assert cones._geq_flags(xs, ys).tolist() == want_geq
+            zeros = [np.zeros_like(x) for x in xs]
+            assert cones._geq_flags(xs, zeros).tolist() == [
+                min_eigenvalue(x) >= -default_tolerance(x) for x in xs]
 
 
 class TestPartMetric:
@@ -124,14 +167,14 @@ class TestPartMetric:
         # {2, 1/4}, so the optimal scaling is max(2, 4) = 4.
         x = np.diag([1.0, 4.0])
         y = np.diag([2.0, 1.0])
-        d = cones.part_metric(x, y)
+        d = part_metric_pair(x, y)
         assert d == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_matches_grid_scan_oracle(self):
         x = np.diag([1.0, 4.0])
         y = np.diag([2.0, 1.0])
         ref = part_metric_grid_scan(x, y, hi=16.0, points=40_001)
-        assert cones.part_metric(x, y) == pytest.approx(ref, abs=2e-3)
+        assert part_metric_pair(x, y) == pytest.approx(ref, abs=2e-3)
 
     def test_matches_bisection_on_random_pairs(self):
         rng = np.random.default_rng(7)
@@ -140,16 +183,16 @@ class TestPartMetric:
             x = random_spd(rng, n)
             y = random_spd(rng, n)
             ref = part_metric_bisection(x, y)
-            assert cones.part_metric(x, y) == pytest.approx(ref, abs=1e-9)
+            assert part_metric_pair(x, y) == pytest.approx(ref, abs=1e-9)
 
     def test_scalar_case(self):
-        d = cones.part_metric(np.array([[2.0]]), np.array([[0.5]]))
+        d = part_metric_pair(np.array([[2.0]]), np.array([[0.5]]))
         assert d == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_identity_of_indiscernibles(self):
         rng = np.random.default_rng(3)
         x = random_spd(rng, 4)
-        assert cones.part_metric(x, x) == pytest.approx(0.0, abs=1e-9)
+        assert part_metric_pair(x, x) == pytest.approx(0.0, abs=1e-9)
 
     def test_symmetry(self):
         rng = np.random.default_rng(11)
@@ -157,8 +200,8 @@ class TestPartMetric:
             n = rng.integers(1, 5)
             x = random_spd(rng, n)
             y = random_spd(rng, n)
-            assert cones.part_metric(x, y) == pytest.approx(
-                cones.part_metric(y, x), abs=1e-10
+            assert part_metric_pair(x, y) == pytest.approx(
+                part_metric_pair(y, x), abs=1e-10
             )
 
     def test_scaling_shift(self):
@@ -168,7 +211,7 @@ class TestPartMetric:
             n = rng.integers(1, 5)
             x = random_spd(rng, n)
             a = np.exp(rng.uniform(0.0, 3.0))
-            assert cones.part_metric(a * x, x) == pytest.approx(np.log(a), abs=1e-9)
+            assert part_metric_pair(a * x, x) == pytest.approx(np.log(a), abs=1e-9)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(17)
@@ -177,9 +220,9 @@ class TestPartMetric:
             x = random_spd(rng, n)
             y = random_spd(rng, n)
             z = random_spd(rng, n)
-            dxz = cones.part_metric(x, z)
-            dxy = cones.part_metric(x, y)
-            dyz = cones.part_metric(y, z)
+            dxz = part_metric_pair(x, z)
+            dxy = part_metric_pair(x, y)
+            dyz = part_metric_pair(y, z)
             assert dxz <= dxy + dyz + 1e-9
 
     def test_invariance_under_congruence(self):
@@ -191,12 +234,12 @@ class TestPartMetric:
             x = random_spd(rng, n)
             y = random_spd(rng, n)
             m = rng.standard_normal((n, n)) + 3 * np.eye(n)
-            d0 = cones.part_metric(x, y)
-            d1 = cones.part_metric(
+            d0 = part_metric_pair(x, y)
+            d1 = part_metric_pair(
                 cones.symmetrize(m @ x @ m.T), cones.symmetrize(m @ y @ m.T)
             )
             assert d1 == pytest.approx(d0, abs=1e-8)
-            assert cones.part_metric(2.0**-40 * x, 2.0**-40 * y) == pytest.approx(d0, rel=1e-12)
+            assert part_metric_pair(2.0**-40 * x, 2.0**-40 * y) == pytest.approx(d0, rel=1e-12)
 
     def test_sandwich_tightness(self):
         # exp(d)*X >= Y >= exp(-d)*X holds, and fails once d is shrunk.
@@ -205,25 +248,25 @@ class TestPartMetric:
             n = rng.integers(1, 5)
             x = random_spd(rng, n)
             y = random_spd(rng, n)
-            d = cones.part_metric(x, y)
+            d = part_metric_pair(x, y)
             tol = 1e-8 * (1.0 + max(np.abs(x).max(), np.abs(y).max()))
-            assert cones.loewner_geq(np.exp(d) * x, y, tol=tol)
-            assert cones.loewner_geq(y, np.exp(-d) * x, tol=tol)
+            assert cones.min_eigenvalue_blocks([np.exp(d) * x - y]) >= -tol
+            assert cones.min_eigenvalue_blocks([y - np.exp(-d) * x]) >= -tol
             if d > 1e-6:
                 shrunk = d * (1.0 - 1e-6) - 1e-12
-                up = cones.loewner_geq(np.exp(shrunk) * x, y, tol=0.0)
-                dn = cones.loewner_geq(y, np.exp(-shrunk) * x, tol=0.0)
+                up = cones.min_eigenvalue_blocks([np.exp(shrunk) * x - y]) >= 0.0
+                dn = cones.min_eigenvalue_blocks([y - np.exp(-shrunk) * x]) >= 0.0
                 assert not (up and dn)
 
     def test_rejects_singular_argument(self):
         with pytest.raises(cones.NotComparableError):
-            cones.part_metric(np.diag([1.0, 0.0]), np.eye(2))
+            part_metric_pair(np.diag([1.0, 0.0]), np.eye(2))
         with pytest.raises(cones.NotComparableError):
-            cones.part_metric(np.eye(2), np.diag([1.0, 0.0]))
+            part_metric_pair(np.eye(2), np.diag([1.0, 0.0]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            cones.part_metric(np.eye(2), np.eye(3))
+            part_metric_pair(np.eye(2), np.eye(3))
 
 
 class TestPartMetricBlocks:
@@ -233,7 +276,7 @@ class TestPartMetricBlocks:
             dims = rng.integers(1, 4, size=rng.integers(1, 5))
             xs = [random_spd(rng, d) for d in dims]
             ys = [random_spd(rng, d) for d in dims]
-            per_block = [cones.part_metric(x, y) for x, y in zip(xs, ys)]
+            per_block = [part_metric_pencil(x, y) for x, y in zip(xs, ys)]
             got = cones.part_metric_blocks(xs, ys)
             assert got == pytest.approx(max(per_block), abs=1e-12)
 
@@ -242,7 +285,7 @@ class TestPartMetricBlocks:
         dims = [2, 1, 3]
         xs = [random_spd(rng, d) for d in dims]
         ys = [random_spd(rng, d) for d in dims]
-        dense = cones.part_metric(scipy.linalg.block_diag(*xs), scipy.linalg.block_diag(*ys))
+        dense = part_metric_pair(scipy.linalg.block_diag(*xs), scipy.linalg.block_diag(*ys))
         assert cones.part_metric_blocks(xs, ys) == pytest.approx(dense, abs=1e-10)
 
     def test_block_count_mismatch(self):
@@ -272,7 +315,7 @@ class TestPartMetricBlocks:
         (xs, ys)[side][2] = bad
         assert not comparable_per_block(xs, ys)
         with pytest.raises(cones.NotComparableError):
-            cones.part_metric(xs[2], ys[2])
+            part_metric_pair(xs[2], ys[2])
         with pytest.raises(cones.NotComparableError):
             cones.part_metric_blocks(xs, ys)
 
@@ -299,7 +342,7 @@ class TestMinEigenvalueBlocks:
         for _ in range(20):
             dims = rng.integers(1, 5, size=30)
             blocks = [random_spd(rng, d) - rng.uniform(0, 3) * np.eye(d) for d in dims]
-            want = min(cones.min_eigenvalue(b) for b in blocks)
+            want = min(min_eigenvalue(b) for b in blocks)
             assert cones.min_eigenvalue_blocks(blocks) == pytest.approx(want, abs=1e-12)
             every = np.sort(cones.eigvalsh_blocks(blocks))
             per_block = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
@@ -307,9 +350,7 @@ class TestMinEigenvalueBlocks:
 
     def test_symmetrizes_like_min_eigenvalue(self):
         x = np.array([[1.0, 2.0], [0.0, 1.0]])
-        assert cones.min_eigenvalue_blocks([x]) == pytest.approx(
-            cones.min_eigenvalue(x), abs=1e-15
-        )
+        assert cones.min_eigenvalue_blocks([x]) == pytest.approx(min_eigenvalue(x), abs=1e-15)
 
     def test_empty_and_non_finite(self):
         assert cones.min_eigenvalue_blocks([]) == np.inf
@@ -387,3 +428,60 @@ class TestSolvers:
             cones.solve_pd(bad, np.ones(2), context="unit test matrix")
         assert "unit test matrix" in str(err.value)
         assert err.value.condition is not None
+
+
+class TestOneBoundary:
+    """Every cone verdict flips at the same t = REL_TOL * max|x|, and
+    rescaling by a power of two moves t with the block and changes none."""
+
+    @staticmethod
+    def verdicts(net, scale, margin, monkeypatch):
+        """(validate: prior PD, check_init_state: PSD, bounds_ul: U >= L,
+        part_metric_blocks: comparable) on 2x2 blocks of largest entry
+        ``scale`` whose smallest eigenvalue sits at t * margin (PD tests) or
+        -t / margin (>= tests): inside the cone for margin > 1."""
+        t = cones.REL_TOL * scale
+        pd_block = scale * np.diag([1.0, 0.0]) + np.diag([0.0, t * margin])
+
+        node = dataclasses.replace(net.node(1), prior_cov=pd_block)
+        nodes = [node if i == 1 else net.node(i) for i in net.ids]
+        prior_ok = network.validate(network.GaussianNetwork(nodes, net.edges)) == []
+
+        e = net.directed_edges[0]
+        msgs = dict(engine.initial_state(net, "identity").messages)
+        msgs[e] = engine.EdgeMessage(e, np.diag([scale, -t / margin]), np.zeros(2))
+        try:
+            engine.check_init_state(net, engine.MessageState(0, msgs))
+            psd_ok = True
+        except ValueError as exc:
+            assert "not positive semidefinite" in str(exc)
+            psd_ok = False
+
+        # U >= L holds on every instance, so crafted bounds are fed through
+        # F's middle layer: U_e - L_e = diag(0, -t / margin) on edge 0.
+        op = analysis.build_stacked(net)
+        u = np.tile(np.diag([scale, scale / 2]), (len(op.edge_order), 1, 1))
+        low = u.copy()
+        low[0, 1, 1] += t / margin
+        outputs = iter([{2: u}, {2: low}])
+        monkeypatch.setattr(analysis, "_middle", lambda op, t: next(outputs))
+        try:
+            analysis.bounds_ul(op)
+            bounds_ok = True
+        except cones.NumericalError as exc:
+            assert "does not dominate" in str(exc)
+            bounds_ok = False
+
+        try:
+            cones.part_metric_blocks([pd_block], [scale * np.eye(2)])
+            comparable = True
+        except cones.NotComparableError:
+            comparable = False
+        return prior_ok, psd_ok, bounds_ok, comparable
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_every_verdict_flips_at_the_same_tolerance(self, k, inside, monkeypatch):
+        net = network.generate_random(4, 4, "er", dim_range=(2, 2))
+        margin = 1.001 if inside else 0.999
+        assert self.verdicts(net, 2.0**k, margin, monkeypatch) == (inside,) * 4
