@@ -22,11 +22,12 @@ H_nj^T per (n, j), then A_ni^T (R_n + sum_{j != i} T_nj)^{-1} A_ni per
 edge (n, i), where Xi_nj C Xi_nj^T sums C's blocks of the other factors
 feeding j.  Only those blocks are stored.  Padding B with an identity
 block and G with zero rows and columns leaves G^T B^{-1} G unchanged, so
-each layer runs in a few padded batches, each one batched Cholesky and
-one forward substitution.  C and F(C) travel grouped by block size,
-``{d: (E_d, d, d)}``.  The routing comes from this module's own scopes,
-not the engine's message loop, so agreement between the two is a real
-cross-check.
+each layer runs in a few padded batches, each one batched PD solve
+z = L^{-1} G in cones (B = L L^T) and z^T z: this module routes and pads,
+cones factorizes and names failures.  C and F(C) travel grouped by block
+size, ``{d: (E_d, d, d)}``.  The routing comes from this module's own
+scopes, not the engine's message loop, so agreement between the two is a
+real cross-check.
 """
 
 import collections
@@ -252,16 +253,7 @@ def _run_stage(layer, base, operand, src):
         b = b_all[ob : ob + n * p * p].reshape(n, p, p)
         g = g_all[og : og + n * p * q].reshape(n, p, q)
         ob, og, k = ob + n * p * p, og + n * p * q, k + n
-        try:
-            chol = np.linalg.cholesky(b)
-        except np.linalg.LinAlgError:
-            for x, s, label in zip(b, layer.sizes[k - n : k], layer.labels[k - n : k]):
-                cones.cho_factor_pd(x[:s, :s], context=label)
-            raise
-        # Forward substitution over the rows: z = chol^{-1} g.
-        z = np.empty_like(g)
-        for i in range(p):
-            z[:, i] = (g[:, i] - (chol[:, i, None, :i] @ z[:, :i])[:, 0]) / chol[:, i, i, None]
+        z = cones._forward_blocks(b, g, layer.sizes[k - n : k], layer.labels[k - n : k])
         out.append(z.swapaxes(1, 2) @ z)
     return _flat(out)
 

@@ -44,11 +44,8 @@ class _Parser(argparse.ArgumentParser):
     # for quantitative failures, so remap usage problems to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._print_and_code(message))
-
-    def _print_and_code(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _build_parser():

@@ -4,8 +4,8 @@ Everything downstream of the message-passing engine reasons about
 information matrices as points in the positive definite cone: the Loewner
 partial order gives set bounds, and the part (Thompson) metric gives the
 contraction geometry.  This module keeps those primitives in one place so
-the engine and the diagnostics agree on tolerances and on what "comparable"
-means.
+the engine and the diagnostics agree on tolerances, on what "comparable"
+means, and on how a PD block is factorized and its failure named.
 
 Notation used in docstrings: ``X >= Y`` is the Loewner order (``X - Y``
 positive semidefinite), ``X > 0`` means positive definite.
@@ -172,7 +172,7 @@ def _batches(*block_lists):
                 )
             if not np.all(np.isfinite(s)):
                 raise ValueError("matrix has non-finite entries")
-        yield pos, [(s + s.swapaxes(1, 2)) / 2.0 for s in stacks]
+        yield pos, [_sym(s) for s in stacks]
 
 
 def cho_factor_pd(x, context="matrix"):
@@ -249,6 +249,25 @@ def _cho_factor(x, context):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
     return c
+
+
+def _forward_blocks(b, g, sizes, labels):
+    """z = L^{-1} G per block of stacks b (n, p, p) and g (n, p, q), with
+    B = L L^T: one batched Cholesky (lower triangles read) and one forward
+    substitution over the rows.  Block k is PD in its leading ``sizes[k]``
+    rows and columns and padded with identity; if one is not PD, each is
+    factorized at that size and the first failure is a NumericalError
+    naming ``labels[k]``."""
+    try:
+        chol = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        for x, s, label in zip(b, sizes, labels):
+            _cho_factor(x[:s, :s], label)
+        raise
+    z = np.empty_like(g)
+    for i in range(b.shape[1]):
+        z[:, i] = (g[:, i] - (chol[:, i, None, :i] @ z[:, :i])[:, 0]) / chol[:, i, i, None]
+    return z
 
 
 def _cho_solve(c, b):

@@ -199,7 +199,6 @@ class GaussianNetwork:
                     )
         self._nodes = {n.id: n for n in nodes}
         self._edges = tuple(sorted(seen))
-        self._neighbors = {i: tuple(sorted(neighbors[i])) for i in ids}
         self._scopes = {n.id: n.scope() for n in nodes}
         self._var_factors = {i: [] for i in ids}
         for n in nodes:
@@ -230,9 +229,6 @@ class GaussianNetwork:
 
     def node(self, i):
         return self._nodes[i]
-
-    def neighbors(self, i):
-        return self._neighbors[i]
 
     def factor_scope(self, n):
         """Variables in factor n's observation: B(f_n)."""
@@ -267,25 +263,6 @@ class GaussianNetwork:
                 n = dataclasses.replace(n, obs=np.asarray(obs_map[i], dtype=float))
             new_nodes.append(n)
         return GaussianNetwork(new_nodes, self._edges)
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussianNetwork):
-            return NotImplemented
-        if self.ids != other.ids or self._edges != other._edges:
-            return False
-        for i in self.ids:
-            a, b = self._nodes[i], other._nodes[i]
-            if a.dim != b.dim or sorted(a.coeff) != sorted(b.coeff):
-                return False
-            if not (
-                np.array_equal(a.prior_cov, b.prior_cov)
-                and np.array_equal(a.noise_cov, b.noise_cov)
-                and np.array_equal(a.obs, b.obs)
-            ):
-                return False
-            if any(not np.array_equal(a.coeff[j], b.coeff[j]) for j in a.coeff):
-                return False
-        return True
 
     def __repr__(self):
         return (
@@ -419,6 +396,8 @@ def _topology_edges(rng, m, topology, er_prob, grid_shape):
         return [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)], None
     if topology == "grid":
         rows, cols = grid_shape if grid_shape else _near_square(m)
+        if min(rows, cols) < 1:
+            raise ValueError(f"grid_shape entries must be >= 1, got {rows}x{cols}")
         if rows * cols != m:
             raise ValueError(f"grid {rows}x{cols} does not cover {m} nodes")
         # Row-major numbering: right neighbors, then lower neighbors.
@@ -668,15 +647,11 @@ def _from_doc(doc):
                     f"{where}: A key {key!r} is not an integer node id"
                 ) from None
             coeff[j] = _num_array(mat, f"{where}.A[{key}]", ndim=2)
+        # Outside the try: their own errors are located already.
+        w, r, y = (_num_array(_require(nd, key, where), f"{where}.{key}", ndim)
+                   for key, ndim in (("W", 2), ("R", 2), ("y", 1)))
         try:
-            node = NodeSpec(
-                id=nid,
-                dim=dim,
-                prior_cov=_num_array(_require(nd, "W", where), f"{where}.W", ndim=2),
-                noise_cov=_num_array(_require(nd, "R", where), f"{where}.R", ndim=2),
-                obs=_num_array(_require(nd, "y", where), f"{where}.y", ndim=1),
-                coeff=coeff,
-            )
+            node = NodeSpec(id=nid, dim=dim, prior_cov=w, noise_cov=r, obs=y, coeff=coeff)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         nodes.append(node)

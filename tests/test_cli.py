@@ -87,6 +87,11 @@ class TestGen:
         (("--coeff-scale", "0"), "coeff_scale must be finite and > 0, got 0.0"),
         (("--coeff-scale", "inf"), "coeff_scale must be finite and > 0, got inf"),
         (("--coeff-scale", "nan"), "coeff_scale must be finite and > 0, got nan"),
+        (("--topology", "grid", "--grid-rows", "-2", "--grid-cols", "-3"),
+         "grid_shape entries must be >= 1, got -2x-3"),
+        (("--nodes", "0"), "num_nodes must be >= 1"),
+        (("--dim-min", "0"), "bad dim_range (0, 3)"),
+        (("--dim-min", "3", "--dim-max", "2"), "bad dim_range (3, 2)"),
     ])
     def test_bad_generator_settings_exit_1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.json"
@@ -215,6 +220,22 @@ class TestRun:
         code = run_cli("run", "--instance", str(bad), "--out-dir", str(tmp_path / "o"))
         assert code == 1
         assert "prior-not-pd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "top level must be an object, got list"),
+        (lambda doc: {**doc, "nodes": {}}, "top level: key 'nodes' should be list, got dict"),
+        (lambda doc: {**doc, "nodes": [doc["nodes"][0], 2]}, "nodes[1]: must be an object"),
+        (lambda doc: {**doc, "nodes": [{**doc["nodes"][0], "W": [[1.0, 0.0]]}, doc["nodes"][1]]},
+         "nodes[0]: node 1 prior_cov: expected a square matrix, got shape (1, 2)"),
+        (lambda doc: {**doc, "nodes": [{**doc["nodes"][0], "y": [[0.3]]}, doc["nodes"][1]]},
+         "nodes[0].y: expected a 1-d array, got shape (1, 1)"),
+    ], ids=["top-level", "nodes", "node", "W-not-square", "y-matrix"])
+    def test_schema_errors_are_located(self, tmp_path, capsys, edit, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(network.dumps(network.two_node_chain())))))
+        code = run_cli("run", "--instance", str(bad), "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err == f"gabp: invalid instance: {message}\n"
 
     @pytest.mark.parametrize("key,rel,error", [
         ("W", 0.9, "gabp: invalid instance: nodes[0]: node 1 prior_cov: not symmetric"),

@@ -430,6 +430,50 @@ class TestSolvers:
         assert err.value.condition is not None
 
 
+class TestForwardBlocks:
+    """z = L^{-1} G per block of a padded stack, against scipy per block."""
+
+    @staticmethod
+    def padded_stack(rng, shapes, big_p, big_q):
+        """B blocks padded with identity, garbage above the diagonal (only
+        the lower triangle may be read); G blocks padded with zeros."""
+        b = np.tile(np.eye(big_p), (len(shapes), 1, 1))
+        above = np.triu_indices(big_p, 1)
+        b[:, above[0], above[1]] = rng.standard_normal((len(shapes), 1))
+        g = np.zeros((len(shapes), big_p, big_q))
+        blocks = []
+        for k, (p, q) in enumerate(shapes):
+            bk, gk = random_spd(rng, p, lo=1e-2, hi=1e2), rng.standard_normal((p, q))
+            b[k, :p, :p] = np.tril(bk) + np.triu(b[k, :p, :p], 1)
+            g[k, :p, :q] = gk
+            blocks.append((bk, gk))
+        return b, g, blocks
+
+    @pytest.mark.parametrize("shapes", [[(3, 2)] * 4, [(1, 1), (3, 2), (2, 3), (4, 1), (4, 4)]],
+                             ids=["unpadded", "padded"])
+    def test_matches_triangular_solve_per_block(self, shapes):
+        rng = np.random.default_rng(59)
+        big_p, big_q = max(p for p, _ in shapes), max(q for _, q in shapes)
+        b, g, blocks = self.padded_stack(rng, shapes, big_p, big_q)
+        labels = [f"block {k}" for k in range(len(shapes))]
+        z = cones._forward_blocks(b, g, [p for p, _ in shapes], labels)
+        for zk, (p, q), (bk, gk) in zip(z, shapes, blocks, strict=True):
+            ref = scipy.linalg.solve_triangular(np.linalg.cholesky(bk), gk, lower=True)
+            assert np.allclose(zk[:p, :q], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+            assert not zk[p:].any() and not zk[:, q:].any()
+
+    def test_names_first_block_that_is_not_pd(self):
+        rng = np.random.default_rng(61)
+        shapes = [(2, 1), (3, 2), (1, 1), (3, 3)]
+        b, g, _ = self.padded_stack(rng, shapes, 3, 3)
+        b[1, 1, 1] = b[3, 0, 0] = -1.0
+        with pytest.raises(cones.NumericalError, match=r"^edge \(3, 1\) middle matrix is not "
+                           "positive definite: 2-th leading minor of the array is not positive "
+                           r"definite \(condition estimate"):
+            cones._forward_blocks(b, g, [p for p, _ in shapes],
+                                  [f"edge ({k}, 1) middle matrix" for k in range(2, 6)])
+
+
 class TestOneBoundary:
     """Every cone verdict flips at the same t = REL_TOL * max|x|, and
     rescaling by a power of two moves t with the block and changes none."""
