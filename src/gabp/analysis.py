@@ -27,7 +27,8 @@ z = L^{-1} G in cones (B = L L^T) and z^T z: this module routes and pads,
 cones factorizes and names failures.  C and F(C) travel grouped by block
 size, ``{d: (E_d, d, d)}``.  The routing comes from this module's own
 scopes, not the engine's message loop, so agreement between the two is a
-real cross-check.
+real cross-check: this module imports only ``gabp.cones`` from the
+package.  ``rate_analysis`` fits a trace that ``annotate_trace`` filled.
 """
 
 import collections
@@ -39,7 +40,6 @@ import numpy as np
 import scipy.sparse
 
 from . import cones
-from .engine import ConvergenceTrace
 
 __all__ = [
     "StackedOperator",
@@ -135,17 +135,13 @@ class StackedOperator:
 def build_stacked(net):
     """Collect the blocks of the stacked operator for a network.
 
-    phi equals sum over factors of |B(f_n)| * (|B(f_n)| - 1): one replica
-    of C for each ordered (target variable, interfering variable) pair of
-    each factor.  The count is computed both from that formula and from
-    the pair list, and they must agree.
+    ``pair_order`` lists one replica of C for each ordered (target
+    variable, interfering variable) pair of each factor, so phi is the sum
+    over factors of |B(f_n)| * (|B(f_n)| - 1).
     """
     edges = net.directed_edges
     block_dims = tuple(net.var_dim(e.variable) for e in edges)
     pairs = [(e, j) for e in edges for j in net.factor_scope(e.factor) if j != e.variable]
-    phi = sum(len(net.factor_scope(n)) * (len(net.factor_scope(n)) - 1) for n in net.ids)
-    if len(pairs) != phi:
-        raise RuntimeError(f"pair count {len(pairs)} disagrees with the replica formula {phi}")
 
     # C's blocks per size: edge positions, and each block's (offset, row
     # stride) in the grouped input (the size groups raveled in ascending
@@ -652,44 +648,30 @@ class RateReport:
     worst_norm_slack: float
 
 
-def rate_analysis(trace_or_distances, epsilon=None):
-    """Estimate the contraction factor from a trace or a raw sequence.
-
-    Accepts an annotated ConvergenceTrace, or any sequence of part-metric
-    distances indexed by iteration (iteration 0 first).  For traces,
-    epsilon defaults to 1e-8 times the Frobenius norm of the fixed point.
+def rate_analysis(trace, epsilon=None):
+    """Estimate the contraction factor from a trace that ``annotate_trace``
+    has filled.  epsilon defaults to 1e-8 times the Frobenius norm of the
+    fixed point.
     """
     if epsilon is not None and not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
-    norm_all = None
-    worst_slack = float("nan")
-    if isinstance(trace_or_distances, ConvergenceTrace):
-        trace = trace_or_distances
-        if trace.fixed_point_blocks is None:
-            raise ValueError("trace is not annotated; call annotate_trace first")
-        if epsilon is None:
-            epsilon = 1e-8 * np.sqrt(sum(float(np.sum(b * b)) for b in trace.fixed_point_blocks))
-        window = [
-            r for r in trace.records
-            if r.iteration >= 2 and r.part_distance is not None and r.part_distance > 0.0
-            and r.dist_frobenius is not None and r.dist_frobenius > epsilon
-        ]
-        iters, dists = [r.iteration for r in window], [r.part_distance for r in window]
-        flags = [r.norm_bound_ok for r in trace.records if r.norm_bound_ok is not None]
-        norm_all = bool(all(flags)) if flags else None
-        slacks = [r.norm_slack for r in trace.records if r.norm_slack is not None]
-        if slacks:
-            worst_slack = float(min(slacks))
-    else:
-        seq = [float(v) for v in trace_or_distances]
-        if epsilon is None:
-            epsilon = 0.0
-        iters = [l for l in range(1, len(seq)) if seq[l] > epsilon]
-        dists = [seq[l] for l in iters]
-
+    if getattr(trace, "fixed_point_blocks", None) is None:
+        raise ValueError("trace is not annotated; call annotate_trace first")
+    if epsilon is None:
+        epsilon = 1e-8 * np.sqrt(sum(float(np.sum(b * b)) for b in trace.fixed_point_blocks))
+    window = [
+        r for r in trace.records
+        if r.iteration >= 2 and r.part_distance is not None and r.part_distance > 0.0
+        and r.dist_frobenius is not None and r.dist_frobenius > epsilon
+    ]
+    iters, dists = [r.iteration for r in window], [r.part_distance for r in window]
+    flags = [r.norm_bound_ok for r in trace.records if r.norm_bound_ok is not None]
+    norm_all = bool(all(flags)) if flags else None
+    slacks = [r.norm_slack for r in trace.records if r.norm_slack is not None]
+    worst_slack = float(min(slacks)) if slacks else float("nan")
     if len(iters) < 2:
         return RateReport(
-            None, None, list(iters), float(epsilon), True, True,
+            None, None, iters, float(epsilon), True, True,
             "window has fewer than two usable iterations; no fit", norm_all, worst_slack,
         )
     xs = np.asarray(iters, dtype=float)

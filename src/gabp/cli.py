@@ -504,15 +504,9 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         return f if np.isfinite(f) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(dataclasses.asdict(obj))
     return obj

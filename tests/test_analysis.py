@@ -778,18 +778,34 @@ class TestAnnotateTrace:
             analysis.annotate_trace(golden_run.trace, bounds, [np.eye(2)] * 2)
 
 
+def annotated_trace(part, frobenius=None, star=1.0):
+    """A trace as ``annotate_trace`` leaves it: part-metric and Frobenius
+    distances to the fixed point per iteration (iteration 0 first; the
+    Frobenius ones default to the part ones) and a 1x1 fixed point
+    ``[[star]]``."""
+    frobenius = part if frobenius is None else frobenius
+    records = [engine.TraceRecord(t, np.nan, np.nan, dist_frobenius=f, part_distance=p)
+               for t, (p, f) in enumerate(zip(part, frobenius, strict=True))]
+    return engine.ConvergenceTrace((), (1,), records, np.zeros((0, 1)), (),
+                                   fixed_point_blocks=[np.array([[star]])])
+
+
 class TestRateAnalysis:
+    # The window starts at iteration 2, and epsilon (by default 1e-8 times
+    # the fixed point's Frobenius norm) bounds the Frobenius distance.
     def test_synthetic_geometric_sequence(self):
-        rep = analysis.rate_analysis([0.5**l for l in range(31)])
+        rep = analysis.rate_analysis(annotated_trace([0.5**l for l in range(31)]))
+        assert rep.epsilon == 1e-8
         assert rep.c_estimate == pytest.approx(0.5, abs=1e-9)
         assert rep.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert rep.window == list(range(1, 31))
+        assert rep.window == list(range(2, 27))  # 0.5**27 < 1e-8 < 0.5**26
         assert rep.strictly_decreasing and not rep.degenerate
 
     def test_synthetic_with_epsilon_cut(self):
-        seq = [0.5**l for l in range(31)]
-        rep = analysis.rate_analysis(seq, epsilon=0.5**10)
-        assert rep.window == list(range(1, 10))
+        part = [0.5**l for l in range(31)]
+        trace = annotated_trace(part, frobenius=[2.0 * x for x in part])
+        rep = analysis.rate_analysis(trace, epsilon=0.5**10)
+        assert rep.window == list(range(2, 11))
         assert rep.c_estimate == pytest.approx(0.5, abs=1e-9)
 
     def test_golden_rate_near_scalar_derivative(self, golden_op, golden_run):
@@ -809,11 +825,13 @@ class TestRateAnalysis:
         assert rep.worst_norm_slack >= -1e-9
 
     def test_degenerate_window(self):
-        rep = analysis.rate_analysis([1.0, 0.5])
+        rep = analysis.rate_analysis(annotated_trace([1.0, 0.5, 0.25]))
+        assert rep.window == [2]
         assert rep.degenerate and rep.c_estimate is None
 
     def test_all_inside_epsilon_ball_degenerates(self):
-        rep = analysis.rate_analysis([1e-12] * 8, epsilon=1e-9)
+        rep = analysis.rate_analysis(annotated_trace([1e-12] * 8), epsilon=1e-9)
+        assert rep.window == []
         assert rep.degenerate
 
     def test_unannotated_trace_rejected(self):
@@ -821,6 +839,10 @@ class TestRateAnalysis:
         res = engine.run(net, ScheduleConfig(max_iterations=5))
         with pytest.raises(ValueError, match="annotate"):
             analysis.rate_analysis(res.trace)
+
+    def test_raw_sequence_rejected(self):
+        with pytest.raises(ValueError, match="annotate"):
+            analysis.rate_analysis([0.5**l for l in range(8)])
 
 
 class TestTraceCsv:

@@ -111,3 +111,13 @@ def test_pd_factorizations_are_decided_in_cones():
     found = [(where, name) for where, name in _names_outside_cones({"network.generate_random"})
              if pattern.search(name)]
     assert found == []
+
+
+def test_cross_checks_do_not_import_the_engine():
+    # The analysis and the oracle check the engine's results (criteria
+    # 09-11), so each computes its own from the network: a name taken
+    # from the engine would make the check a call into what it checks.
+    pattern = re.compile(r"(^|\.)engine(\.|$)")
+    found = [(where, name) for where, name in _names_outside_cones()
+             if where.startswith(("analysis.py:", "oracle.py:")) and pattern.search(name)]
+    assert found == []

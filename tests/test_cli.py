@@ -442,6 +442,92 @@ class TestAnalyze:
         [listed] = read_json(out / "analysis.json")["quantitative_failures"]
         assert listed.startswith("distances (") and listed.endswith(failure)
 
+    # Every check below holds on every instance.  Each case runs one part of
+    # analyze on a broken F'(C) = rule(F(C), C, L, U) (grouped blocks; the
+    # golden instance's are 1x1 and L = 1/2, U = 1), and the rest of the
+    # command on the real F.
+    @pytest.mark.parametrize("section,rule,failure", [
+        # Antitone, but inside [L, U] and strictly subhomogeneous.
+        pytest.param("harness", lambda f, c, l, u: l + u - f, "monotonicity violated",
+                     id="antitone"),
+        # (alpha - 1) (L - 100 alpha C^2) < 0: the harness's PD states are >= 0.1.
+        pytest.param("harness", lambda f, c, l, u: l + 100.0 * c @ c,
+                     "scaling law not strict", id="superlinear"),
+        # Monotone and strictly subhomogeneous, but above U wherever F(C) > L.
+        pytest.param("harness", lambda f, c, l, u: f + u - l, "escaped [L, U]",
+                     id="above-u"),
+        pytest.param("sandwich", lambda f, c, l, u: l + u - f,
+                     "upper sequence increased", id="upper"),
+        pytest.param("sandwich", lambda f, c, l, u: l + u - f,
+                     "lower sequence decreased", id="lower"),
+        # Monotone, with its fixed point above C*: the lower sequence passes C*.
+        pytest.param("sandwich", lambda f, c, l, u: f + 0.2 * (u - l),
+                     "fixed point escaped the sandwich", id="shifted"),
+    ])
+    def test_operator_failures_exit_2(self, golden_instance, tmp_path, capsys, monkeypatch,
+                                      section, rule, failure):
+        stage = {"harness": "property_harness", "sandwich": "sandwich_sequences"}[section]
+        real_stage, real_f = getattr(analysis, stage), analysis.apply_stacked_operator
+
+        def broken_stage(op, *args, **kwargs):
+            bounds = analysis.bounds_ul(op)
+            l, u = (analysis._group(op, b) for b in (bounds.l_blocks, bounds.u_blocks))
+
+            def broken_f(op, c):
+                return {d: rule(x, c[d], l[d], u[d]) for d, x in real_f(op, c).items()}
+
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "apply_stacked_operator", broken_f)
+                return real_stage(op, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, stage, broken_stage)
+        out = tmp_path / "out"
+        code = run_cli("analyze", "--instance", golden_instance, "--out-dir", str(out),
+                       "--trials", "3")
+        assert code == 2
+        doc = read_json(out / "analysis.json")
+        assert doc["stacked_residual"] <= 1e-12 and doc["bounds"]["trace_in_bounds_all"]
+        [first, *_] = [f for f in doc[section]["failures"] if failure in f]
+        assert doc["quantitative_failures"] == doc[section]["failures"]
+        assert f"check failed: {first}\n" in capsys.readouterr().err
+
+    def annotated_analyze_exit_2(self, golden_instance, tmp_path, capsys, monkeypatch,
+                                 annotate, failure):
+        """Run analyze with ``annotate(real annotate_trace, trace, bounds,
+        star)`` as its annotation; return analysis.json after exit 2 with
+        ``failure`` as the one failure."""
+        real = analysis.annotate_trace
+        monkeypatch.setattr(analysis, "annotate_trace",
+                            lambda *args: annotate(real, *args))
+        out = tmp_path / "out"
+        code = run_cli("analyze", "--instance", golden_instance, "--out-dir", str(out),
+                       "--trials", "2")
+        assert code == 2
+        assert capsys.readouterr().err == f"check failed: {failure}\n"
+        doc = read_json(out / "analysis.json")
+        assert doc["quantitative_failures"] == [failure]
+        return doc
+
+    def test_trace_outside_bounds_exit_2(self, golden_instance, tmp_path, capsys, monkeypatch):
+        # Against U = L, every iterate above L leaves the interval.
+        def annotate(real, trace, bounds, star):
+            return real(trace, analysis.ConeBounds(bounds.l_blocks, bounds.l_blocks), star)
+
+        doc = self.annotated_analyze_exit_2(golden_instance, tmp_path, capsys, monkeypatch,
+                                            annotate, "trace left the [L, U] interval")
+        assert doc["bounds"]["trace_in_bounds_all"] is False
+
+    def test_norm_domination_failure_exit_2(self, golden_instance, tmp_path, capsys,
+                                            monkeypatch):
+        def annotate(real, trace, bounds, star):
+            real(trace, bounds, star)
+            trace.records[2].norm_slack, trace.records[2].norm_bound_ok = -1.0, False
+            return trace
+
+        doc = self.annotated_analyze_exit_2(golden_instance, tmp_path, capsys, monkeypatch,
+                                            annotate, "norm domination failed on the trace")
+        assert doc["norm_domination"] == {"all_ok": False, "worst_slack": -1.0}
+
     def test_non_convergence_exit_3(self, golden_instance, tmp_path):
         out = tmp_path / "out"
         code = run_cli(

@@ -7,6 +7,10 @@ y_n -> 2^k y_n (R_n -> 4^k R_n, A[n][.] -> 2^k A[n][.]), changes no info
 and no mean.  The means are linear in y.  Power-of-two factors are exact
 in floating point, so none of these needs a reference solution or a
 tolerance: each holds to the bit.
+
+Two more symmetries change the order of the sums, so they hold to
+rounding, checked within 1e-12 relative: relabelling the node ids
+permutes every output, and the means are additive in y.
 """
 
 import dataclasses
@@ -101,3 +105,45 @@ def test_observation_rescaling_changes_nothing(k):
 def test_means_are_linear_in_y():
     doubled = NET.with_obs({i: 2.0 * NET.node(i).obs for i in NET.ids})
     assert_scaled(message_means(engine.run(doubled, CONFIG)), message_means(run()), 2.0)
+
+
+def relabel(net, perm):
+    """Node i becomes node perm[i]."""
+    return network.GaussianNetwork([
+        dataclasses.replace(s, id=perm[s.id], coeff={perm[j]: a for j, a in s.coeff.items()})
+        for s in map(net.node, net.ids)
+    ], [(perm[a], perm[b]) for a, b in net.edges])
+
+
+def assert_close(got, want):
+    """Equal up to rounding: within 1e-12 of ``want``'s norm."""
+    got, want = (np.concatenate([np.ravel(x) for x in xs]) for xs in (got, want))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_relabelling_permutes_the_outputs():
+    perm = dict(zip(NET.ids, (np.random.default_rng(0).permutation(NET.num_nodes) + 1).tolist()))
+    assert sorted(perm.values()) == list(NET.ids) and any(i != j for i, j in perm.items())
+    got, want = engine.run(relabel(NET, perm), CONFIG), run()
+    moved = {e: network.DirectedEdge(perm[e.factor], perm[e.variable]) for e in want.state.edges}
+    for field in ("info", "mean"):
+        assert_close([getattr(got.state.messages[moved[e]], field) for e in want.state.edges],
+                     [getattr(want.state.messages[e], field) for e in want.state.edges])
+    truth, moved_truth = oracle.marginals(NET), oracle.marginals(relabel(NET, perm))
+    for i in NET.ids:
+        assert_close([got.beliefs[perm[i]].mean, got.beliefs[perm[i]].cov],
+                     [want.beliefs[i].mean, want.beliefs[i].cov])
+        assert_close(moved_truth[perm[i]], truth[i])
+
+
+def test_means_are_additive_in_y():
+    rng = np.random.default_rng(0)
+    y1 = {i: NET.node(i).obs for i in NET.ids}
+    y2 = {i: rng.standard_normal(NET.obs_dim(i)) for i in NET.ids}
+    nets = [NET.with_obs(y) for y in (y1, y2, {i: y1[i] + y2[i] for i in NET.ids})]
+    runs = [engine.run(net, CONFIG) for net in nets]
+    truths = [oracle.marginals(net) for net in nets]
+    beliefs = [np.concatenate([r.beliefs[i].mean for i in NET.ids]) for r in runs]
+    oracle_means = [np.concatenate([t[i][0] for i in NET.ids]) for t in truths]
+    for m1, m2, m12 in (map(message_means, runs), beliefs, oracle_means):
+        assert np.linalg.norm(m12 - m1 - m2) <= 1e-12 * (np.linalg.norm(m1) + np.linalg.norm(m2))
