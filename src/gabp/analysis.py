@@ -37,7 +37,6 @@ import dataclasses
 import functools
 
 import numpy as np
-import scipy.sparse
 
 from . import cones
 
@@ -226,7 +225,7 @@ def _stage(blocks, sources, width, labels):
         cols.append((off + stride * i + j).astype(np.int32).ravel())
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     layer = _Layer(
-        shapes, scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), (ob, width)),
+        shapes, cones._sum_matrix(np.ones(rows.size), rows, cols, (ob, width)),
         *(np.concatenate(x + [np.zeros(0, dtype=int)]) for x in at), [labels[k] for k in order], p,
     )
     base = _flat([cones._sym(np.asarray(blocks[k][0], dtype=float)) for k in order])

@@ -5,7 +5,8 @@ information matrices as points in the positive definite cone: the Loewner
 partial order gives set bounds, and the part (Thompson) metric gives the
 contraction geometry.  This module keeps those primitives in one place so
 the engine and the diagnostics agree on tolerances, on what "comparable"
-means, and on how a PD block is factorized and its failure named.
+means, on how a PD block is factorized and its failure named, and on how
+blocks are routed (``_sum_matrix``): it is the only module that imports scipy.
 
 Notation used in docstrings: ``X >= Y`` is the Loewner order (``X - Y``
 positive semidefinite), ``X > 0`` means positive definite.
@@ -14,6 +15,7 @@ positive semidefinite), ``X > 0`` means positive definite.
 import functools
 
 import numpy as np
+import scipy.sparse  # first: imported after scipy.linalg it takes ~45 ms more
 import scipy.linalg.lapack
 
 __all__ = [
@@ -181,10 +183,10 @@ def cho_factor_pd(x, context="matrix"):
     ``x`` must be symmetric: only its lower triangle is read.
     ``context`` should say what the matrix is ("factor 3 innovation
     covariance", ...) so failures deep inside an iteration are
-    attributable.  Returns ``(c, True)``: c holds the lower factor in its
-    lower triangle, as ``scipy.linalg.cho_factor(x, lower=True)`` does.
+    attributable.  Returns c, which holds the lower factor in its lower
+    triangle, as ``scipy.linalg.cho_factor(x, lower=True)[0]`` does.
     """
-    return _cho_factor(_checked_square(x), context), True
+    return _cho_factor(_checked_square(x), context)
 
 
 def solve_pd(x, b, context="matrix"):
@@ -192,7 +194,7 @@ def solve_pd(x, b, context="matrix"):
 
     ``x`` must be symmetric: only its lower triangle is read.
     """
-    c, _ = cho_factor_pd(x, context=context)
+    c = cho_factor_pd(x, context=context)
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
@@ -276,6 +278,11 @@ def _cho_solve(c, b):
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     return z
+
+
+def _sum_matrix(vals, rows, cols, shape):
+    """CSR matrix whose entry (r, c) is the sum of the values placed there."""
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 def _sym(a):

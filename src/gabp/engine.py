@@ -35,7 +35,6 @@ import dataclasses
 import functools
 
 import numpy as np
-import scipy.sparse
 
 from . import cones
 from .network import DirectedEdge
@@ -438,7 +437,7 @@ def _block_matrix(blocks, shape):
         i, j = np.indices(block_shape)
         parts.append((b.ravel(), (r[:, None, None] + i).ravel(), (c[:, None, None] + j).ravel()))
     vals, rows, cols = (np.concatenate(x) for x in zip(*parts))
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    return cones._sum_matrix(vals, rows, cols, shape)
 
 
 def compute_belief(net, state, variable):

@@ -20,6 +20,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 import random
 from typing import NamedTuple
 
@@ -119,9 +120,19 @@ class NodeSpec:
             )
         if not np.all(np.isfinite(obs)):
             raise ValueError(f"node {self.id}: obs has non-finite entries")
-        coeff = {}
+        coeff, keys = {}, {}
         for key, mat in dict(self.coeff).items():
-            j = int(key)
+            try:  # a float key is not truncated to a node id
+                j = int(key) if isinstance(key, str) else operator.index(key)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"node {self.id}: coeff key {key!r} is not an integer node id"
+                ) from None
+            if j in keys:
+                raise ValueError(
+                    f"node {self.id}: coeff keys {keys[j]!r} and {key!r} name node {j}"
+                )
+            keys[j] = key
             a = np.asarray(mat, dtype=float)
             if a.ndim != 2:
                 raise ValueError(
@@ -602,10 +613,21 @@ def save(net, path):
 
 def loads(text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return _from_doc(doc)
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict; SchemaError on a repeated key, whose last
+    value ``json`` alone would keep without a word."""
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise SchemaError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = val
+    return doc
 
 
 def load(path):
@@ -638,15 +660,9 @@ def _from_doc(doc):
         nid = _require(nd, "id", where, int)
         dim = _require(nd, "dim", where, int)
         coeff_doc = _require(nd, "A", where, dict)
-        coeff = {}
-        for key, mat in coeff_doc.items():
-            try:
-                j = int(key)
-            except ValueError:
-                raise SchemaError(
-                    f"{where}: A key {key!r} is not an integer node id"
-                ) from None
-            coeff[j] = _num_array(mat, f"{where}.A[{key}]", ndim=2)
+        # NodeSpec turns the keys into node ids and rejects two that name one.
+        coeff = {key: _num_array(mat, f"{where}.A[{key}]", ndim=2)
+                 for key, mat in coeff_doc.items()}
         # Outside the try: their own errors are located already.
         w, r, y = (_num_array(_require(nd, key, where), f"{where}.{key}", ndim)
                    for key, ndim in (("W", 2), ("R", 2), ("y", 1)))

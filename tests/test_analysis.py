@@ -613,6 +613,11 @@ class TestPropertyHarness:
         assert a.worst_monotone_margin == b.worst_monotone_margin
         assert a.worst_scaling_margin == b.worst_scaling_margin
 
+    @pytest.mark.parametrize("trials", [-1, float("nan")])
+    def test_trials_must_be_non_negative(self, golden_op, trials):
+        with pytest.raises(ValueError, match=re.escape(f"trials must be >= 0, got {trials!r}")):
+            analysis.property_harness(golden_op, trials=trials)
+
 
 def checked_state_blocks(rng, dims, allow_singular=True):
     """Reference for ``random_state_blocks``: the same draws, each block
@@ -674,6 +679,12 @@ class TestSandwich:
     def test_alpha_must_exceed_one(self, golden_op):
         with pytest.raises(ValueError, match="alpha"):
             analysis.sandwich_sequences(golden_op, [np.eye(1)] * 4, alpha=1.0)
+
+
+    @pytest.mark.parametrize("target", [-1e-6, float("nan")])
+    def test_target_must_be_non_negative(self, golden_op, target):
+        with pytest.raises(ValueError, match=re.escape(f"target must be >= 0, got {target!r}")):
+            analysis.sandwich_sequences(golden_op, [np.eye(1)] * 4, target=target)
 
 
 class TestAnnotateTrace:
@@ -778,6 +789,15 @@ class TestAnnotateTrace:
             analysis.annotate_trace(golden_run.trace, bounds, [np.eye(2)] * 2)
 
 
+    def test_rejects_non_finite_trace_row(self, golden_run):
+        bounds = analysis.bounds_ul(analysis.build_stacked(network.two_node_symmetric()))
+        info = golden_run.trace.info.copy()
+        info[-1, 0] = np.inf
+        trace = dataclasses.replace(golden_run.trace, records=[], info=info)
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            analysis.annotate_trace(trace, bounds, golden_run.state.info_blocks())
+
+
 def annotated_trace(part, frobenius=None, star=1.0):
     """A trace as ``annotate_trace`` leaves it: part-metric and Frobenius
     distances to the fixed point per iteration (iteration 0 first; the
@@ -839,6 +859,11 @@ class TestRateAnalysis:
         res = engine.run(net, ScheduleConfig(max_iterations=5))
         with pytest.raises(ValueError, match="annotate"):
             analysis.rate_analysis(res.trace)
+
+    @pytest.mark.parametrize("epsilon", [-1e-9, float("nan")])
+    def test_epsilon_must_be_non_negative(self, epsilon):
+        with pytest.raises(ValueError, match=re.escape(f"epsilon must be >= 0, got {epsilon!r}")):
+            analysis.rate_analysis(annotated_trace([1.0, 0.5, 0.25]), epsilon=epsilon)
 
     def test_raw_sequence_rejected(self):
         with pytest.raises(ValueError, match="annotate"):

@@ -96,10 +96,11 @@ def _names_outside_cones(exempt=()):
 
 
 def test_cone_tolerance_is_decided_in_cones():
-    # REL_TOL sets the boundary of every cone verdict and scipy.linalg is
-    # a second eigen library: outside cones, either would be a second rule.
+    # REL_TOL sets the boundary of every cone verdict: outside cones, it
+    # would be a second rule (and scipy.linalg, a second eigen library, is
+    # kept out by test_only_cones_names_scipy).
     found = [(where, name) for where, name in _names_outside_cones()
-             if name.split(".")[-1] == "REL_TOL" or name.startswith("scipy.linalg")]
+             if name.split(".")[-1] == "REL_TOL"]
     assert found == []
 
 
@@ -121,3 +122,45 @@ def test_cross_checks_do_not_import_the_engine():
     found = [(where, name) for where, name in _names_outside_cones()
              if where.startswith(("analysis.py:", "oracle.py:")) and pattern.search(name)]
     assert found == []
+
+
+def test_only_cones_names_scipy():
+    # Every scipy call (LAPACK Cholesky, the sparse routes of the mean map
+    # and of F) goes through cones, so replacing scipy edits one module.
+    found = [(where, name) for where, name in _names_outside_cones()
+             if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def _package_imports(path):
+    """Stems of the gabp modules a module imports ('__init__' for a name
+    taken from the package itself, which is flat)."""
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["gabp" if node.level else "", node.module]))
+            dotted += [f"{module}.{alias.name}" for alias in node.names]
+    stems = {name.split(".")[1] for name in dotted if name.startswith("gabp.")}
+    return {s if (path.parent / f"{s}.py").exists() else "__init__" for s in stems}
+
+
+# Each module's imports from the package: cones stands alone, the analysis
+# and the oracle are cross-checks that never see the engine, and the CLI
+# (which also reads the package's version) wires them all together.
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "cones": set(),
+    "network": {"cones"},
+    "engine": {"cones", "network"},
+    "oracle": {"cones", "network"},
+    "analysis": {"cones"},
+    "cli": {"__init__", "analysis", "cones", "engine", "network", "oracle"},
+}
+
+
+def test_import_graph_is_fixed():
+    found = {path.stem: _package_imports(path)
+             for path in sorted((ROOT / "src" / "gabp").glob("*.py"))}
+    assert found == IMPORT_GRAPH

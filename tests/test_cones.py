@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,17 @@ class TestPartMetricBlocks:
         with pytest.raises(ValueError):
             cones.part_metric_blocks([np.eye(2)], [np.eye(2), np.eye(1)])
 
+    def test_empty_blocks_add_nothing(self):
+        x, y = np.diag([1.0, 2.0]), np.diag([2.0, 1.0])
+        empty = np.zeros((0, 0))
+        assert cones.part_metric_blocks([empty], [empty]) == 0.0
+        alone = cones.part_metric_blocks([x], [y])
+        assert cones.part_metric_blocks([empty, x], [empty, y]) == alone
+
+    def test_grouped_arguments_with_different_sizes(self):
+        with pytest.raises(ValueError, match="^grouped arguments have different block sizes$"):
+            cones.part_metric_blocks({1: np.ones((2, 1, 1))}, {2: np.ones((2, 2, 2))})
+
     def test_batched_matches_per_block_on_many_blocks(self):
         # Many blocks per size, so every size group is a real batch.
         rng = np.random.default_rng(30)
@@ -392,8 +404,8 @@ class TestSolvers:
             x = random_spd(rng, n, lo=1e-3, hi=1e3)
             b = rng.standard_normal((n, 3))
             ref = scipy.linalg.cho_factor(x, lower=True)
-            c, lower = cones.cho_factor_pd(x)
-            assert lower and np.array_equal(np.tril(c), np.tril(ref[0]))
+            c = cones.cho_factor_pd(x)
+            assert np.array_equal(np.tril(c), np.tril(ref[0]))
             assert np.array_equal(cones.solve_pd(x, b), scipy.linalg.cho_solve(ref, b))
             assert np.array_equal(
                 cones.solve_pd(x, b[:, 0]), scipy.linalg.cho_solve(ref, b[:, 0])
@@ -421,6 +433,37 @@ class TestSolvers:
             cones.solve_pd(x, np.ones(2))
         with pytest.raises(ValueError):
             cones.inv_pd(x)
+
+    @pytest.mark.parametrize("b, message", [
+        (np.array([1.0, np.nan]), "right-hand side has non-finite entries"),
+        (np.ones(3), "incompatible dimensions ((2, 2) and (3,))"),
+        (np.ones((2, 2, 1)), "incompatible dimensions ((2, 2) and (2, 2, 1))"),
+    ])
+    def test_bad_right_hand_side(self, b, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cones.solve_pd(np.eye(2), b)
+
+    def test_empty_right_hand_side(self):
+        z = cones.solve_pd(np.eye(2), np.ones((2, 0)))
+        assert z.shape == (2, 0)
+
+    def test_singular_block_has_infinite_condition(self):
+        with pytest.raises(cones.NumericalError) as err:
+            cones.solve_pd(np.zeros((2, 2)), np.ones(2), context="block")
+        assert str(err.value) == ("block is not positive definite: 1-th leading minor of "
+                                  "the array is not positive definite (condition estimate inf)")
+        assert err.value.condition == np.inf
+
+    def test_condition_estimate_left_out_when_the_eigensolver_fails(self, monkeypatch):
+        def reject(x):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cones.np.linalg, "eigvalsh", reject)
+        with pytest.raises(cones.NumericalError) as err:
+            cones.solve_pd(-np.eye(2), np.ones(2), context="block")
+        assert str(err.value) == ("block is not positive definite: 1-th leading minor of "
+                                  "the array is not positive definite")
+        assert err.value.condition is None
 
     def test_failure_carries_context_and_condition(self):
         bad = np.diag([1.0, -1.0])

@@ -38,6 +38,10 @@ class TestInitialState:
         st = engine.initial_state(net)
         assert st.edges == net.directed_edges
 
+    def test_unknown_init(self):
+        with pytest.raises(ValueError, match="^unknown init 'ones'$"):
+            engine.initial_state(network.two_node_symmetric(), "ones")
+
     def test_stacked_layout(self):
         net = network.generate_random(3, 4, "er", dim_range=(1, 3))
         st = engine.initial_state(net, "identity")
@@ -74,6 +78,17 @@ class TestCheckInitState:
             m[e] = engine.EdgeMessage(e, np.eye(2), np.zeros(2))
 
         with pytest.raises(ValueError, match="shape"):
+            engine.check_init_state(net, self.make(net, edit))
+
+    def test_wrong_mean_length(self):
+        net = network.two_node_symmetric()
+
+        def edit(m):
+            e = DirectedEdge(1, 2)
+            m[e] = engine.EdgeMessage(e, np.eye(1), np.zeros(2))
+
+        message = r"^init mean for edge \(1, 2\) has length 2, expected 1$"
+        with pytest.raises(ValueError, match=message):
             engine.check_init_state(net, self.make(net, edit))
 
     def test_not_psd(self):

@@ -54,6 +54,22 @@ class TestNodeSpec:
         with pytest.raises(ValueError, match="own id"):
             NodeSpec(1, 1, np.eye(1), np.eye(1), np.zeros(1), {2: np.eye(1)})
 
+    def test_coeff_must_be_2d(self):
+        message = r"^node 1: coeff\[1\] must be a 2-d matrix, got ndim 1$"
+        with pytest.raises(ValueError, match=message):
+            NodeSpec(1, 1, np.eye(1), np.eye(1), np.zeros(1), {1: np.ones(1)})
+
+    def test_coeff_keys_naming_one_node_rejected(self):
+        # Without the check the later key would silently replace the earlier.
+        with pytest.raises(ValueError, match="^node 1: coeff keys 1 and '1' name node 1$"):
+            NodeSpec(1, 1, np.eye(1), np.eye(1), np.zeros(1), {1: np.eye(1), "1": 2 * np.eye(1)})
+
+    @pytest.mark.parametrize("key", ["x", 1.7, "1.0"])
+    def test_coeff_key_not_an_id(self, key):
+        with pytest.raises(ValueError) as err:
+            NodeSpec(1, 1, np.eye(1), np.eye(1), np.zeros(1), {1: np.eye(1), key: np.eye(1)})
+        assert str(err.value) == f"node 1: coeff key {key!r} is not an integer node id"
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             make_node(1, obs=np.array([np.nan]))
@@ -353,6 +369,11 @@ class TestGenerateRandom:
         edges = network._prufer_edges(len(seq) + 2, seq)
         assert {tuple(sorted(e)) for e in edges} == {tuple(sorted(e)) for e in want}
 
+    def test_full_rank_draws_run_out(self, monkeypatch):
+        monkeypatch.setattr(network.np.linalg, "matrix_rank", lambda a: 0)
+        with pytest.raises(RuntimeError, match="^could not draw a full-rank 2x1 matrix$"):
+            network.generate_random(1, 2, "ring", dim_range=(1, 1))
+
     def test_unknown_topology(self):
         with pytest.raises(ValueError, match="unknown topology"):
             network.generate_random(1, 4, "torus")
@@ -409,6 +430,22 @@ class TestFileFormat:
         doc["nodes"][0]["A"]["x"] = [[1.0]]
         with pytest.raises(SchemaError, match="not an integer node id"):
             network.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, j", [("01", 1), (" 2", 2), ("+1", 1)])
+    def test_coeff_keys_naming_one_node_rejected(self, key, j):
+        # json keeps both keys; int() would map them onto one node id.
+        doc = json.loads(network.dumps(network.two_node_symmetric()))
+        doc["nodes"][0]["A"][key] = [[5.0]]
+        with pytest.raises(SchemaError) as err:
+            network.loads(json.dumps(doc))
+        assert str(err.value) == f"nodes[0]: node 1: coeff keys '{j}' and '{key}' name node {j}"
+
+    def test_duplicate_json_key_rejected(self):
+        # json alone keeps the last of two equal keys in one object.
+        text = network.dumps(network.two_node_symmetric())
+        text = text.replace('"W": [', '"W": [[9.0]], "W": [', 1)
+        with pytest.raises(SchemaError, match="^duplicate key 'W' in a JSON object$"):
+            network.loads(text)
 
     def test_non_numeric_matrix(self):
         doc = json.loads(network.dumps(network.two_node_chain()))
