@@ -230,9 +230,8 @@ def _checked_square(x):
 
 # The unchecked core behind cho_factor_pd, solve_pd and inv_pd: LAPACK
 # potrf/potrs on float64 arrays, the same calls scipy's cho_factor and
-# cho_solve make, without their finiteness scans.  The engine's sweep calls
-# it directly; its inputs are validated where they enter (NodeSpec, the
-# JSON loader, check_init_state) and checked for finiteness once per sweep.
+# cho_solve make, without their finiteness scans.  The batched solves below
+# use numpy's Cholesky, and potrf only to name the first block that fails.
 
 _POTRF = scipy.linalg.lapack.dpotrf
 _POTRS = scipy.linalg.lapack.dpotrs
@@ -266,10 +265,18 @@ def _forward_blocks(b, g, sizes, labels):
         for x, s, label in zip(b, sizes, labels):
             _cho_factor(x[:s, :s], label)
         raise
-    z = np.empty_like(g)
+    z = np.empty(g.shape)
     for i in range(b.shape[1]):
         z[:, i] = (g[:, i] - (chol[:, i, None, :i] @ z[:, :i])[:, 0]) / chol[:, i, i, None]
     return z
+
+
+def _solve_pd_blocks(a, b, labels):
+    """x = A^{-1} B per block of stacks a (n, d, d), PD, and b (n, d, q):
+    ``_forward_blocks`` gives L^{-1}, A = L L^T, and x = L^{-T} L^{-1} B."""
+    inv = _forward_blocks(a, np.broadcast_to(np.eye(a.shape[1]), a.shape),
+                          np.full(len(a), a.shape[1]), labels)
+    return inv.swapaxes(1, 2) @ (inv @ b)
 
 
 def _cho_solve(c, b):
@@ -289,19 +296,6 @@ def _sym(a):
     s = a + a.swapaxes(-1, -2)
     s *= 0.5  # the same bits as / 2.0, without a second temporary
     return s
-
-
-@functools.cache
-def _eye(d):
-    """Read-only identity: potrs copies its right-hand side, so one per size
-    serves every call."""
-    eye = np.eye(d)
-    eye.setflags(write=False)
-    return eye
-
-
-def _inv_pd(x, context):
-    return _sym(_cho_solve(_cho_factor(x, context), _eye(x.shape[0])))
 
 
 def _condition_estimate(x):

@@ -18,21 +18,29 @@ Both sums leave one term out, so each is summed once and every edge takes
 its own term back out: per variable ``T_j = W_j^{-1} + sum_k info_{f_k -> j}``
 (the beliefs read it whole), per factor ``S_n = R_n + sum_j P_nj`` with
 ``P_nj = A[n][j] Cov_{j -> f_n} A[n][j]^T``, and likewise for the means.
-A sweep costs O(deg) per edge, not O(deg^2).
+
+A sweep is one batched kernel over the directed edges grouped by the
+dimension d of their variable, each group's observation rows padded to
+its largest p (identity on S, zero rows on A, as the analysis pads F).
+Per group, stage 1 takes one batched Cholesky and stage 2 one for S and
+one batched PD solve; the sums are ordered scatter-adds.  The per-edge
+:func:`var_to_factor` and :func:`factor_to_var` return an edge's rows of
+the kernel's arrays (a plain dict of stage-1 messages runs the kernel on
+one edge), and :func:`combined_update` composes them.
 
 All factors update from the same previous state (Jacobi schedule), sums
 run in ascending node id order, and nothing here depends on wall clock,
 so a run is a pure function of (instance, config).  Once the infos have
 converged, the means follow one fixed affine map (:func:`mean_map`).
-
-The sweep factors and solves with the unchecked LAPACK core of ``cones``:
-inputs are validated where they enter (``NodeSpec``, the JSON loader,
-:func:`check_init_state`), and :func:`combined_update` checks that the
-innovation covariances and the new messages are finite.
+Inputs are validated where they enter (``NodeSpec``, the JSON loader,
+:func:`check_init_state`); a sweep checks finiteness before it factorizes,
+and each NumericalError names the first edge, in edge order, that fails.
 """
 
+import collections
 import dataclasses
-import functools
+import itertools
+import weakref
 
 import numpy as np
 
@@ -74,7 +82,7 @@ class VarToFactorMessage:
     information matrix because stage 2 consumes the covariance form.
     ``proj_cov`` and ``proj_mean`` are ``A cov A^T`` and ``A mean`` with
     ``A = A[factor][variable]``: the message in the factor's observation
-    space, as stage 2 adds it up."""
+    space, as stage 2 adds it up.  All are read-only stage-1 rows."""
 
     variable: int
     factor: int
@@ -101,23 +109,15 @@ class MessageState:
         self.iteration = int(iteration)
         self.messages = dict(messages)
         self._order = tuple(sorted(self.messages))
-        self._totals = (None, None)
+        self._cache = None, {}
 
-    @functools.cached_property
-    def _info_means(self):
-        """``info @ mean`` per message, once per state."""
-        return {e: m.info @ m.mean for e, m in self.messages.items()}
-
-    def _var_totals(self, net):
-        """Per variable j, ``T_j = W_j^{-1} + sum_k C_kj`` and ``sum_k C_kj
-        m_kj``, summed in ascending factor order once per state and network."""
-        if self._totals[0] is not net:
-            totals = {j: [net.prior_info(j).copy(), np.zeros(net.var_dim(j))] for j in net.ids}
-            for k, j in self._order:
-                totals[j][0] += self.messages[(k, j)].info
-                totals[j][1] += self._info_means[(k, j)]
-            self._totals = net, totals
-        return self._totals[1]
+    def _cached(self, plan, key, compute):
+        """``compute(plan, self)``, once per network layout and key."""
+        if self._cache[0] is not plan:
+            self._cache = plan, {}
+        if key not in self._cache[1]:
+            self._cache[1][key] = compute(plan, self)
+        return self._cache[1][key]
 
     @property
     def edges(self):
@@ -284,82 +284,230 @@ def check_init_state(net, state):
     return MessageState(0, messages)
 
 
+# The directed edges whose variable has dimension d, in edge order: their
+# positions, observation dims p, coefficients a (n, P, d) zero-padded to
+# the largest p, rows of their variables (in variable group vg) and of
+# their factors, and t_rounds: (variable rows, edge rows) per round.
+_Group = collections.namedtuple("_Group", "d pos p a vg var fac t_rounds")
+_Stage1 = collections.namedtuple("_Stage1", "info cov mean a_cov proj_cov proj_mean")
+
+
+def _occurrences(keys):
+    """How often each key occurred before it."""
+    seen = collections.Counter()
+    return np.array([seen.update((k,)) or seen[k] - 1 for k in keys], dtype=int)
+
+
+class _Plan:
+    """A network's sweep layout, built once (:func:`_plan`): its ``groups``
+    (``_Group``) and ``where``, an edge's (group, row); the prior
+    informations grouped by dimension, ``var_at`` a variable's (group,
+    row); R_n and y_n of every factor, padded to the largest p with identity
+    and zeros.  Round r of a sum adds each variable's (``t_rounds``) or
+    factor's (``s_rounds``) r-th term, so sums run in ascending node id.
+    ``flat_at`` places grouped infos and means in edge order."""
+
+    def __init__(self, net):
+        ids, edges = net.ids, net.directed_edges
+        priors, dims = [net.prior_info(j) for j in ids], sorted({net.var_dim(j) for j in ids})
+        self.edges, self.var_at, self.priors = edges, {}, []
+        for vg, d in enumerate(dims):
+            rows = [k for k, j in enumerate(ids) if net.var_dim(j) == d]
+            self.var_at.update((ids[k], (vg, r)) for r, k in enumerate(rows))
+            self.priors.append(np.array([priors[k] for k in rows]))
+        big = max(map(net.obs_dim, ids))
+        self.noise, self.obs = np.tile(np.eye(big), (len(ids), 1, 1)), np.zeros((len(ids), big))
+        for f, n in enumerate(ids):
+            p = net.obs_dim(n)
+            self.noise[f, :p, :p], self.obs[f, :p] = net.node(n).noise_cov, net.node(n).obs
+        dim = self.dim = np.array([net.var_dim(j) for _, j in edges])
+        fac = self.fac = np.array([ids.index(n) for n, _ in edges])
+        self.p = np.array([net.obs_dim(n) for n, _ in edges])
+        self.groups, self.where = [], {}
+        t_round, s_round = _occurrences(j for _, j in edges), _occurrences(fac)
+        for d in sorted(set(dim)):
+            pos = np.flatnonzero(dim == d)
+            p = self.p[pos]
+            a = np.zeros((len(pos), p.max(), d))
+            for k, q in enumerate(pos):
+                a[k, : p[k]] = net.node(edges[q].factor).coeff[edges[q].variable]
+                self.where[edges[q]] = len(self.groups), k
+            var = np.array([self.var_at[edges[q].variable][1] for q in pos])
+            rounds = [t_round[pos] == r for r in range(t_round[pos].max() + 1)]
+            self.groups.append(_Group(d, pos, p, a, dims.index(d), var, fac[pos],
+                                      [(var[x], np.flatnonzero(x)) for x in rounds]))
+        self.s_rounds = [[(g, grp.fac[x], np.flatnonzero(x)) for g, grp in enumerate(self.groups)
+                          if (x := s_round[grp.pos] == r).any()] for r in range(s_round.max() + 1)]
+        self.sizes, self.flat_at = [int(dim @ dim), int(dim.sum())], []
+        for width, power in ((dim * dim, 2), (dim, 1)):
+            at = np.cumsum(width) - width
+            self.flat_at.append([(at[g.pos, None] + np.arange(g.d**power)).ravel()
+                                 for g in self.groups])
+
+
+_PLANS = weakref.WeakKeyDictionary()
+
+
+def _plan(net):
+    if net not in _PLANS:
+        _PLANS[net] = _Plan(net)
+    return _PLANS[net]
+
+
+def _stacks(plan, state):
+    """The state's infos (n, d, d) and means (n, d), grouped."""
+    msgs = [state.messages[e] for e in plan.edges]
+    return tuple([np.array([getattr(msgs[q], name) for q in g.pos], dtype=float)
+                  for g in plan.groups] for name in ("info", "mean"))
+
+
+def _totals(plan, state):
+    """Per variable group, ``T_j = W_j^{-1} + sum_k C_kj`` and ``r_j = sum_k
+    C_kj m_kj`` in ascending factor order; per edge group, ``C_nj m_nj``."""
+    infos, means = state._cached(plan, "stacks", _stacks)
+    t, r = [x.copy() for x in plan.priors], [np.zeros(x.shape[:2]) for x in plan.priors]
+    products = [(c @ m[..., None])[..., 0] for c, m in zip(infos, means)]
+    for g, c, cm in zip(plan.groups, infos, products):
+        for var, rows in g.t_rounds:
+            t[g.vg][var] += c[rows]
+            r[g.vg][var] += cm[rows]
+    return t, r, products
+
+
+def _stage1(plan, state):
+    """The state's stage-1 messages, grouped and read-only: ``info = T_j -
+    C_nj``, ``cov``, ``mean``, ``a_cov = A cov`` and, zero outside each
+    edge's p rows, ``proj_cov = A cov A^T`` and ``proj_mean = A mean``."""
+    infos, _ = state._cached(plan, "stacks", _stacks)
+    t, r, products = state._cached(plan, "totals", _totals)
+    info = [t[g.vg][g.var] - c for g, c in zip(plan.groups, infos)]
+
+    def inverse(x, pos):
+        labels = (f"variable {plan.edges[q].variable} -> factor {plan.edges[q].factor} "
+                  "information" for q in pos)
+        return cones._sym(cones._solve_pd_blocks(x, np.broadcast_to(np.eye(x.shape[1]), x.shape),
+                                                 labels))
+
+    cov = _in_edge_order(inverse, [(x, g.pos) for g, x in zip(plan.groups, info)])
+    mean = [(x @ (r[g.vg][g.var] - cm)[..., None])[..., 0]
+            for g, x, cm in zip(plan.groups, cov, products)]
+    a_cov = [g.a @ x for g, x in zip(plan.groups, cov)]
+    out = _Stage1(info, cov, mean, a_cov, [x @ g.a.swapaxes(1, 2) for g, x in zip(plan.groups, a_cov)],
+                  [(g.a @ m[..., None])[..., 0] for g, m in zip(plan.groups, mean)])
+    for x in itertools.chain(*out):
+        x.setflags(write=False)
+    return out
+
+
+def _in_edge_order(kernel, groups):
+    """``kernel(*group)`` per group, whose last entry is its edges'
+    positions.  On a NumericalError the kernel reruns one edge at a time
+    in edge order, so the error names the first failing edge of all."""
+    try:
+        return [kernel(*group) for group in groups]
+    except cones.NumericalError:
+        for _, g, k in sorted((q, g, k) for g, x in enumerate(groups) for k, q in enumerate(x[-1])):
+            kernel(*(x[k : k + 1] for x in groups[g]))
+        raise
+
+
+def _first(plan, flags):
+    """The first edge, in edge order, of the rows flagged per group."""
+    pos = np.concatenate([g.pos[f] for g, f in zip(plan.groups, flags)])
+    return plan.edges[pos.min()] if pos.size else None
+
+
+def _others(noise, obs, terms):
+    """``R_n + sum_j P_nj`` and ``y_n - sum_j A_nj m_{j->n}`` over ``terms``,
+    (P_nj, A_nj m_{j->n}) in ascending j."""
+    s, e = noise.copy(), obs.copy()
+    for proj_cov, proj_mean in terms:
+        s += proj_cov
+        e -= proj_mean
+    return s, e
+
+
+def _innovations(plan, s1):
+    """Per group, the edges' padded ``S = S_n - P_ni`` and residuals ``y_n -
+    sum_{j != i} A_nj m_{j->n}``.  Each S is at most S_n in the PSD order,
+    so only a factor with a non-finite total sums its edges' terms
+    directly; an S that is still not finite raises NumericalError."""
+    s, e = plan.noise.copy(), plan.obs.copy()
+    for by_group in plan.s_rounds:
+        for g, fac, rows in by_group:
+            big = plan.groups[g].a.shape[1]
+            s[fac, :big, :big] += s1.proj_cov[g][rows]
+            e[fac, :big] -= s1.proj_mean[g][rows]
+    bad = ~(np.isfinite(s).all(axis=(1, 2)) & np.isfinite(e).all(axis=1))
+    out = []
+    for g, grp in enumerate(plan.groups):
+        big = grp.a.shape[1]
+        out.append((s[grp.fac, :big, :big] - s1.proj_cov[g], e[grp.fac, :big] + s1.proj_mean[g]))
+        for k in np.flatnonzero(bad[grp.fac]):
+            f, p = grp.fac[k], grp.p[k]
+            scope = sorted((h.pos[x], i, x) for i, h in enumerate(plan.groups)
+                           for x in np.flatnonzero(h.fac == f) if (i, x) != (g, k))
+            out[-1][0][k], out[-1][1][k] = np.eye(big), 0.0
+            out[-1][0][k, :p, :p], out[-1][1][k, :p] = _others(
+                plan.noise[f, :p, :p], plan.obs[f, :p],
+                [(s1.proj_cov[i][x][:p, :p], s1.proj_mean[i][x][:p]) for _, i, x in scope])
+    edge = _first(plan, [~np.isfinite(x).all(axis=(1, 2)) for x, _ in out])
+    if edge is not None:
+        raise cones.NumericalError(f"factor {edge.factor} innovation covariance for edge "
+                                   f"{tuple(edge)} has non-finite entries")
+    return out
+
+
+def _solve_stage2(edges, groups):
+    """For groups of (S (n, P, P), A (n, P, d), p, B (n, P, q), positions
+    in ``edges``): the message infos ``A^T S^{-1} A`` and ``info^{-1} A^T
+    S^{-1} B``, by one batched Cholesky of S and one batched PD solve.  An
+    info that is not finite is not factorized; its solution is NaN."""
+
+    def kernel(s, a, p, b, pos):
+        d = a.shape[2]
+        z = cones._forward_blocks(s, np.concatenate([a, b], axis=2), p, (
+            f"factor {edges[q].factor} innovation covariance (invariant breach)" for q in pos))
+        z_t = z[..., :d].swapaxes(1, 2)
+        info = cones._sym(z_t @ z[..., :d])
+        ok = np.isfinite(info).all(axis=(1, 2))
+        x = cones._solve_pd_blocks(np.where(ok[:, None, None], info, np.eye(d)), z_t @ z[..., d:], (
+            f"factor {edges[q].factor} -> variable {edges[q].variable} message information "
+            "(A block nearly rank deficient?)" for q in pos))
+        x[~ok] = np.nan
+        return info, x
+
+    return _in_edge_order(kernel, groups)
+
+
+def _check_messages(plan, infos, means):
+    edge = _first(plan, [~(np.isfinite(c).all(axis=(1, 2)) & np.isfinite(m).all(axis=1))
+                         for c, m in zip(infos, means)])
+    if edge is not None:
+        raise cones.NumericalError(f"message on edge {tuple(edge)} has non-finite entries")
+
+
 def var_to_factor(net, state, variable, factor):
     """Stage 1 message from ``variable`` to ``factor``.
 
     Combines the prior of the variable with all incoming factor messages
     except the one from ``factor`` itself.  The result is always positive
     definite because the prior information W^{-1} is and the message infos
-    are positive semidefinite.
+    are positive semidefinite.  Stage 1 runs once per state for all edges.
     """
     if factor not in net.var_factors(variable):
         raise ValueError(f"variable {variable} does not feed factor {factor}")
-    return _var_to_factor(net, state, variable, factor)
+    plan = _plan(net)
+    s1 = state._cached(plan, "stage1", _stage1)
+    g, k = plan.where[(factor, variable)]
+    p = plan.groups[g].p[k]
+    return VarToFactorMessage(variable, factor, s1.info[g][k], s1.mean[g][k], s1.cov[g][k],
+                              s1.proj_cov[g][k][:p, :p], s1.proj_mean[g][k][:p])
 
 
-def _var_to_factor(net, state, variable, factor):
-    total, rhs = state._var_totals(net)[variable]
-    # T_j and C_nj are exactly symmetric, and so is their difference.
-    info = total - state.messages[(factor, variable)].info
-    cov = cones._inv_pd(info, f"variable {variable} -> factor {factor} information")
-    mean = cov @ (rhs - state._info_means[(factor, variable)])
-    a = net.node(factor).coeff[variable]
-    return VarToFactorMessage(variable, factor, info, mean, cov, a @ cov @ a.T, a @ mean)
-
-
-class _Inbox(dict):
-    """The stage-1 messages into ``factor``, by variable, and ``totals``:
-    ``S_n = R_n + sum_j P_nj`` (not symmetrized: potrf reads its lower
-    triangle) and ``y_n - sum_j A_nj mean_{j->n}``, or None if not finite."""
-
-    def __init__(self, net, state, factor, stage1):
-        super().__init__((j, stage1(net, state, j, factor)) for j in net.factor_scope(factor))
-        s, e = _sums(net, self, factor)
-        self.totals = (s, e) if np.all(np.isfinite(s)) and np.all(np.isfinite(e)) else None
-        # Every edge's S is at most S_n in the PSD order, so its entries are
-        # bounded by S_n's diagonal: only an overflowed S_n needs each S.
-        for i in net.factor_scope(factor) if self.totals is None else ():
-            if not np.all(np.isfinite(_sums(net, self, factor, skip=i)[0])):
-                raise cones.NumericalError(f"factor {factor} innovation covariance for edge "
-                                           f"({factor}, {i}) has non-finite entries")
-
-
-def _sums(net, incoming, factor, skip=None):
-    """``R_n + sum_j P_nj`` and ``y_n - sum_j A_nj mean_{j->n}`` over the
-    factor's scope less ``skip``, in ascending j."""
-    node = net.node(factor)
-    s, e = node.noise_cov.copy(), node.obs.copy()
-    for j in net.factor_scope(factor):
-        if j == skip:
-            continue
-        if j not in incoming:
-            raise ValueError(
-                f"missing stage-1 message {j} -> {factor} while updating "
-                f"edge ({factor},{skip})"
-            )
-        s += incoming[j].proj_cov
-        e -= incoming[j].proj_mean
-    return s, e
-
-
-def _gain(net, incoming, factor, variable):
-    """Info, gain ``K = info^{-1} A_i^T S^{-1}`` and residual of an edge: the
-    totals less the edge's own terms, or, without totals, the others summed."""
-    if getattr(incoming, "totals", None) is None:
-        s, resid = _sums(net, incoming, factor, skip=variable)
-    else:
-        own = incoming[variable]
-        s, resid = incoming.totals[0] - own.proj_cov, incoming.totals[1] + own.proj_mean
-    s_factor = cones._cho_factor(s, f"factor {factor} innovation covariance (invariant breach)")
-    a_i = net.node(factor).coeff[variable]
-    s_inv_a = cones._cho_solve(s_factor, a_i)
-    info = cones._sym(a_i.T @ s_inv_a)
-    info_factor = cones._cho_factor(
-        info,
-        f"factor {factor} -> variable {variable} message information "
-        "(A block nearly rank deficient?)",
-    )
-    return info, cones._cho_solve(info_factor, s_inv_a.T), resid
+class _Swept(dict):
+    """A factor's stage-1 messages, by variable, after the sweep's stage 2:
+    ``rows`` is (plan, infos, means), every edge's new message, grouped."""
 
 
 def factor_to_var(net, incoming, factor, variable):
@@ -369,86 +517,109 @@ def factor_to_var(net, incoming, factor, variable):
     variable in the factor's scope.  S below is the innovation covariance
     after marginalizing those variables; it is positive definite whenever
     R_n is, so a factorization failure here is an invariant breach rather
-    than a user error.
+    than a user error.  In a sweep this is the edge's row of the batched
+    stage 2; a plain dict runs the kernel on this edge alone.
     """
     if variable not in net.factor_scope(factor):
         raise ValueError(f"variable {variable} is not in factor {factor}'s scope")
-    info, gain, resid = _gain(net, incoming, factor, variable)
-    return EdgeMessage(DirectedEdge(factor, variable), info, gain @ resid)
+    edge = DirectedEdge(factor, variable)
+    if isinstance(incoming, _Swept):
+        plan, infos, means = incoming.rows
+        g, k = plan.where[edge]
+        return EdgeMessage(edge, infos[g][k], means[g][k])
+    others = [j for j in net.factor_scope(factor) if j != variable]
+    for j in (j for j in others if j not in incoming):
+        raise ValueError(f"missing stage-1 message {j} -> {factor} while updating "
+                         f"edge ({factor},{variable})")
+    node = net.node(factor)
+    s, e = _others(node.noise_cov, node.obs, [(incoming[j].proj_cov, incoming[j].proj_mean)
+                                              for j in others])
+    if not np.all(np.isfinite(s)):
+        raise cones.NumericalError(f"factor {factor} innovation covariance for edge "
+                                   f"{tuple(edge)} has non-finite entries")
+    a = node.coeff[variable]
+    [(info, x)] = _solve_stage2([edge], [(s[None], a[None], [len(s)], e[None, :, None], [0])])
+    return EdgeMessage(edge, info[0], x[0, :, 0])
 
 
 def combined_update(net, state):
     """One full synchronous sweep: all stage-1 then all stage-2 updates.
 
-    Every update reads only the previous state (Jacobi schedule).
-    NumericalError names the first edge whose innovation covariance (checked
-    per factor) or whose new message (checked once) is not finite, an
-    overflow say, before it can turn into a misleading factorization
-    failure or a NaN delta.
+    Every update reads only the previous state (Jacobi schedule).  Each
+    factor's inbox is filled by :func:`var_to_factor`; stage 2 runs once
+    for all edges, and :func:`factor_to_var` takes each edge's message.
+    NumericalError names the first edge whose stage-1 information, whose
+    innovation covariance (not finite, or not PD) or whose new message
+    (not finite: an overflow, say) fails.
     """
-    incoming = {n: _Inbox(net, state, n, var_to_factor) for n in net.ids}
-    outputs = [factor_to_var(net, incoming[n], n, i) for n, i in net.directed_edges]
-    _check_messages(outputs)
-    return MessageState(state.iteration + 1, {m.edge: m for m in outputs})
-
-
-def _check_messages(messages):
-    flat = [m.info.ravel() for m in messages] + [m.mean for m in messages]
-    if np.all(np.isfinite(np.concatenate(flat))):
-        return
-    for m in messages:
-        if not (np.all(np.isfinite(m.info)) and np.all(np.isfinite(m.mean))):
-            raise cones.NumericalError(
-                f"message on edge {tuple(m.edge)} has non-finite entries"
-            )
+    plan = _plan(net)
+    inboxes = {n: _Swept() for n in net.ids}
+    for n, i in plan.edges:
+        inboxes[n][i] = var_to_factor(net, state, i, n)
+    s1 = state._cached(plan, "stage1", _stage1)
+    groups = [(s, g.a, g.p, e[..., None], g.pos)
+              for g, (s, e) in zip(plan.groups, _innovations(plan, s1))]
+    infos, means = zip(*((c, x[..., 0]) for c, x in _solve_stage2(plan.edges, groups)))
+    _check_messages(plan, infos, means)
+    for inbox in inboxes.values():
+        inbox.rows = plan, infos, means
+    new = MessageState(state.iteration + 1,
+                       {e: factor_to_var(net, inboxes[e.factor], *e) for e in plan.edges})
+    new._cache = plan, {"stacks": (infos, means)}
+    return new
 
 
 def mean_map(net, state):
     """A sweep's mean update at ``state``'s infos, ``m -> G @ m + g`` on the
     means stacked in edge order: CSR G, the product of the stages
     ``mean_{j->n} = Cov_{j->n} sum_{k != n} C_kj m_kj`` and ``m_ni = K_ni
-    (y_n - sum_{j != i} A_nj mean_{j->n})``, built by the sweep's code."""
-    var_at = np.cumsum([0] + state.block_dims())
-    obs_at = np.cumsum([0] + [net.obs_dim(n) for n, _ in state.edges])
-    at, obs = dict(zip(state.edges, var_at)), dict(zip(state.edges, obs_at))
-    incoming = {n: _Inbox(net, state, n, _var_to_factor) for n in net.ids}
-    stage1, stage2, offset = [], [], [np.zeros(0)]
-    for n, i in state.edges:
-        a_cov = net.node(n).coeff[i] @ incoming[n][i].cov
-        stage1 += [(obs[(n, i)], at[(k, i)], a_cov @ state.messages[(k, i)].info)
-                   for k in net.var_factors(i) if k != n]
-        gain = _gain(net, incoming[n], n, i)[1]
-        offset.append(gain @ net.node(n).obs)
-        stage2 += [(at[(n, i)], obs[(n, j)], -gain) for j in net.factor_scope(n) if j != i]
-    shape = (var_at[-1], obs_at[-1])
-    matrix = _block_matrix(stage2, shape) @ _block_matrix(stage1, shape[::-1])
-    return matrix, np.concatenate(offset)
+    (y_n - sum_{j != i} A_nj mean_{j->n})``, built per size group from the
+    kernel's covariances and gains ``K = info^{-1} A^T S^{-1}``."""
+    plan = _plan(net)
+    s1, (infos, _) = state._cached(plan, "stage1", _stage1), state._cached(plan, "stacks", _stacks)
+    gains = [x for _, x in _solve_stage2(plan.edges, [
+        (s, g.a, g.p, np.broadcast_to(np.eye(s.shape[1]), s.shape), g.pos)
+        for g, (s, _) in zip(plan.groups, _innovations(plan, s1))])]
+    var_at, obs_at = (np.cumsum(w) - w for w in (plan.dim, plan.p))
+    stage1, stage2, offset = [], [], np.empty(plan.sizes[1])
+    for grp, a_cov, c, k, at in zip(plan.groups, s1.a_cov, infos, gains, plan.flat_at[1]):
+        x, y = np.nonzero((grp.var[:, None] == grp.var) & (grp.pos[:, None] != grp.pos))
+        stage1.append(_placed(a_cov[x] @ c[y], obs_at[grp.pos[x]], var_at[grp.pos[y]], grp.p[x], grp.d))
+        x, q = np.nonzero((grp.fac[:, None] == plan.fac) & (grp.pos[:, None] != np.arange(len(plan.fac))))
+        stage2.append(_placed(-k[x], var_at[grp.pos[x]], obs_at[q], grp.d, grp.p[x]))
+        offset[at] = (k @ plan.obs[grp.fac, : k.shape[2], None]).ravel()
+    shape = plan.sizes[1], int(plan.p.sum())
+    return _sum_matrix(stage2, shape) @ _sum_matrix(stage1, shape[::-1]), offset
 
 
-def _block_matrix(blocks, shape):
-    """CSR matrix of dense (row, col, block) triples, placed with one
-    index computation per block shape."""
-    groups = {}
-    for r, c, b in blocks:
-        groups.setdefault(b.shape, []).append((r, c, b))
-    parts = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
-    for block_shape, group in groups.items():
-        r, c, b = (np.array(x) for x in zip(*group))
-        i, j = np.indices(block_shape)
-        parts.append((b.ravel(), (r[:, None, None] + i).ravel(), (c[:, None, None] + j).ravel()))
+def _placed(blocks, rows, cols, height, width):
+    """Values and coordinates of ``blocks`` (n, h, w) placed at the given
+    row and column offsets, each cut to its height x width."""
+    r, c = np.indices(blocks.shape[1:])
+    keep = (r < np.reshape(height, (-1, 1, 1))) & (c < np.reshape(width, (-1, 1, 1)))
+    return blocks[keep], (rows[:, None, None] + r + 0 * c)[keep], (cols[:, None, None] + c + 0 * r)[keep]
+
+
+def _sum_matrix(parts, shape):
     vals, rows, cols = (np.concatenate(x) for x in zip(*parts))
     return cones._sum_matrix(vals, rows, cols, shape)
 
 
 def compute_belief(net, state, variable):
     """Posterior belief for one variable from the current messages."""
-    info, rhs = state._var_totals(net)[variable]
-    cov = cones.inv_pd(info, context=f"belief information for variable {variable}")
-    return Belief(variable, cov @ rhs, cov)
+    plan = _plan(net)
+    t, r, _ = state._cached(plan, "totals", _totals)
+    (vg, row), context = plan.var_at[variable], f"belief information for variable {variable}"
+    cov = cones.inv_pd(t[vg][row], context=context)
+    return Belief(variable, cov @ r[vg][row], cov)
 
 
-def _means(state):
-    return np.concatenate([state.messages[e].mean for e in state.edges])
+def _flat(plan, stacks, which):
+    """Grouped infos (``which`` 0) or means (1) as one row in edge order."""
+    out = np.empty(plan.sizes[which])
+    for at, x in zip(plan.flat_at[which], stacks[which]):
+        out[at] = x.ravel()
+    return out
 
 
 def _max_block_norm(flat, sizes):
@@ -485,14 +656,17 @@ def run(net, config=None):
         state = check_init_state(net, config.init)
     else:
         state = initial_state(net, config.init, config.init_scale)
+    plan = _plan(net)
     tol, budget, dims = config.tol_frobenius, config.max_iterations, np.array(state.block_dims())
     records = [TraceRecord(0, np.nan, np.nan)]
-    infos, means = [np.concatenate(state.info_blocks(), axis=None)], _means(state)
+    stacks = state._cached(plan, "stacks", _stacks)
+    infos, means = [_flat(plan, stacks, 0)], _flat(plan, stacks, 1)
     converged = mean_converged = False
     while state.iteration < budget and not converged:
         state = combined_update(net, state)
-        infos.append(np.concatenate(state.info_blocks(), axis=None))
-        new = _means(state)
+        stacks = state._cached(plan, "stacks", _stacks)
+        infos.append(_flat(plan, stacks, 0))
+        new = _flat(plan, stacks, 1)
         df = _max_block_norm(infos[-1] - infos[-2], dims * dims)
         dm = _max_block_norm(new - means, dims)
         records.append(TraceRecord(state.iteration, df, dm))
@@ -506,10 +680,11 @@ def run(net, config=None):
             dm = _max_block_norm(new - means, dims)
             iteration, means, mean_converged = iteration + 1, new, dm <= tol
             records.append(TraceRecord(iteration, 0.0, dm))
-        split = np.split(means, np.cumsum(dims)[:-1])
-        messages = [EdgeMessage(e, state.messages[e].info, m) for e, m in zip(state.edges, split)]
-        _check_messages(messages)
-        state = MessageState(iteration, {m.edge: m for m in messages})
+        held = stacks[0], [means[at].reshape(-1, g.d) for g, at in zip(plan.groups, plan.flat_at[1])]
+        _check_messages(plan, *held)
+        state = MessageState(iteration, {e: EdgeMessage(e, held[0][g][k], held[1][g][k])
+                                         for e, (g, k) in plan.where.items()})
+        state._cache = plan, {"stacks": held}
     beliefs = {i: compute_belief(net, state, i) for i in net.ids}
     info = np.array(infos)
     info.setflags(write=False)

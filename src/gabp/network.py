@@ -38,7 +38,6 @@ __all__ = [
     "validate",
     "generate_random",
     "two_node_symmetric",
-    "two_node_chain",
     "save",
     "load",
     "dumps",
@@ -557,21 +556,6 @@ def two_node_symmetric(y=(0.3, -0.2)):
     nodes = [
         NodeSpec(1, 1, one, one, [float(y[0])], {1: one, 2: one}),
         NodeSpec(2, 1, one, one, [float(y[1])], {1: one, 2: one}),
-    ]
-    return GaussianNetwork(nodes, [(1, 2)])
-
-
-def two_node_chain(y=(0.3, -0.2)):
-    """A two-node tree: node 1 observes both variables, node 2 only itself.
-
-    The factor graph is the path f_2 - x_2 - f_1 - x_1, which is cycle
-    free, so message passing must reproduce the centralized posterior
-    exactly.
-    """
-    one = np.eye(1)
-    nodes = [
-        NodeSpec(1, 1, one, one, [float(y[0])], {1: one, 2: one}),
-        NodeSpec(2, 1, one, one, [float(y[1])], {2: one}),
     ]
     return GaussianNetwork(nodes, [(1, 2)])
 

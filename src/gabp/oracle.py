@@ -48,18 +48,22 @@ def _var_spans(net):
 
 def centralized_posterior(net):
     """Exact joint posterior (mean, cov) over all variables, stacked in
-    ascending id.  NumericalError names the node whose prior or noise
+    ascending id.  The mean is linear in y, so it is solved for y scaled
+    by 2^-e, e the exponent of the largest |y|, and scaled back: exact for
+    a power of two, and the information vector stays in range whenever
+    the mean does.  NumericalError names the node whose prior or noise
     covariance is not positive definite or whose observation term
     overflows the information vector."""
     spans, total = _var_spans(net)
     prec = np.zeros((total, total))
     info = np.zeros(total)
+    _, e = np.frexp(max(np.max(np.abs(net.node(n).obs), initial=0.0) for n in net.ids))
     for i, s in spans.items():
         prec[s, s] = cones.inv_pd(net.node(i).prior_cov, context=f"node {i} prior covariance")
     for n in net.ids:
         node, scope = net.node(n), net.factor_scope(n)
         a = np.hstack([node.coeff[j] for j in scope])
-        r_inv = cones.solve_pd(node.noise_cov, np.column_stack([a, node.obs]),
+        r_inv = cones.solve_pd(node.noise_cov, np.column_stack([a, np.ldexp(node.obs, -e)]),
                                context=f"node {n} noise covariance")
         at = np.r_[tuple(spans[j] for j in scope)]
         prec[np.ix_(at, at)] += a.T @ r_inv[:, :-1]
@@ -67,7 +71,7 @@ def centralized_posterior(net):
         if not np.all(np.isfinite(info[at])):
             raise cones.NumericalError(f"information vector overflows at node {n}'s observation")
     cov = cones.inv_pd(cones.symmetrize(prec), context="joint posterior precision")
-    return cov @ info, cov
+    return np.ldexp(cov @ info, e), cov
 
 
 def marginals(net):

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from gabp import analysis, cli, engine, network
+from conftest import two_node_chain
 
 GOLDEN_C = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -204,7 +205,7 @@ class TestRun:
         assert "invalid instance" in capsys.readouterr().err
 
     def test_zero_dim_is_a_located_input_error(self, tmp_path, capsys):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         doc["nodes"][0]["dim"] = 0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -213,7 +214,7 @@ class TestRun:
         assert "nodes[0]: node 1: dim must be >= 1, got 0" in capsys.readouterr().err
 
     def test_semantic_error_reports_rule(self, tmp_path, capsys):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         doc["nodes"][0]["W"] = [[-2.0]]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -232,7 +233,7 @@ class TestRun:
     ], ids=["top-level", "nodes", "node", "W-not-square", "y-matrix"])
     def test_schema_errors_are_located(self, tmp_path, capsys, edit, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(edit(json.loads(network.dumps(network.two_node_chain())))))
+        bad.write_text(json.dumps(edit(json.loads(network.dumps(two_node_chain())))))
         code = run_cli("run", "--instance", str(bad), "--out-dir", str(tmp_path / "o"))
         assert code == 1
         assert capsys.readouterr().err == f"gabp: invalid instance: {message}\n"
@@ -603,19 +604,21 @@ class TestCompare:
         assert "disagree" in capsys.readouterr().err
         assert read_json(out / "compare.json")["within_tolerance"] is False
 
-    def test_oracle_overflow_exit_1(self, tmp_path, capsys):
-        # The run converges with finite beliefs (true mean 4e307), but the
-        # centralized information vector sums to 2e308.
+    def test_oracle_answers_past_the_information_overflow(self, tmp_path, capsys):
+        # The run converges with finite beliefs (true mean 4e307), though the
+        # centralized information vector sums to 2e308: the oracle solves for
+        # y scaled by a power of two, so it checks them, at a mean tolerance
+        # in their units (the run's own mean test is absolute and never
+        # passes at this scale, so its beliefs carry about 5e-12).
         inst = tmp_path / "big.json"
         network.save(network.two_node_symmetric(y=(1e308, 1e308)), inst)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run_cli("compare", "--instance", str(inst), "--out-dir", str(tmp_path / "o"))
-        assert code == 1
-        assert caught == []
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            "gabp: numerical failure: information vector overflows at node 2's observation")
+            code = run_cli("compare", "--instance", str(inst), "--out-dir", str(tmp_path / "o"),
+                           "--mean-tol", "1e297")
+        assert code == 0 and caught == []
+        assert capsys.readouterr().out.startswith("agreement ok")
+        assert read_json(tmp_path / "o" / "compare.json")["report"]["max_mean_error"] <= 1e-11 * 4e307
 
     def test_non_convergence_exit_3(self, golden_instance, tmp_path):
         out = tmp_path / "out"

@@ -413,17 +413,6 @@ class TestSolvers:
             inv = scipy.linalg.cho_solve(ref, np.eye(n))
             assert np.array_equal(cones.inv_pd(x), (inv + inv.T) / 2.0)
 
-    def test_unchecked_inverse_keeps_its_identity(self):
-        # The unchecked inverse solves against one cached identity per size;
-        # potrs must copy it, so repeated calls stay exact and independent.
-        rng = np.random.default_rng(53)
-        for n in (1, 3, 3, 6, 1):
-            x = random_spd(rng, n)
-            got = cones._inv_pd(x, "test matrix")
-            assert np.array_equal(got, cones.inv_pd(x))
-            assert np.array_equal(cones._eye(n), np.eye(n))
-            assert not cones._eye(n).flags.writeable
-
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
     def test_non_square_rejected(self, shape):
         x = np.ones(shape)

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from gabp import analysis, cones, engine, network, oracle
 from gabp.cones import NumericalError
 from gabp.engine import MessageState, ScheduleConfig
 from gabp.network import DirectedEdge
+from conftest import two_node_chain
 
 GOLDEN_FIXED_POINT = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -177,22 +180,28 @@ class TestSingleSweep:
         assert msg.cov[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_var_to_factor_projections(self):
-        net = network.generate_random(5, 6, "er", er_prob=0.6)
+        # The projections are the kernel's products of the message's own
+        # covariance and mean, cut to the factor's p observation rows of its
+        # size group's padded arrays; the message's arrays are read-only.
+        net = network.generate_random(5, 6, "er", er_prob=0.6, dim_range=(1, 3))
         state = engine.combined_update(net, engine.initial_state(net))
         for n in net.ids:
             for j in net.factor_scope(n):
                 msg = engine.var_to_factor(net, state, j, n)
                 a = net.node(n).coeff[j]
-                assert np.array_equal(msg.proj_cov, a @ msg.cov @ a.T)
-                assert np.array_equal(msg.proj_mean, a @ msg.mean)
+                assert msg.proj_cov.shape == (net.obs_dim(n),) * 2
+                assert close([msg.proj_cov], [a @ msg.cov @ a.T], 1e-14)
+                assert close([msg.proj_mean], [a @ msg.mean], 1e-14)
+                for x in (msg.info, msg.mean, msg.cov, msg.proj_cov, msg.proj_mean):
+                    assert not x.flags.writeable
 
     def test_products_shared_across_targets_bitwise(self):
         # Each variable's totals T_j = W_j^{-1} + sum_k C_kj and r_j = sum_k
-        # C_kj m_kj are summed once per state in ascending factor order, with
-        # each info @ mean computed once; every stage-1 message takes its own
-        # term out of them and every belief reads them whole, so both keep
-        # these bits.  The direct leave-one-out sums they replace agree to
-        # rounding.
+        # C_kj m_kj are summed once per state in ascending factor order.  Every
+        # stage-1 message takes its own info out of T_j, bitwise; its
+        # covariance is the kernel's batched Cholesky inverse, within 1e-14
+        # of cones.inv_pd.  Every belief reads T_j whole, bitwise.  The
+        # direct leave-one-out sums agree to rounding.
         net = network.generate_random(8, 8, "er", dim_range=(1, 4))
         state = engine.initial_state(net)
         for _ in range(3):
@@ -212,10 +221,10 @@ class TestSingleSweep:
                 own = state.messages[(n, j)]
                 info = total - own.info
                 cov = cones.inv_pd(info)
-                mean = cov @ (r - own.info @ own.mean)
                 msg = engine.var_to_factor(net, state, j, n)
-                assert np.array_equal(msg.info, info) and np.array_equal(msg.cov, cov)
-                assert np.array_equal(msg.mean, mean)
+                assert np.array_equal(msg.info, info)
+                assert np.array_equal(msg.cov, msg.cov.T) and close([msg.cov], [cov], 1e-14)
+                assert close([msg.mean], [cov @ (r - own.info @ own.mean)], 1e-14)
                 direct_info, direct_rhs = sums(j, skip=n)
                 direct_cov = cones.inv_pd(direct_info)
                 for got, want in ((msg.info, direct_info), (msg.cov, direct_cov),
@@ -223,10 +232,10 @@ class TestSingleSweep:
                     assert close([got], [want], 1e-14)
             cov = cones.inv_pd(total)
             belief = engine.compute_belief(net, state, j)
-            assert np.array_equal(belief.cov, cov) and np.array_equal(belief.mean, cov @ r)
+            assert np.array_equal(belief.cov, cov) and close([belief.mean], [cov @ r], 1e-14)
 
     def test_var_to_factor_rejects_non_adjacent(self):
-        net = network.two_node_chain()
+        net = two_node_chain()
         with pytest.raises(ValueError, match="does not feed"):
             engine.var_to_factor(net, engine.initial_state(net), 1, 2)
 
@@ -236,7 +245,7 @@ class TestSingleSweep:
             engine.factor_to_var(net, {}, 1, 1)
 
     def test_factor_to_var_rejects_out_of_scope(self):
-        net = network.two_node_chain()
+        net = two_node_chain()
         with pytest.raises(ValueError, match="scope"):
             engine.factor_to_var(net, {}, 2, 1)
 
@@ -280,7 +289,7 @@ class TestTreeConvergence:
         # Hand inversion of the 2x2 joint precision [[2,1],[1,3]]:
         # P_1 = 3/5, mu_1 = (2 y_1 - y_2)/5, P_2 = 2/5, mu_2 = (y_1 + 2 y_2)/5.
         y = (0.3, -0.2)
-        net = network.two_node_chain(y=y)
+        net = two_node_chain(y=y)
         res = engine.run(net, ScheduleConfig(max_iterations=50, tol_frobenius=1e-13))
         assert res.converged
         assert res.beliefs[1].cov[0, 0] == pytest.approx(0.6, abs=1e-12)
@@ -740,3 +749,84 @@ class TestLeaveOneOutTotals:
             c = analysis.apply_stacked_operator(op, c)
         for got, want in zip(star, c, strict=True):
             assert close([got], [want], 1e-8)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_padded_size_groups_match_direct_sums(self, seed):
+        # Factors with different observation dimensions share a size group,
+        # padded to its largest p; a plain dict runs the kernel on one edge,
+        # unpadded.  Both match the direct sums.
+        net = network.generate_random(seed, 9, "er", dim_range=(1, 3), er_prob=0.5)
+        obs_dims = {}
+        for n, i in net.directed_edges:
+            obs_dims.setdefault(net.var_dim(i), set()).add(net.obs_dim(n))
+        assert all(len(p) > 1 for p in obs_dims.values()) and len(obs_dims) == 3
+        rng = np.random.default_rng(seed)
+        blocks = analysis.random_state_blocks(rng, [net.var_dim(e.variable) for e in net.directed_edges])
+        state = MessageState(0, {
+            e: engine.EdgeMessage(e, b, rng.standard_normal(b.shape[0]))
+            for e, b in zip(net.directed_edges, blocks)
+        })
+        want = direct_sweep(net, state)
+        swept = engine.combined_update(net, state)
+        alone = {}
+        for n, i in net.directed_edges:
+            inbox = {j: engine.var_to_factor(net, state, j, n) for j in net.factor_scope(n) if j != i}
+            alone[(n, i)] = engine.factor_to_var(net, inbox, n, i)
+        for got in (swept.messages, alone):
+            for e in net.directed_edges:
+                assert close([got[e].info], [want[e][0]], 1e-12)
+            assert close([got[e].mean for e in net.directed_edges],
+                         [want[e][1] for e in net.directed_edges], 1e-12)
+
+
+def two_size_groups(zero=()):
+    """Nodes 1 (dim 2, p = 3) and 2 (dim 1, p = 2), each observing both:
+    edges (1, 1) and (2, 1) form size group 2, (1, 2) and (2, 2) size group
+    1, which the kernel takes first.  ``zero`` lists coefficients set to 0."""
+    rng = np.random.default_rng(0)
+    coeff = {1: {1: rng.standard_normal((3, 2)), 2: rng.standard_normal((3, 1))},
+             2: {1: rng.standard_normal((2, 2)), 2: rng.standard_normal((2, 1))}}
+    for n, j in zero:
+        coeff[n][j] = np.zeros_like(coeff[n][j])
+    nodes = [network.NodeSpec(1, 2, np.eye(2), np.eye(3), np.zeros(3), coeff[1]),
+             network.NodeSpec(2, 1, np.eye(1), np.eye(2), np.zeros(2), coeff[2])]
+    return network.GaussianNetwork(nodes, [(1, 2)])
+
+
+class TestBatchedKernel:
+    def test_stage1_names_the_first_edge_across_size_groups(self):
+        # Negative messages into factor 2 make the stage-1 infos of edges
+        # (1, 1), size 2, and (1, 2), size 1, indefinite.
+        net = two_size_groups()
+        msgs = dict(engine.initial_state(net, "identity").messages)
+        for e in net.directed_edges:
+            if e.factor == 2:
+                msgs[e] = engine.EdgeMessage(e, -10.0 * msgs[e].info, msgs[e].mean)
+        with pytest.raises(NumericalError, match=r"^variable 1 -> factor 1 information is not "
+                           "positive definite"):
+            engine.combined_update(net, MessageState(0, msgs))
+
+    def test_stage2_names_the_first_edge_across_size_groups(self):
+        # Zero coefficients make the message infos of edges (1, 1), size 2,
+        # and (2, 2), size 1, singular.
+        net = two_size_groups(zero=[(1, 1), (2, 2)])
+        with pytest.raises(NumericalError, match=r"^factor 1 -> variable 1 message information "
+                           r"\(A block nearly rank deficient\?\) is not positive definite"):
+            engine.combined_update(net, engine.initial_state(net))
+
+    def test_sweep_factorizes_per_size_group_not_per_edge(self, monkeypatch):
+        # A sweep calls no per-block LAPACK factorization or solve, and the
+        # same number of batched solves on 217 directed edges as on 672.
+        calls = collections.Counter()
+        for name in ("_cho_factor", "_cho_solve", "_forward_blocks"):
+            monkeypatch.setattr(cones, name, functools.partial(
+                lambda fn, name, *a: calls.update([name]) or fn(*a), getattr(cones, name), name))
+        counts = []
+        for side in (7, 12):
+            net = network.generate_random(1, side * side, "grid", grid_shape=(side, side))
+            state = engine.combined_update(net, engine.initial_state(net))  # builds the plan
+            calls.clear()
+            engine.combined_update(net, state)
+            counts.append((len(net.directed_edges), {net.var_dim(j) for j in net.ids}, dict(calls)))
+        assert [c[0] for c in counts] == [217, 672] and counts[0][1] == counts[1][1] == {1, 2, 3}
+        assert counts[0][2] == counts[1][2] == {"_forward_blocks": 9}

@@ -14,6 +14,7 @@ from gabp.network import (
     SchemaError,
     SemanticError,
 )
+from conftest import two_node_chain
 
 
 def make_node(i, dim=1, coeff=None, obs_dim=None, prior=None, noise=None, obs=None):
@@ -134,7 +135,7 @@ class TestGaussianNetwork:
         )
 
     def test_chain_has_reduced_scope(self):
-        net = network.two_node_chain()
+        net = two_node_chain()
         assert net.factor_scope(1) == (1, 2)
         assert net.factor_scope(2) == (2,)
         assert net.var_factors(1) == (1,)
@@ -151,7 +152,7 @@ class TestGaussianNetwork:
         # dumps writes shortest-repr floats, so equal texts are equal instances.
         sym = network.dumps(network.two_node_symmetric())
         assert sym == network.dumps(network.two_node_symmetric())
-        assert sym != network.dumps(network.two_node_chain())
+        assert sym != network.dumps(two_node_chain())
         assert sym != network.dumps(network.two_node_symmetric(y=(1.0, 0.0)))
 
     def test_with_obs(self):
@@ -405,7 +406,7 @@ class TestFileFormat:
         assert network.dumps(net) == network.dumps(net)
 
     def test_schema_shape(self):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         assert set(doc) == {"nodes", "edges"}
         assert set(doc["nodes"][0]) == {"id", "dim", "W", "R", "y", "A"}
         assert doc["edges"] == [[1, 2]]
@@ -420,13 +421,13 @@ class TestFileFormat:
             network.loads('{"nodes": []}')
 
     def test_missing_node_key_reports_location(self):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         del doc["nodes"][1]["W"]
         with pytest.raises(SchemaError, match=r"nodes\[1\]: missing key 'W'"):
             network.loads(json.dumps(doc))
 
     def test_bad_coeff_key(self):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         doc["nodes"][0]["A"]["x"] = [[1.0]]
         with pytest.raises(SchemaError, match="not an integer node id"):
             network.loads(json.dumps(doc))
@@ -448,7 +449,7 @@ class TestFileFormat:
             network.loads(text)
 
     def test_non_numeric_matrix(self):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         doc["nodes"][0]["W"] = [["a"]]
         with pytest.raises(SchemaError, match=r"nodes\[0\].W"):
             network.loads(json.dumps(doc))
@@ -459,7 +460,7 @@ class TestFileFormat:
         [("W", "prior_cov"), ("R", "noise_cov"), ("y", "obs"), ("A", "coeff[2]")],
     )
     def test_non_finite_entry_names_node_and_field(self, key, field, value):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         node = doc["nodes"][1]
         if key == "A":
             node["A"]["2"][0][0] = value
@@ -475,26 +476,26 @@ class TestFileFormat:
             network.loads(text)
 
     def test_bad_edge_entry(self):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         doc["edges"] = [[1, 2, 3]]
         with pytest.raises(SchemaError, match=r"edges\[0\]"):
             network.loads(json.dumps(doc))
 
     def test_edge_to_missing_node_is_semantic(self):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         doc["edges"] = [[1, 9]]
         with pytest.raises(SemanticError, match="unknown node"):
             network.loads(json.dumps(doc))
 
     def test_invalid_statistics_are_semantic_with_rule_ids(self):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         doc["nodes"][0]["W"] = [[-1.0]]
         with pytest.raises(SemanticError, match="prior-not-pd@1") as err:
             network.loads(json.dumps(doc))
         assert err.value.violations[0].rule == "prior-not-pd"
 
     def test_extra_top_level_keys_tolerated(self):
-        doc = json.loads(network.dumps(network.two_node_chain()))
+        doc = json.loads(network.dumps(two_node_chain()))
         doc["meta"] = {"note": "anything"}
         net = network.loads(json.dumps(doc))
-        assert network.dumps(net) == network.dumps(network.two_node_chain())
+        assert network.dumps(net) == network.dumps(two_node_chain())

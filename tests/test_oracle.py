@@ -8,6 +8,7 @@ import scipy.linalg
 from gabp import cli, engine, network, oracle
 from gabp.cones import NumericalError
 from gabp.engine import ScheduleConfig
+from conftest import two_node_chain
 
 
 def dense_joint(net):
@@ -51,7 +52,7 @@ def dense_posterior(net):
 def posterior_instances():
     return {
         "golden": network.two_node_symmetric(),
-        "chain": network.two_node_chain(),
+        "chain": two_node_chain(),
         "grid16": network.generate_random(1, 16, "grid", grid_shape=(4, 4)),
         "er30": network.generate_random(1, 30, "er", er_prob=0.2, dim_range=(1, 3)),
         "tree": network.generate_random(7, 12, "tree", dim_range=(1, 3)),
@@ -72,7 +73,7 @@ class TestJointAssembly:
         assert joint.y_bar.shape == (nobs,)
 
     def test_blocks_placed(self):
-        net = network.two_node_chain()
+        net = two_node_chain()
         joint = dense_joint(net)
         # Node 1 observes x1 + x2, node 2 observes x2 only.
         assert np.array_equal(joint.a_bar, [[1.0, 1.0], [0.0, 1.0]])
@@ -85,7 +86,7 @@ class TestCentralizedPosterior:
     def test_chain_hand_values(self):
         # Precision [[2,1],[1,3]] inverts to [[3,-1],[-1,2]]/5.
         y = (0.3, -0.2)
-        mean, cov = oracle.centralized_posterior(network.two_node_chain(y=y))
+        mean, cov = oracle.centralized_posterior(two_node_chain(y=y))
         assert np.allclose(cov, np.array([[3.0, -1.0], [-1.0, 2.0]]) / 5.0, atol=1e-14)
         assert mean[0] == pytest.approx((2 * y[0] - y[1]) / 5, abs=1e-14)
         assert mean[1] == pytest.approx((y[0] + 2 * y[1]) / 5, abs=1e-14)
@@ -98,6 +99,22 @@ class TestCentralizedPosterior:
         assert np.allclose(cov, np.array([[3.0, -2.0], [-2.0, 3.0]]) / 5.0, atol=1e-14)
         want = (y[0] + y[1]) / 5.0
         assert np.allclose(mean, [want, want], atol=1e-14)
+
+    def test_means_past_the_information_overflow(self):
+        # The information vector of y = (1e308, 1e308) sums to 2e308, but the
+        # means (y1 + y2) / 5 are finite: the oracle solves for y scaled by a
+        # power of two and scales the mean back.
+        mean, _ = oracle.centralized_posterior(network.two_node_symmetric(y=(1e308, 1e308)))
+        want = 1e308 / 5 + 1e308 / 5
+        assert np.all(np.abs(mean - want) <= 1e-15 * want)
+
+    def test_observation_term_overflow_is_located(self):
+        # Scaled y is below 1, but A^T R^{-1} alone is out of range.
+        node = network.NodeSpec(1, 1, np.eye(1), 1e-10 * np.eye(1), [0.5], {1: [[1e300]]})
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError,
+                               match="^information vector overflows at node 1's observation$"):
+                oracle.centralized_posterior(network.GaussianNetwork([node], []))
 
     def test_matches_direct_formula_on_random_instance(self):
         net = network.generate_random(12, 6, "er", dim_range=(1, 3))
@@ -151,7 +168,7 @@ class TestCentralizedPosterior:
 
 class TestTreeDetection:
     def test_chain_is_tree(self):
-        assert oracle.factor_graph_is_tree(network.two_node_chain())
+        assert oracle.factor_graph_is_tree(two_node_chain())
 
     def test_mutual_observation_is_loopy(self):
         # Even a two-node network is loopy once both observe each other:
@@ -225,7 +242,7 @@ class TestCompare:
     def test_report_round_trips_through_json(self):
         import json
 
-        net = network.two_node_chain()
+        net = two_node_chain()
         rep = oracle.compare(net, self.run(net).beliefs)
         doc = json.loads(json.dumps(cli._jsonable(rep)))
         assert doc["is_tree"] is True
