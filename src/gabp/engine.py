@@ -349,9 +349,10 @@ _PLANS = weakref.WeakKeyDictionary()
 
 
 def _plan(net):
-    if net not in _PLANS:
-        _PLANS[net] = _Plan(net)
-    return _PLANS[net]
+    plan = _PLANS.get(net)
+    if plan is None:
+        plan = _PLANS[net] = _Plan(net)
+    return plan
 
 
 def _stacks(plan, state):
@@ -528,8 +529,9 @@ def factor_to_var(net, incoming, factor, variable):
         g, k = plan.where[edge]
         return EdgeMessage(edge, infos[g][k], means[g][k])
     others = [j for j in net.factor_scope(factor) if j != variable]
-    for j in (j for j in others if j not in incoming):
-        raise ValueError(f"missing stage-1 message {j} -> {factor} while updating "
+    missing = [j for j in others if j not in incoming]
+    if missing:
+        raise ValueError(f"missing stage-1 message {missing[0]} -> {factor} while updating "
                          f"edge ({factor},{variable})")
     node = net.node(factor)
     s, e = _others(node.noise_cov, node.obs, [(incoming[j].proj_cov, incoming[j].proj_mean)
