@@ -321,7 +321,7 @@ class _Plan:
             p = net.obs_dim(n)
             self.noise[f, :p, :p], self.obs[f, :p] = net.node(n).noise_cov, net.node(n).obs
         dim = self.dim = np.array([net.var_dim(j) for _, j in edges])
-        fac = self.fac = np.array([ids.index(n) for n, _ in edges])
+        fac = self.fac = np.searchsorted(ids, [n for n, _ in edges])
         self.p = np.array([net.obs_dim(n) for n, _ in edges])
         self.groups, self.where = [], {}
         t_round, s_round = _occurrences(j for _, j in edges), _occurrences(fac)
@@ -393,7 +393,8 @@ def _stage1(plan, state):
     mean = [(x @ (r[g.vg][g.var] - cm)[..., None])[..., 0]
             for g, x, cm in zip(plan.groups, cov, products)]
     a_cov = [g.a @ x for g, x in zip(plan.groups, cov)]
-    out = _Stage1(info, cov, mean, a_cov, [x @ g.a.swapaxes(1, 2) for g, x in zip(plan.groups, a_cov)],
+    out = _Stage1(info, cov, mean, a_cov,
+                  [x @ g.a.swapaxes(1, 2) for g, x in zip(plan.groups, a_cov)],
                   [(g.a @ m[..., None])[..., 0] for g, m in zip(plan.groups, mean)])
     for x in itertools.chain(*out):
         x.setflags(write=False)
@@ -586,8 +587,10 @@ def mean_map(net, state):
     stage1, stage2, offset = [], [], np.empty(plan.sizes[1])
     for grp, a_cov, c, k, at in zip(plan.groups, s1.a_cov, infos, gains, plan.flat_at[1]):
         x, y = np.nonzero((grp.var[:, None] == grp.var) & (grp.pos[:, None] != grp.pos))
-        stage1.append(_placed(a_cov[x] @ c[y], obs_at[grp.pos[x]], var_at[grp.pos[y]], grp.p[x], grp.d))
-        x, q = np.nonzero((grp.fac[:, None] == plan.fac) & (grp.pos[:, None] != np.arange(len(plan.fac))))
+        stage1.append(_placed(a_cov[x] @ c[y], obs_at[grp.pos[x]], var_at[grp.pos[y]],
+                              grp.p[x], grp.d))
+        x, q = np.nonzero((grp.fac[:, None] == plan.fac)
+                          & (grp.pos[:, None] != np.arange(len(plan.fac))))
         stage2.append(_placed(-k[x], var_at[grp.pos[x]], obs_at[q], grp.d, grp.p[x]))
         offset[at] = (k @ plan.obs[grp.fac, : k.shape[2], None]).ravel()
     shape = plan.sizes[1], int(plan.p.sum())
@@ -599,7 +602,7 @@ def _placed(blocks, rows, cols, height, width):
     row and column offsets, each cut to its height x width."""
     r, c = np.indices(blocks.shape[1:])
     keep = (r < np.reshape(height, (-1, 1, 1))) & (c < np.reshape(width, (-1, 1, 1)))
-    return blocks[keep], (rows[:, None, None] + r + 0 * c)[keep], (cols[:, None, None] + c + 0 * r)[keep]
+    return blocks[keep], (rows[:, None, None] + r)[keep], (cols[:, None, None] + c)[keep]
 
 
 def _sum_matrix(parts, shape):
@@ -682,7 +685,8 @@ def run(net, config=None):
             dm = _max_block_norm(new - means, dims)
             iteration, means, mean_converged = iteration + 1, new, dm <= tol
             records.append(TraceRecord(iteration, 0.0, dm))
-        held = stacks[0], [means[at].reshape(-1, g.d) for g, at in zip(plan.groups, plan.flat_at[1])]
+        held = stacks[0], [means[at].reshape(-1, g.d)
+                           for g, at in zip(plan.groups, plan.flat_at[1])]
         _check_messages(plan, *held)
         state = MessageState(iteration, {e: EdgeMessage(e, held[0][g][k], held[1][g][k])
                                          for e, (g, k) in plan.where.items()})

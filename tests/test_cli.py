@@ -618,7 +618,8 @@ class TestCompare:
                            "--mean-tol", "1e297")
         assert code == 0 and caught == []
         assert capsys.readouterr().out.startswith("agreement ok")
-        assert read_json(tmp_path / "o" / "compare.json")["report"]["max_mean_error"] <= 1e-11 * 4e307
+        report = read_json(tmp_path / "o" / "compare.json")["report"]
+        assert report["max_mean_error"] <= 1e-11 * 4e307
 
     def test_non_convergence_exit_3(self, golden_instance, tmp_path):
         out = tmp_path / "out"

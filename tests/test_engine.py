@@ -761,7 +761,8 @@ class TestLeaveOneOutTotals:
             obs_dims.setdefault(net.var_dim(i), set()).add(net.obs_dim(n))
         assert all(len(p) > 1 for p in obs_dims.values()) and len(obs_dims) == 3
         rng = np.random.default_rng(seed)
-        blocks = analysis.random_state_blocks(rng, [net.var_dim(e.variable) for e in net.directed_edges])
+        dims = [net.var_dim(e.variable) for e in net.directed_edges]
+        blocks = analysis.random_state_blocks(rng, dims)
         state = MessageState(0, {
             e: engine.EdgeMessage(e, b, rng.standard_normal(b.shape[0]))
             for e, b in zip(net.directed_edges, blocks)
@@ -770,7 +771,8 @@ class TestLeaveOneOutTotals:
         swept = engine.combined_update(net, state)
         alone = {}
         for n, i in net.directed_edges:
-            inbox = {j: engine.var_to_factor(net, state, j, n) for j in net.factor_scope(n) if j != i}
+            inbox = {j: engine.var_to_factor(net, state, j, n)
+                     for j in net.factor_scope(n) if j != i}
             alone[(n, i)] = engine.factor_to_var(net, inbox, n, i)
         for got in (swept.messages, alone):
             for e in net.directed_edges:
