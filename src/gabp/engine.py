@@ -286,9 +286,9 @@ def check_init_state(net, state):
 
 # The directed edges whose variable has dimension d, in edge order: their
 # positions, observation dims p, coefficients a (n, P, d) zero-padded to
-# the largest p, rows of their variables (in variable group vg) and of
-# their factors, and t_rounds: (variable rows, edge rows) per round.
-_Group = collections.namedtuple("_Group", "d pos p a vg var fac t_rounds")
+# the largest p, rows of their variables (among the variables of dimension
+# d) and of their factors, and t_rounds: (variable rows, edge rows) per round.
+_Group = collections.namedtuple("_Group", "d pos p a var fac t_rounds")
 _Stage1 = collections.namedtuple("_Stage1", "info cov mean a_cov proj_cov proj_mean")
 
 
@@ -301,9 +301,9 @@ def _occurrences(keys):
 class _Plan:
     """A network's sweep layout, built once (:func:`_plan`): its ``groups``
     (``_Group``) and ``where``, an edge's (group, row); the prior
-    informations grouped by dimension, ``var_at`` a variable's (group,
-    row); R_n and y_n of every factor, padded to the largest p with identity
-    and zeros.  Round r of a sum adds each variable's (``t_rounds``) or
+    informations grouped alike (every variable observes itself, so every
+    dimension has edges) and ``var_at``, a variable's (group, row); R_n and
+    y_n of every factor, padded to the largest p with identity and zeros.  Round r of a sum adds each variable's (``t_rounds``) or
     factor's (``s_rounds``) r-th term, so sums run in ascending node id.
     ``flat_at`` places grouped infos and means in edge order."""
 
@@ -311,9 +311,9 @@ class _Plan:
         ids, edges = net.ids, net.directed_edges
         priors, dims = [net.prior_info(j) for j in ids], sorted({net.var_dim(j) for j in ids})
         self.edges, self.var_at, self.priors = edges, {}, []
-        for vg, d in enumerate(dims):
+        for g, d in enumerate(dims):
             rows = [k for k, j in enumerate(ids) if net.var_dim(j) == d]
-            self.var_at.update((ids[k], (vg, r)) for r, k in enumerate(rows))
+            self.var_at.update((ids[k], (g, r)) for r, k in enumerate(rows))
             self.priors.append(np.array([priors[k] for k in rows]))
         big = max(map(net.obs_dim, ids))
         self.noise, self.obs = np.tile(np.eye(big), (len(ids), 1, 1)), np.zeros((len(ids), big))
@@ -325,7 +325,7 @@ class _Plan:
         self.p = np.array([net.obs_dim(n) for n, _ in edges])
         self.groups, self.where = [], {}
         t_round, s_round = _occurrences(j for _, j in edges), _occurrences(fac)
-        for d in sorted(set(dim)):
+        for d in dims:
             pos = np.flatnonzero(dim == d)
             p = self.p[pos]
             a = np.zeros((len(pos), p.max(), d))
@@ -334,7 +334,7 @@ class _Plan:
                 self.where[edges[q]] = len(self.groups), k
             var = np.array([self.var_at[edges[q].variable][1] for q in pos])
             rounds = [t_round[pos] == r for r in range(t_round[pos].max() + 1)]
-            self.groups.append(_Group(d, pos, p, a, dims.index(d), var, fac[pos],
+            self.groups.append(_Group(d, pos, p, a, var, fac[pos],
                                       [(var[x], np.flatnonzero(x)) for x in rounds]))
         self.s_rounds = [[(g, grp.fac[x], np.flatnonzero(x)) for g, grp in enumerate(self.groups)
                           if (x := s_round[grp.pos] == r).any()] for r in range(s_round.max() + 1)]
@@ -368,10 +368,10 @@ def _totals(plan, state):
     infos, means = state._cached(plan, "stacks", _stacks)
     t, r = [x.copy() for x in plan.priors], [np.zeros(x.shape[:2]) for x in plan.priors]
     products = [(c @ m[..., None])[..., 0] for c, m in zip(infos, means)]
-    for g, c, cm in zip(plan.groups, infos, products):
+    for g, t_g, r_g, c, cm in zip(plan.groups, t, r, infos, products):
         for var, rows in g.t_rounds:
-            t[g.vg][var] += c[rows]
-            r[g.vg][var] += cm[rows]
+            t_g[var] += c[rows]
+            r_g[var] += cm[rows]
     return t, r, products
 
 
@@ -381,7 +381,7 @@ def _stage1(plan, state):
     edge's p rows, ``proj_cov = A cov A^T`` and ``proj_mean = A mean``."""
     infos, _ = state._cached(plan, "stacks", _stacks)
     t, r, products = state._cached(plan, "totals", _totals)
-    info = [t[g.vg][g.var] - c for g, c in zip(plan.groups, infos)]
+    info = [t_g[g.var] - c for g, t_g, c in zip(plan.groups, t, infos)]
 
     def inverse(x, pos):
         labels = (f"variable {plan.edges[q].variable} -> factor {plan.edges[q].factor} "
@@ -390,8 +390,8 @@ def _stage1(plan, state):
                                                  labels))
 
     cov = _in_edge_order(inverse, [(x, g.pos) for g, x in zip(plan.groups, info)])
-    mean = [(x @ (r[g.vg][g.var] - cm)[..., None])[..., 0]
-            for g, x, cm in zip(plan.groups, cov, products)]
+    mean = [(x @ (r_g[g.var] - cm)[..., None])[..., 0]
+            for g, x, r_g, cm in zip(plan.groups, cov, r, products)]
     a_cov = [g.a @ x for g, x in zip(plan.groups, cov)]
     out = _Stage1(info, cov, mean, a_cov,
                   [x @ g.a.swapaxes(1, 2) for g, x in zip(plan.groups, a_cov)],
@@ -586,15 +586,24 @@ def mean_map(net, state):
     var_at, obs_at = (np.cumsum(w) - w for w in (plan.dim, plan.p))
     stage1, stage2, offset = [], [], np.empty(plan.sizes[1])
     for grp, a_cov, c, k, at in zip(plan.groups, s1.a_cov, infos, gains, plan.flat_at[1]):
-        x, y = np.nonzero((grp.var[:, None] == grp.var) & (grp.pos[:, None] != grp.pos))
+        x, y = _pairs(grp.var, grp.var, grp.pos, grp.pos)
         stage1.append(_placed(a_cov[x] @ c[y], obs_at[grp.pos[x]], var_at[grp.pos[y]],
                               grp.p[x], grp.d))
-        x, q = np.nonzero((grp.fac[:, None] == plan.fac)
-                          & (grp.pos[:, None] != np.arange(len(plan.fac))))
+        x, q = _pairs(grp.fac, plan.fac, grp.pos, np.arange(len(plan.fac)))
         stage2.append(_placed(-k[x], var_at[grp.pos[x]], obs_at[q], grp.d, grp.p[x]))
         offset[at] = (k @ plan.obs[grp.fac, : k.shape[2], None]).ravel()
     shape = plan.sizes[1], int(plan.p.sum())
     return _sum_matrix(stage2, shape) @ _sum_matrix(stage1, shape[::-1]), offset
+
+
+def _pairs(a, b, a_pos, b_pos):
+    """Every (x, y) with a[x] == b[y] but a_pos[x] != b_pos[y]: the nonzeros
+    of the product of the two incidence matrices, O(pairs) to find."""
+    width = max(a.max(), b.max()) + 1
+    inc = [cones._sum_matrix(np.ones(len(k)), np.arange(len(k)), k, (len(k), width)) for k in (a, b)]
+    x, y = (inc[0] @ inc[1].T).nonzero()
+    keep = a_pos[x] != b_pos[y]
+    return x[keep], y[keep]
 
 
 def _placed(blocks, rows, cols, height, width):
@@ -614,9 +623,9 @@ def compute_belief(net, state, variable):
     """Posterior belief for one variable from the current messages."""
     plan = _plan(net)
     t, r, _ = state._cached(plan, "totals", _totals)
-    (vg, row), context = plan.var_at[variable], f"belief information for variable {variable}"
-    cov = cones.inv_pd(t[vg][row], context=context)
-    return Belief(variable, cov @ r[vg][row], cov)
+    g, row = plan.var_at[variable]
+    cov = cones.inv_pd(t[g][row], context=f"belief information for variable {variable}")
+    return Belief(variable, cov @ r[g][row], cov)
 
 
 def _flat(plan, stacks, which):
