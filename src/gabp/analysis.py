@@ -113,7 +113,7 @@ class StackedOperator:
     def _bounds(self):
         """(U, L), computed and checked once (see ``bounds_ul``) by
         ``cones._pd_flags`` (L > 0) and ``cones._geq_flags`` (U >= L)."""
-        u = _middle(self, np.zeros(self.middle.route.shape[1]))
+        u = _middle(self, np.zeros(sum(n * q * q for n, _, q in self.inner.batches)))
         l = apply_stacked_operator(self, _group(self, [np.zeros((d, d)) for d in self.block_dims]))
         for x in (*u.values(), *l.values()):
             x.setflags(write=False)
@@ -159,7 +159,6 @@ def build_stacked(net):
     inner, psi, h, t_at = _stage(
         [(net.prior_info(j), net.node(n).coeff[j].T) for n, j in keys],
         [[c_at[(f, j)] for f in net.var_factors(j) if f != n] for n, j in keys],
-        width,
         [f"factor {n} / variable {j} inner matrix" for n, j in keys],
     )
     t_at = dict(zip(keys, t_at))
@@ -167,7 +166,6 @@ def build_stacked(net):
         [(net.node(e.factor).noise_cov, net.node(e.factor).coeff[e.variable]) for e in edges],
         [[t_at[(e.factor, j)] for j in net.factor_scope(e.factor) if j != e.variable]
          for e in edges],
-        sum(n * q * q for n, _, q in inner.batches),
         [f"edge ({e.factor}, {e.variable}) middle matrix" for e in edges],
     )
     # F(C)'s groups: the d x d corner of each edge's padded middle output.
@@ -182,11 +180,11 @@ def build_stacked(net):
     )
 
 
-def _stage(blocks, sources, width, labels):
+def _stage(blocks, sources, labels):
     """One layer of F: out_k = G_k^T (B_k + S_k)^{-1} G_k for the (B_k, G_k)
     pairs in ``blocks``, p x p and p x q, where S_k sums the p x p blocks
-    of a flat input (``width`` long) listed in ``sources[k]`` as (offset,
-    row stride).  Items sorted by size share padded (count, P, Q) batches,
+    of a flat input listed in ``sources[k]`` as (offset, row stride).
+    Items sorted by size share padded (count, P, Q) batches,
     a new one wherever p more than doubles the batch's first, so padding
     costs at most 8 times an item's work.  Returns the layer, the flat
     base and operand stores (unpadded, in batch order) and each item's
@@ -213,19 +211,20 @@ def _stage(blocks, sources, width, labels):
         shapes.append((n, big_p, big_q))
         ob, og, oo = ob + n * big_p * big_p, og + n * big_p * big_q, oo + n * big_q * big_q
     # The route: each source block adds into the lower triangle of its
-    # item's B block, the only part the Cholesky factorization reads; int32
-    # indices (the padded B could not be allocated past them) keep it small.
+    # item's B block, the only part the Cholesky factorization reads.
+    # Native-width indices: int32 ones made np.bincount 4x slower on er30.
     p = [blocks[k][1].shape[0] for k in order]
     pairs = np.array([(*cell[y], p[y], *s) for y, k in enumerate(order) for s in sources[k]])
-    rows, cols = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for d in np.unique(pairs.reshape(-1, 5)[:, 2]):
         at_b, big_p, _, off, stride = pairs[pairs[:, 2] == d].T[:, :, None]
         i, j = np.tril_indices(d)
-        rows.append((at_b + big_p * i + j).astype(np.int32).ravel())
-        cols.append((off + stride * i + j).astype(np.int32).ravel())
+        rows.append((at_b + big_p * i + j).ravel())
+        cols.append((off + stride * i + j).ravel())
     rows, cols = np.concatenate(rows), np.concatenate(cols)
+    by_row = np.lexsort((cols, rows))  # each B entry sums its sources in ascending position
     layer = _Layer(
-        shapes, cones._sum_matrix(np.ones(rows.size), rows, cols, (ob, width)),
+        shapes, (rows[by_row], cols[by_row]),
         *(np.concatenate(x + [np.zeros(0, dtype=int)]) for x in at), [labels[k] for k in order], p,
     )
     base = _flat([cones._sym(np.asarray(blocks[k][0], dtype=float)) for k in order])
@@ -237,7 +236,8 @@ def _run_stage(layer, base, operand, src):
     ``src`` to the B blocks (lower triangles read); returns the padded
     outputs, flat.  A B block that is not positive definite raises
     NumericalError naming the first such block of its batch."""
-    b_all = layer.route @ src
+    rows, cols = layer.route
+    b_all = np.bincount(rows, src[cols], minlength=sum(n * p * p for n, p, _ in layer.batches))
     b_all[layer.base_at] += base
     b_all[layer.pad_at] = 1.0
     g_all = np.zeros(sum(n * p * q for n, p, q in layer.batches))

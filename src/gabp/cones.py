@@ -5,8 +5,9 @@ information matrices as points in the positive definite cone: the Loewner
 partial order gives set bounds, and the part (Thompson) metric gives the
 contraction geometry.  This module keeps those primitives in one place so
 the engine and the diagnostics agree on tolerances, on what "comparable"
-means, on how a PD block is factorized and its failure named, and on how
-blocks are routed (``_sum_matrix``): it is the only module that imports scipy.
+means, and on how a PD block is factorized and its failure named: every
+factorization is numpy's Cholesky, and every solve with its factor a
+forward substitution (``_substitute``).
 
 Notation used in docstrings: ``X >= Y`` is the Loewner order (``X - Y``
 positive semidefinite), ``X > 0`` means positive definite.
@@ -15,8 +16,6 @@ positive semidefinite), ``X > 0`` means positive definite.
 import functools
 
 import numpy as np
-import scipy.sparse  # first: imported after scipy.linalg it takes ~45 ms more
-import scipy.linalg.lapack
 
 __all__ = [
     "NotComparableError",
@@ -183,26 +182,24 @@ def cho_factor_pd(x, context="matrix"):
     ``x`` must be symmetric: only its lower triangle is read.
     ``context`` should say what the matrix is ("factor 3 innovation
     covariance", ...) so failures deep inside an iteration are
-    attributable.  Returns c, which holds the lower factor in its lower
-    triangle, as ``scipy.linalg.cho_factor(x, lower=True)[0]`` does.
+    attributable.  Returns the lower factor L, ``x = L @ L.T``, with
+    zeros above its diagonal.
     """
-    return _cho_factor(_checked_square(x), context)
+    return _cholesky(_checked_square(x), context)
 
 
 def solve_pd(x, b, context="matrix"):
-    """Solve ``x @ z = b`` for positive definite ``x`` via Cholesky.
+    """Solve ``x @ z = b`` for positive definite ``x = L L^T``: ``z = L^{-T} L^{-1} b``.
 
     ``x`` must be symmetric: only its lower triangle is read.
     """
-    c = cho_factor_pd(x, context=context)
+    inv = _inverse_factor(x, context)
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
-    if b.ndim not in (1, 2) or b.shape[0] != c.shape[0]:
-        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
-    if b.size == 0:
-        return np.empty_like(b)
-    return _cho_solve(c, b)
+    if b.ndim not in (1, 2) or b.shape[0] != inv.shape[0]:
+        raise ValueError(f"incompatible dimensions ({inv.shape} and {b.shape})")
+    return inv.T @ (inv @ b)
 
 
 def inv_pd(x, context="matrix"):
@@ -210,8 +207,14 @@ def inv_pd(x, context="matrix"):
 
     ``x`` must be symmetric: only its lower triangle is read.
     """
-    x = np.asarray(x, dtype=float)
-    return symmetrize(solve_pd(x, np.eye(x.shape[0]), context=context))
+    inv = _inverse_factor(x, context)
+    return symmetrize(inv.T @ inv)
+
+
+def _inverse_factor(x, context):
+    """L^{-1} for ``x = L L^T`` (``cho_factor_pd``), by forward substitution."""
+    c = cho_factor_pd(x, context=context)
+    return _substitute(c, np.eye(len(c)))
 
 
 def _is_symmetric(x):
@@ -228,46 +231,57 @@ def _checked_square(x):
     return x
 
 
-# The unchecked core behind cho_factor_pd, solve_pd and inv_pd: LAPACK
-# potrf/potrs on float64 arrays, the same calls scipy's cho_factor and
-# cho_solve make, without their finiteness scans.  The batched solves below
-# use numpy's Cholesky, and potrf only to name the first block that fails.
-
-_POTRF = scipy.linalg.lapack.dpotrf
-_POTRS = scipy.linalg.lapack.dpotrs
-
-
-def _cho_factor(x, context):
+def _cholesky(x, context):
     """Lower Cholesky factor of a square float64 matrix (lower triangle
-    read); NumericalError naming ``context`` if it is not PD."""
-    c, info = _POTRF(x, lower=1, clean=0)
-    if info > 0:
-        raise NumericalError(
-            f"{context} is not positive definite: {info}-th leading minor of "
-            "the array is not positive definite",
-            condition=_condition_estimate(x),
-        )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
-    return c
+    read); NumericalError naming ``context`` if it is not PD.  Only then is
+    the order k of its first leading minor that is not PD looked for, one
+    factorization per leading minor."""
+    try:
+        return np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        pass
+    for k in range(1, len(x) + 1):
+        try:
+            np.linalg.cholesky(x[:k, :k])
+        except np.linalg.LinAlgError:
+            break
+    raise NumericalError(
+        f"{context} is not positive definite: {k}-th leading minor of "
+        "the array is not positive definite",
+        condition=_condition_estimate(x),
+    )
 
 
 def _forward_blocks(b, g, sizes, labels):
     """z = L^{-1} G per block of stacks b (n, p, p) and g (n, p, q), with
     B = L L^T: one batched Cholesky (lower triangles read) and one forward
-    substitution over the rows.  Block k is PD in its leading ``sizes[k]``
-    rows and columns and padded with identity; if one is not PD, each is
+    substitution.  Block k is PD in its leading ``sizes[k]`` rows and
+    columns and padded with identity; if one is not PD, each is
     factorized at that size and the first failure is a NumericalError
     naming ``labels[k]``."""
     try:
         chol = np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
         for x, s, label in zip(b, sizes, labels):
-            _cho_factor(x[:s, :s], label)
+            _cholesky(x[:s, :s], label)
         raise
+    return _substitute(chol, g)
+
+
+def _substitute(chol, g):
+    """z = L^{-1} G for L (..., p, p), lower triangular, and G (..., p, q),
+    one matrix or stacks of them: forward substitution over the rows, split
+    in halves past 64 rows so that large blocks run in matrix products."""
+    p = chol.shape[-1]
+    if p > 64:
+        h = p // 2
+        top = _substitute(chol[..., :h, :h], g[..., :h, :])
+        rest = _substitute(chol[..., h:, h:], g[..., h:, :] - chol[..., h:, :h] @ top)
+        return np.concatenate([top, rest], axis=-2)
     z = np.empty(g.shape)
-    for i in range(b.shape[1]):
-        z[:, i] = (g[:, i] - (chol[:, i, None, :i] @ z[:, :i])[:, 0]) / chol[:, i, i, None]
+    for i in range(p):
+        done = (chol[..., i, None, :i] @ z[..., :i, :])[..., 0, :]
+        z[..., i, :] = (g[..., i, :] - done) / chol[..., i, i, None]
     return z
 
 
@@ -277,19 +291,6 @@ def _solve_pd_blocks(a, b, labels):
     inv = _forward_blocks(a, np.broadcast_to(np.eye(a.shape[1]), a.shape),
                           np.full(len(a), a.shape[1]), labels)
     return inv.swapaxes(1, 2) @ (inv @ b)
-
-
-def _cho_solve(c, b):
-    """Solve with a factor from ``_cho_factor``; ``b`` is 1-d or 2-d."""
-    z, info = _POTRS(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-    return z
-
-
-def _sum_matrix(vals, rows, cols, shape):
-    """CSR matrix whose entry (r, c) is the sum of the values placed there."""
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 def _sym(a):

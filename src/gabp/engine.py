@@ -31,7 +31,8 @@ one edge), and :func:`combined_update` composes them.
 All factors update from the same previous state (Jacobi schedule), sums
 run in ascending node id order, and nothing here depends on wall clock,
 so a run is a pure function of (instance, config).  Once the infos have
-converged, the means follow one fixed affine map (:func:`mean_map`).
+converged, the means follow one fixed affine map: :func:`mean_map` runs
+the sweep's mean half with the infos held and their gains found once.
 Inputs are validated where they enter (``NodeSpec``, the JSON loader,
 :func:`check_init_state`); a sweep checks finiteness before it factorizes,
 and each NumericalError names the first edge, in edge order, that fails.
@@ -289,7 +290,7 @@ def check_init_state(net, state):
 # the largest p, rows of their variables (among the variables of dimension
 # d) and of their factors, and t_rounds: (variable rows, edge rows) per round.
 _Group = collections.namedtuple("_Group", "d pos p a var fac t_rounds")
-_Stage1 = collections.namedtuple("_Stage1", "info cov mean a_cov proj_cov proj_mean")
+_Stage1 = collections.namedtuple("_Stage1", "info cov mean proj_cov proj_mean")
 
 
 def _occurrences(keys):
@@ -303,8 +304,9 @@ class _Plan:
     (``_Group``) and ``where``, an edge's (group, row); the prior
     informations grouped alike (every variable observes itself, so every
     dimension has edges) and ``var_at``, a variable's (group, row); R_n and
-    y_n of every factor, padded to the largest p with identity and zeros.  Round r of a sum adds each variable's (``t_rounds``) or
-    factor's (``s_rounds``) r-th term, so sums run in ascending node id.
+    y_n of every factor, padded to the largest p with identity and zeros.
+    Round r of a sum adds each variable's (``t_rounds``) or factor's
+    (``s_rounds``) r-th term, so sums run in ascending node id.
     ``flat_at`` places grouped infos and means in edge order."""
 
     def __init__(self, net):
@@ -366,19 +368,36 @@ def _totals(plan, state):
     """Per variable group, ``T_j = W_j^{-1} + sum_k C_kj`` and ``r_j = sum_k
     C_kj m_kj`` in ascending factor order; per edge group, ``C_nj m_nj``."""
     infos, means = state._cached(plan, "stacks", _stacks)
-    t, r = [x.copy() for x in plan.priors], [np.zeros(x.shape[:2]) for x in plan.priors]
-    products = [(c @ m[..., None])[..., 0] for c, m in zip(infos, means)]
-    for g, t_g, r_g, c, cm in zip(plan.groups, t, r, infos, products):
+    return _var_sums(plan, plan.priors, infos), *_mean_totals(plan, infos, means)
+
+
+def _var_sums(plan, base, terms):
+    """Per variable group, ``base_j + sum_k term_kj`` (grouped edge terms), ascending k."""
+    out = [x.copy() for x in base]
+    for g, out_g, x in zip(plan.groups, out, terms):
         for var, rows in g.t_rounds:
-            t_g[var] += c[rows]
-            r_g[var] += cm[rows]
-    return t, r, products
+            out_g[var] += x[rows]
+    return out
+
+
+def _mean_totals(plan, infos, means):
+    """``r_j = sum_k C_kj m_kj`` per variable group, ``C_nj m_nj`` per edge group."""
+    products = [(c @ m[..., None])[..., 0] for c, m in zip(infos, means)]
+    return _var_sums(plan, [np.zeros(x.shape[:2]) for x in plan.priors], products), products
+
+
+def _stage1_means(plan, cov, r, products):
+    """Per group, the stage-1 means ``Cov_{j->n} (r_j - C_nj m_nj)`` and,
+    zero outside each edge's p rows, their projections ``A mean``."""
+    mean = [(x @ (r_g[g.var] - cm)[..., None])[..., 0]
+            for g, x, r_g, cm in zip(plan.groups, cov, r, products)]
+    return mean, [(g.a @ m[..., None])[..., 0] for g, m in zip(plan.groups, mean)]
 
 
 def _stage1(plan, state):
     """The state's stage-1 messages, grouped and read-only: ``info = T_j -
-    C_nj``, ``cov``, ``mean``, ``a_cov = A cov`` and, zero outside each
-    edge's p rows, ``proj_cov = A cov A^T`` and ``proj_mean = A mean``."""
+    C_nj``, ``cov``, ``mean`` and, zero outside each edge's p rows,
+    ``proj_cov = A cov A^T`` and ``proj_mean = A mean``."""
     infos, _ = state._cached(plan, "stacks", _stacks)
     t, r, products = state._cached(plan, "totals", _totals)
     info = [t_g[g.var] - c for g, t_g, c in zip(plan.groups, t, infos)]
@@ -390,12 +409,9 @@ def _stage1(plan, state):
                                                  labels))
 
     cov = _in_edge_order(inverse, [(x, g.pos) for g, x in zip(plan.groups, info)])
-    mean = [(x @ (r_g[g.var] - cm)[..., None])[..., 0]
-            for g, x, r_g, cm in zip(plan.groups, cov, r, products)]
-    a_cov = [g.a @ x for g, x in zip(plan.groups, cov)]
-    out = _Stage1(info, cov, mean, a_cov,
-                  [x @ g.a.swapaxes(1, 2) for g, x in zip(plan.groups, a_cov)],
-                  [(g.a @ m[..., None])[..., 0] for g, m in zip(plan.groups, mean)])
+    mean, proj_mean = _stage1_means(plan, cov, r, products)
+    out = _Stage1(info, cov, mean, [g.a @ x @ g.a.swapaxes(1, 2) for g, x in zip(plan.groups, cov)],
+                  proj_mean)
     for x in itertools.chain(*out):
         x.setflags(write=False)
     return out
@@ -419,44 +435,46 @@ def _first(plan, flags):
     return plan.edges[pos.min()] if pos.size else None
 
 
-def _others(noise, obs, terms):
-    """``R_n + sum_j P_nj`` and ``y_n - sum_j A_nj m_{j->n}`` over ``terms``,
-    (P_nj, A_nj m_{j->n}) in ascending j."""
-    s, e = noise.copy(), obs.copy()
-    for proj_cov, proj_mean in terms:
-        s += proj_cov
-        e -= proj_mean
-    return s, e
-
-
 def _innovations(plan, s1):
-    """Per group, the edges' padded ``S = S_n - P_ni`` and residuals ``y_n -
-    sum_{j != i} A_nj m_{j->n}``.  Each S is at most S_n in the PSD order,
-    so only a factor with a non-finite total sums its edges' terms
-    directly; an S that is still not finite raises NumericalError."""
-    s, e = plan.noise.copy(), plan.obs.copy()
-    for by_group in plan.s_rounds:
-        for g, fac, rows in by_group:
-            big = plan.groups[g].a.shape[1]
-            s[fac, :big, :big] += s1.proj_cov[g][rows]
-            e[fac, :big] -= s1.proj_mean[g][rows]
-    bad = ~(np.isfinite(s).all(axis=(1, 2)) & np.isfinite(e).all(axis=1))
-    out = []
-    for g, grp in enumerate(plan.groups):
-        big = grp.a.shape[1]
-        out.append((s[grp.fac, :big, :big] - s1.proj_cov[g], e[grp.fac, :big] + s1.proj_mean[g]))
-        for k in np.flatnonzero(bad[grp.fac]):
-            f, p = grp.fac[k], grp.p[k]
-            scope = sorted((h.pos[x], i, x) for i, h in enumerate(plan.groups)
-                           for x in np.flatnonzero(h.fac == f) if (i, x) != (g, k))
-            out[-1][0][k], out[-1][1][k] = np.eye(big), 0.0
-            out[-1][0][k, :p, :p], out[-1][1][k, :p] = _others(
-                plan.noise[f, :p, :p], plan.obs[f, :p],
-                [(s1.proj_cov[i][x][:p, :p], s1.proj_mean[i][x][:p]) for _, i, x in scope])
-    edge = _first(plan, [~np.isfinite(x).all(axis=(1, 2)) for x, _ in out])
+    """Per group, the edges' padded ``S = S_n - P_ni``; one that is not
+    finite raises NumericalError."""
+    out = _factor_sums(plan, plan.noise, s1.proj_cov)
+    edge = _first(plan, [~np.isfinite(x).all(axis=(1, 2)) for x in out])
     if edge is not None:
         raise cones.NumericalError(f"factor {edge.factor} innovation covariance for edge "
                                    f"{tuple(edge)} has non-finite entries")
+    return out
+
+
+def _residuals(plan, proj_mean):
+    """Per group, the edges' padded residuals ``y_n - sum_{j != i} A_nj
+    m_{j->n}`` from the stage-1 projections ``A mean``."""
+    return _factor_sums(plan, plan.obs, [-x for x in proj_mean])
+
+
+def _factor_sums(plan, base, terms):
+    """Per group, ``base_n + sum_{j != i} term_nj`` for each edge (n, i), in
+    ascending j: the factor's total less the edge's own term.  ``base``
+    holds every factor's, padded to the largest p, and ``terms`` the edges',
+    grouped and padded to their group's.  A factor whose total is not
+    finite sums its edges' other terms directly, so that its overflow does
+    not spoil a sum that fits (S_n - P_ni is at most S_n in the PSD
+    order)."""
+    total, axes = base.copy(), base.ndim - 1
+    for by_group in plan.s_rounds:
+        for g, fac, rows in by_group:
+            total[(fac, *[slice(terms[g].shape[1])] * axes)] += terms[g][rows]
+    bad = ~np.isfinite(total).reshape(len(total), -1).all(axis=1)
+    out = []
+    for g, grp in enumerate(plan.groups):
+        big = [slice(terms[g].shape[1])] * axes
+        out.append(total[(grp.fac, *big)] - terms[g])
+        for k in np.flatnonzero(bad[grp.fac]):
+            f, cut = grp.fac[k], (slice(grp.p[k]),) * axes
+            out[-1][k] = base[(f, *big)]
+            for _, i, x in sorted((h.pos[x], i, x) for i, h in enumerate(plan.groups)
+                                  for x in np.flatnonzero(h.fac == f) if (i, x) != (g, k)):
+                out[-1][k][cut] += terms[i][x][cut]
     return out
 
 
@@ -535,8 +553,10 @@ def factor_to_var(net, incoming, factor, variable):
         raise ValueError(f"missing stage-1 message {missing[0]} -> {factor} while updating "
                          f"edge ({factor},{variable})")
     node = net.node(factor)
-    s, e = _others(node.noise_cov, node.obs, [(incoming[j].proj_cov, incoming[j].proj_mean)
-                                              for j in others])
+    s, e = node.noise_cov.copy(), node.obs.copy()
+    for j in others:
+        s += incoming[j].proj_cov
+        e -= incoming[j].proj_mean
     if not np.all(np.isfinite(s)):
         raise cones.NumericalError(f"factor {factor} innovation covariance for edge "
                                    f"{tuple(edge)} has non-finite entries")
@@ -560,8 +580,8 @@ def combined_update(net, state):
     for n, i in plan.edges:
         inboxes[n][i] = var_to_factor(net, state, i, n)
     s1 = state._cached(plan, "stage1", _stage1)
-    groups = [(s, g.a, g.p, e[..., None], g.pos)
-              for g, (s, e) in zip(plan.groups, _innovations(plan, s1))]
+    groups = [(s, g.a, g.p, e[..., None], g.pos) for g, s, e in
+              zip(plan.groups, _innovations(plan, s1), _residuals(plan, s1.proj_mean))]
     infos, means = zip(*((c, x[..., 0]) for c, x in _solve_stage2(plan.edges, groups)))
     _check_messages(plan, infos, means)
     for inbox in inboxes.values():
@@ -573,50 +593,26 @@ def combined_update(net, state):
 
 
 def mean_map(net, state):
-    """A sweep's mean update at ``state``'s infos, ``m -> G @ m + g`` on the
-    means stacked in edge order: CSR G, the product of the stages
-    ``mean_{j->n} = Cov_{j->n} sum_{k != n} C_kj m_kj`` and ``m_ni = K_ni
-    (y_n - sum_{j != i} A_nj mean_{j->n})``, built per size group from the
-    kernel's covariances and gains ``K = info^{-1} A^T S^{-1}``."""
+    """A sweep's mean update with ``state``'s infos held, the affine step
+    ``m -> G m + g`` on means stacked in edge order, as a function.  It runs
+    the sweep's own stage-1 means and stage-2 residuals on ``m`` and applies
+    the gains ``K = info^{-1} A^T S^{-1}``, found once here: ``m_ni = K_ni
+    (y_n - sum_{j != i} A_nj mean_{j->n})``."""
     plan = _plan(net)
     s1, (infos, _) = state._cached(plan, "stage1", _stage1), state._cached(plan, "stacks", _stacks)
     gains = [x for _, x in _solve_stage2(plan.edges, [
         (s, g.a, g.p, np.broadcast_to(np.eye(s.shape[1]), s.shape), g.pos)
-        for g, (s, _) in zip(plan.groups, _innovations(plan, s1))])]
-    var_at, obs_at = (np.cumsum(w) - w for w in (plan.dim, plan.p))
-    stage1, stage2, offset = [], [], np.empty(plan.sizes[1])
-    for grp, a_cov, c, k, at in zip(plan.groups, s1.a_cov, infos, gains, plan.flat_at[1]):
-        x, y = _pairs(grp.var, grp.var, grp.pos, grp.pos)
-        stage1.append(_placed(a_cov[x] @ c[y], obs_at[grp.pos[x]], var_at[grp.pos[y]],
-                              grp.p[x], grp.d))
-        x, q = _pairs(grp.fac, plan.fac, grp.pos, np.arange(len(plan.fac)))
-        stage2.append(_placed(-k[x], var_at[grp.pos[x]], obs_at[q], grp.d, grp.p[x]))
-        offset[at] = (k @ plan.obs[grp.fac, : k.shape[2], None]).ravel()
-    shape = plan.sizes[1], int(plan.p.sum())
-    return _sum_matrix(stage2, shape) @ _sum_matrix(stage1, shape[::-1]), offset
+        for g, s in zip(plan.groups, _innovations(plan, s1))])]
 
+    def step(flat):
+        means = [flat[at].reshape(-1, g.d) for g, at in zip(plan.groups, plan.flat_at[1])]
+        _, proj_mean = _stage1_means(plan, s1.cov, *_mean_totals(plan, infos, means))
+        out = np.empty(plan.sizes[1])
+        for at, k, e in zip(plan.flat_at[1], gains, _residuals(plan, proj_mean)):
+            out[at] = (k @ e[..., None]).ravel()
+        return out
 
-def _pairs(a, b, a_pos, b_pos):
-    """Every (x, y) with a[x] == b[y] but a_pos[x] != b_pos[y]: the nonzeros
-    of the product of the two incidence matrices, O(pairs) to find."""
-    width = max(a.max(), b.max()) + 1
-    inc = [cones._sum_matrix(np.ones(len(k)), np.arange(len(k)), k, (len(k), width)) for k in (a, b)]
-    x, y = (inc[0] @ inc[1].T).nonzero()
-    keep = a_pos[x] != b_pos[y]
-    return x[keep], y[keep]
-
-
-def _placed(blocks, rows, cols, height, width):
-    """Values and coordinates of ``blocks`` (n, h, w) placed at the given
-    row and column offsets, each cut to its height x width."""
-    r, c = np.indices(blocks.shape[1:])
-    keep = (r < np.reshape(height, (-1, 1, 1))) & (c < np.reshape(width, (-1, 1, 1)))
-    return blocks[keep], (rows[:, None, None] + r)[keep], (cols[:, None, None] + c)[keep]
-
-
-def _sum_matrix(parts, shape):
-    vals, rows, cols = (np.concatenate(x) for x in zip(*parts))
-    return cones._sum_matrix(vals, rows, cols, shape)
+    return step
 
 
 def compute_belief(net, state, variable):
@@ -658,11 +654,11 @@ def run(net, config=None):
     information-matrix criterion alone, which is the one with a
     convergence guarantee.  The info recursion does not read the means,
     so once the info delta passes, the infos are held and each further
-    iteration applies :func:`mean_map`, one sparse product, until the
-    means pass too (``mean_converged``) or the budget runs out.  These
-    records have ``frobenius_delta == 0.0`` and share the held info row of
-    the trace, whose distance to the final state is 0 (part distance: up
-    to rounding).
+    iteration applies the step of :func:`mean_map`, whose gains are found
+    once, until the means pass too (``mean_converged``) or the budget runs
+    out.  These records have ``frobenius_delta == 0.0`` and share the held
+    info row of the trace, whose distance to the final state is 0 (part
+    distance: up to rounding).
     """
     if config is None:
         config = ScheduleConfig()
@@ -686,11 +682,11 @@ def run(net, config=None):
         records.append(TraceRecord(state.iteration, df, dm))
         means, converged, mean_converged = new, df <= tol, df <= tol and dm <= tol
     if converged and not mean_converged and state.iteration < budget:
-        matrix, offset = mean_map(net, state)
+        step = mean_map(net, state)
         iteration = state.iteration
         # A non-finite mean ends the loop, and _check_messages names its edge.
         while iteration < budget and not mean_converged and np.all(np.isfinite(means)):
-            new = matrix @ means + offset
+            new = step(means)
             dm = _max_block_norm(new - means, dims)
             iteration, means, mean_converged = iteration + 1, new, dm <= tol
             records.append(TraceRecord(iteration, 0.0, dm))

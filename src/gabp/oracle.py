@@ -59,7 +59,7 @@ def centralized_posterior(net):
     info = np.zeros(total)
     _, e = np.frexp(max(np.max(np.abs(net.node(n).obs), initial=0.0) for n in net.ids))
     for i, s in spans.items():
-        prec[s, s] = cones.inv_pd(net.node(i).prior_cov, context=f"node {i} prior covariance")
+        prec[s, s] = net.prior_info(i)
     for n in net.ids:
         node, scope = net.node(n), net.factor_scope(n)
         a = np.hstack([node.coeff[j] for j in scope])

@@ -666,9 +666,9 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert f"INFO gabp.cli: loaded {golden_instance}: 2 nodes, 4 directed edges" in proc.stderr
 
-    def test_commands_never_import_networkx(self, tmp_path):
-        # Each process pays for every module it imports; the graph checks
-        # and generators need nothing beyond numpy and scipy.
+    def test_commands_never_import_networkx_or_scipy(self, tmp_path):
+        # Each process pays for every module it imports; the graph checks,
+        # generators and solvers need nothing beyond numpy.
         script = f"""
 import sys
 import warnings
@@ -678,7 +678,8 @@ assert cli.main(["gen", "--out", inst, "--seed", "2", "--nodes", "4", "--topolog
 for argv in (["run"], ["analyze", "--trials", "2"], ["compare"]):
     code = cli.main([*argv, "--instance", inst, "--out-dir", out + "/" + argv[0]])
     assert code == 0, (argv, code)
-assert "networkx" not in sys.modules, "networkx was imported"
+for name in ("networkx", "scipy"):
+    assert name not in sys.modules, name + " was imported"
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

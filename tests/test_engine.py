@@ -611,11 +611,11 @@ class TestFrozenGainTail:
         state = engine.initial_state(net, "identity")
         for _ in range(3):
             state = engine.combined_update(net, state)
-        matrix, offset = engine.mean_map(net, state)
+        step = engine.mean_map(net, state)
         means = np.concatenate([state.messages[e].mean for e in state.edges])
         swept = engine.combined_update(net, state)
         want = [swept.messages[e].mean for e in state.edges]
-        got = np.split(matrix @ means + offset, np.cumsum(state.block_dims())[:-1])
+        got = np.split(step(means), np.cumsum(state.block_dims())[:-1])
         assert close(got, want, 1e-13)
 
     def test_overflowing_tail_mean_is_located(self, monkeypatch):
@@ -817,12 +817,13 @@ class TestBatchedKernel:
             engine.combined_update(net, engine.initial_state(net))
 
     def test_sweep_factorizes_per_size_group_not_per_edge(self, monkeypatch):
-        # A sweep calls no per-block LAPACK factorization or solve, and the
-        # same number of batched solves on 217 directed edges as on 672.
+        # A sweep makes no per-matrix factorization, and the same number of
+        # batched solves on 217 directed edges as on 672.
         calls = collections.Counter()
-        for name in ("_cho_factor", "_cho_solve", "_forward_blocks"):
+        for name in ("cho_factor_pd", "_cholesky", "_forward_blocks"):
             monkeypatch.setattr(cones, name, functools.partial(
-                lambda fn, name, *a: calls.update([name]) or fn(*a), getattr(cones, name), name))
+                lambda fn, name, *a, **kw: calls.update([name]) or fn(*a, **kw),
+                getattr(cones, name), name))
         counts = []
         for side in (7, 12):
             net = network.generate_random(1, side * side, "grid", grid_shape=(side, side))
