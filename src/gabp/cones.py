@@ -285,11 +285,11 @@ def _substitute(chol, g):
     return z
 
 
-def _solve_pd_blocks(a, b, labels):
+def _solve_pd_blocks(a, b, sizes, labels):
     """x = A^{-1} B per block of stacks a (n, d, d), PD, and b (n, d, q):
-    ``_forward_blocks`` gives L^{-1}, A = L L^T, and x = L^{-T} L^{-1} B."""
-    inv = _forward_blocks(a, np.broadcast_to(np.eye(a.shape[1]), a.shape),
-                          np.full(len(a), a.shape[1]), labels)
+    ``_forward_blocks`` gives L^{-1}, A = L L^T, and x = L^{-T} L^{-1} B.
+    Block k is padded with identity past ``sizes[k]``, as there."""
+    inv = _forward_blocks(a, np.broadcast_to(np.eye(a.shape[1]), a.shape), sizes, labels)
     return inv.swapaxes(1, 2) @ (inv @ b)
 
 

@@ -19,14 +19,16 @@ its own term back out: per variable ``T_j = W_j^{-1} + sum_k info_{f_k -> j}``
 (the beliefs read it whole), per factor ``S_n = R_n + sum_j P_nj`` with
 ``P_nj = A[n][j] Cov_{j -> f_n} A[n][j]^T``, and likewise for the means.
 
-A sweep is one batched kernel over the directed edges grouped by the
-dimension d of their variable, each group's observation rows padded to
-its largest p (identity on S, zero rows on A, as the analysis pads F).
-Per group, stage 1 takes one batched Cholesky and stage 2 one for S and
-one batched PD solve; the sums are ordered scatter-adds.  The per-edge
-:func:`var_to_factor` and :func:`factor_to_var` return an edge's rows of
-the kernel's arrays (a plain dict of stage-1 messages runs the kernel on
-one edge), and :func:`combined_update` composes them.
+A sweep is one batched kernel over all directed edges in edge order,
+each padded to the largest variable dimension D and observation
+dimension P: identity on the padding of the priors, R_n, the stage-1
+infos and the stage-2 info solve, zeros on A, y and the means.  Stage 1
+takes one batched Cholesky and stage 2 one for S and one batched PD
+solve, each failure judged on its unpadded block; the sums are ordered
+scatter-adds.  The per-edge :func:`var_to_factor` and
+:func:`factor_to_var` return an edge's slices of the kernel's arrays (a
+plain dict of stage-1 messages runs the kernel on one edge), and
+:func:`combined_update` composes them.
 
 All factors update from the same previous state (Jacobi schedule), sums
 run in ascending node id order, and nothing here depends on wall clock,
@@ -40,7 +42,6 @@ and each NumericalError names the first edge, in edge order, that fails.
 
 import collections
 import dataclasses
-import itertools
 import weakref
 
 import numpy as np
@@ -285,66 +286,57 @@ def check_init_state(net, state):
     return MessageState(0, messages)
 
 
-# The directed edges whose variable has dimension d, in edge order: their
-# positions, observation dims p, coefficients a (n, P, d) zero-padded to
-# the largest p, rows of their variables (among the variables of dimension
-# d) and of their factors, and t_rounds: (variable rows, edge rows) per round.
-_Group = collections.namedtuple("_Group", "d pos p a var fac t_rounds")
 _Stage1 = collections.namedtuple("_Stage1", "info cov mean proj_cov proj_mean")
 
 
-def _occurrences(keys):
-    """How often each key occurred before it."""
+def _rounds(rows):
+    """Round r of a sum over edges: (row, edge positions) of each row's
+    r-th edge, so adding the rounds in turn sums every row in edge order."""
     seen = collections.Counter()
-    return np.array([seen.update((k,)) or seen[k] - 1 for k in keys], dtype=int)
+    nth = np.array([seen.update((k,)) or seen[k] - 1 for k in rows], dtype=int)
+    return [(rows[x], np.flatnonzero(x)) for x in (nth == r for r in range(nth.max() + 1))]
+
+
+def _cut(row, d):
+    """Index tuples of a (d, d) block and a (d,) vector at ``row`` of padded stacks."""
+    return (row, slice(d), slice(d)), (row, slice(d))
 
 
 class _Plan:
-    """A network's sweep layout, built once (:func:`_plan`): its ``groups``
-    (``_Group``) and ``where``, an edge's (group, row); the prior
-    informations grouped alike (every variable observes itself, so every
-    dimension has edges) and ``var_at``, a variable's (group, row); R_n and
-    y_n of every factor, padded to the largest p with identity and zeros.
-    Round r of a sum adds each variable's (``t_rounds``) or factor's
-    (``s_rounds``) r-th term, so sums run in ascending node id.
-    ``flat_at`` places grouped infos and means in edge order."""
+    """A network's sweep layout, built once (:func:`_plan`).  Every directed
+    edge, in edge order, is one row of the batch, padded to the largest
+    variable dimension D and observation dimension P: ``a`` (E, P, D), zero
+    on the padding; per variable the prior informations (V, D, D) and per
+    factor R_n (F, P, P) and y_n (F, P), identity and zero on the padding.
+    ``var`` and ``fac`` are an edge's variable and factor rows, and round r
+    of a sum adds each variable's (``t_rounds``) or factor's (``s_rounds``)
+    r-th term, so sums run in ascending node id.  ``where`` holds an edge's
+    index tuples (info, mean, ``proj_cov``, ``proj_mean``), ``var_at`` a
+    variable's (info, mean), and ``flat_at`` places padded infos and means
+    in edge order."""
 
     def __init__(self, net):
         ids, edges = net.ids, net.directed_edges
-        priors, dims = [net.prior_info(j) for j in ids], sorted({net.var_dim(j) for j in ids})
-        self.edges, self.var_at, self.priors = edges, {}, []
-        for g, d in enumerate(dims):
-            rows = [k for k, j in enumerate(ids) if net.var_dim(j) == d]
-            self.var_at.update((ids[k], (g, r)) for r, k in enumerate(rows))
-            self.priors.append(np.array([priors[k] for k in rows]))
-        big = max(map(net.obs_dim, ids))
-        self.noise, self.obs = np.tile(np.eye(big), (len(ids), 1, 1)), np.zeros((len(ids), big))
-        for f, n in enumerate(ids):
-            p = net.obs_dim(n)
-            self.noise[f, :p, :p], self.obs[f, :p] = net.node(n).noise_cov, net.node(n).obs
-        dim = self.dim = np.array([net.var_dim(j) for _, j in edges])
-        fac = self.fac = np.searchsorted(ids, [n for n, _ in edges])
+        big_d, big_p = max(map(net.var_dim, ids)), max(map(net.obs_dim, ids))
+        self.edges, self.priors = edges, np.tile(np.eye(big_d), (len(ids), 1, 1))
+        self.noise, self.obs = np.tile(np.eye(big_p), (len(ids), 1, 1)), np.zeros((len(ids), big_p))
+        self.var_at = {}
+        for k, j in enumerate(ids):
+            self.var_at[j] = _cut(k, net.var_dim(j))
+            self.priors[self.var_at[j][0]] = net.prior_info(j)
+            p = net.obs_dim(j)
+            self.noise[k, :p, :p], self.obs[k, :p] = net.node(j).noise_cov, net.node(j).obs
+        self.fac, self.var = (np.searchsorted(ids, x) for x in zip(*edges))
+        self.dim = np.array([net.var_dim(j) for _, j in edges])
         self.p = np.array([net.obs_dim(n) for n, _ in edges])
-        self.groups, self.where = [], {}
-        t_round, s_round = _occurrences(j for _, j in edges), _occurrences(fac)
-        for d in dims:
-            pos = np.flatnonzero(dim == d)
-            p = self.p[pos]
-            a = np.zeros((len(pos), p.max(), d))
-            for k, q in enumerate(pos):
-                a[k, : p[k]] = net.node(edges[q].factor).coeff[edges[q].variable]
-                self.where[edges[q]] = len(self.groups), k
-            var = np.array([self.var_at[edges[q].variable][1] for q in pos])
-            rounds = [t_round[pos] == r for r in range(t_round[pos].max() + 1)]
-            self.groups.append(_Group(d, pos, p, a, var, fac[pos],
-                                      [(var[x], np.flatnonzero(x)) for x in rounds]))
-        self.s_rounds = [[(g, grp.fac[x], np.flatnonzero(x)) for g, grp in enumerate(self.groups)
-                          if (x := s_round[grp.pos] == r).any()] for r in range(s_round.max() + 1)]
-        self.sizes, self.flat_at = [int(dim @ dim), int(dim.sum())], []
-        for width, power in ((dim * dim, 2), (dim, 1)):
-            at = np.cumsum(width) - width
-            self.flat_at.append([(at[g.pos, None] + np.arange(g.d**power)).ravel()
-                                 for g in self.groups])
+        self.a, self.where = np.zeros((len(edges), big_p, big_d)), {}
+        for k, edge in enumerate(edges):
+            self.where[edge] = _cut(k, self.dim[k]) + _cut(k, self.p[k])
+            self.a[k, : self.p[k], : self.dim[k]] = net.node(edge.factor).coeff[edge.variable]
+        self.t_rounds, self.s_rounds = _rounds(self.var), _rounds(self.fac)
+        inside = np.arange(big_d) < self.dim[:, None]
+        self.flat_at = [np.flatnonzero(inside[:, :, None] & inside[:, None, :]),
+                        np.flatnonzero(inside)]
 
 
 _PLANS = weakref.WeakKeyDictionary()
@@ -358,88 +350,71 @@ def _plan(net):
 
 
 def _stacks(plan, state):
-    """The state's infos (n, d, d) and means (n, d), grouped."""
-    msgs = [state.messages[e] for e in plan.edges]
-    return tuple([np.array([getattr(msgs[q], name) for q in g.pos], dtype=float)
-                  for g in plan.groups] for name in ("info", "mean"))
+    """The state's infos (E, D, D) and means (E, D), zero on the padding."""
+    big_d = plan.priors.shape[1]
+    infos, means = np.zeros((len(plan.edges), big_d, big_d)), np.zeros((len(plan.edges), big_d))
+    for e in plan.edges:
+        at = plan.where[e]
+        infos[at[0]], means[at[1]] = state.messages[e].info, state.messages[e].mean
+    return infos, means
 
 
 def _totals(plan, state):
-    """Per variable group, ``T_j = W_j^{-1} + sum_k C_kj`` and ``r_j = sum_k
-    C_kj m_kj`` in ascending factor order; per edge group, ``C_nj m_nj``."""
+    """Per variable ``T_j = W_j^{-1} + sum_k C_kj`` and ``r_j = sum_k C_kj
+    m_kj`` in ascending factor order; per edge ``C_nj m_nj``."""
     infos, means = state._cached(plan, "stacks", _stacks)
     return _var_sums(plan, plan.priors, infos), *_mean_totals(plan, infos, means)
 
 
 def _var_sums(plan, base, terms):
-    """Per variable group, ``base_j + sum_k term_kj`` (grouped edge terms), ascending k."""
-    out = [x.copy() for x in base]
-    for g, out_g, x in zip(plan.groups, out, terms):
-        for var, rows in g.t_rounds:
-            out_g[var] += x[rows]
+    """Per variable ``base_j + sum_k term_kj`` (edge terms), ascending k."""
+    out = base.copy()
+    for var, rows in plan.t_rounds:
+        out[var] += terms[rows]
     return out
 
 
 def _mean_totals(plan, infos, means):
-    """``r_j = sum_k C_kj m_kj`` per variable group, ``C_nj m_nj`` per edge group."""
-    products = [(c @ m[..., None])[..., 0] for c, m in zip(infos, means)]
-    return _var_sums(plan, [np.zeros(x.shape[:2]) for x in plan.priors], products), products
+    """``r_j = sum_k C_kj m_kj`` per variable and ``C_nj m_nj`` per edge."""
+    products = (infos @ means[..., None])[..., 0]
+    return _var_sums(plan, np.zeros(plan.priors.shape[:2]), products), products
 
 
 def _stage1_means(plan, cov, r, products):
-    """Per group, the stage-1 means ``Cov_{j->n} (r_j - C_nj m_nj)`` and,
-    zero outside each edge's p rows, their projections ``A mean``."""
-    mean = [(x @ (r_g[g.var] - cm)[..., None])[..., 0]
-            for g, x, r_g, cm in zip(plan.groups, cov, r, products)]
-    return mean, [(g.a @ m[..., None])[..., 0] for g, m in zip(plan.groups, mean)]
+    """The stage-1 means ``Cov_{j->n} (r_j - C_nj m_nj)`` and, zero outside
+    each edge's p rows, their projections ``A mean``."""
+    mean = (cov @ (r[plan.var] - products)[..., None])[..., 0]
+    return mean, (plan.a @ mean[..., None])[..., 0]
 
 
 def _stage1(plan, state):
-    """The state's stage-1 messages, grouped and read-only: ``info = T_j -
-    C_nj``, ``cov``, ``mean`` and, zero outside each edge's p rows,
-    ``proj_cov = A cov A^T`` and ``proj_mean = A mean``."""
+    """The state's stage-1 messages, read-only: ``info = T_j - C_nj``,
+    ``cov``, ``mean`` and, zero outside each edge's p rows, ``proj_cov = A
+    cov A^T`` and ``proj_mean = A mean``."""
     infos, _ = state._cached(plan, "stacks", _stacks)
     t, r, products = state._cached(plan, "totals", _totals)
-    info = [t_g[g.var] - c for g, t_g, c in zip(plan.groups, t, infos)]
-
-    def inverse(x, pos):
-        labels = (f"variable {plan.edges[q].variable} -> factor {plan.edges[q].factor} "
-                  "information" for q in pos)
-        return cones._sym(cones._solve_pd_blocks(x, np.broadcast_to(np.eye(x.shape[1]), x.shape),
-                                                 labels))
-
-    cov = _in_edge_order(inverse, [(x, g.pos) for g, x in zip(plan.groups, info)])
+    info = t[plan.var] - infos
+    labels = (f"variable {j} -> factor {n} information" for n, j in plan.edges)
+    eye = np.broadcast_to(np.eye(info.shape[1]), info.shape)
+    cov = cones._sym(cones._solve_pd_blocks(info, eye, plan.dim, labels))
     mean, proj_mean = _stage1_means(plan, cov, r, products)
-    out = _Stage1(info, cov, mean, [g.a @ x @ g.a.swapaxes(1, 2) for g, x in zip(plan.groups, cov)],
-                  proj_mean)
-    for x in itertools.chain(*out):
+    out = _Stage1(info, cov, mean, plan.a @ cov @ plan.a.swapaxes(1, 2), proj_mean)
+    for x in out:
         x.setflags(write=False)
     return out
 
 
-def _in_edge_order(kernel, groups):
-    """``kernel(*group)`` per group, whose last entry is its edges'
-    positions.  On a NumericalError the kernel reruns one edge at a time
-    in edge order, so the error names the first failing edge of all."""
-    try:
-        return [kernel(*group) for group in groups]
-    except cones.NumericalError:
-        for _, g, k in sorted((q, g, k) for g, x in enumerate(groups) for k, q in enumerate(x[-1])):
-            kernel(*(x[k : k + 1] for x in groups[g]))
-        raise
-
-
 def _first(plan, flags):
-    """The first edge, in edge order, of the rows flagged per group."""
-    pos = np.concatenate([g.pos[f] for g, f in zip(plan.groups, flags)])
-    return plan.edges[pos.min()] if pos.size else None
+    """The first edge, in edge order, of the flagged rows."""
+    k = np.flatnonzero(flags)
+    return plan.edges[k[0]] if k.size else None
 
 
 def _innovations(plan, s1):
-    """Per group, the edges' padded ``S = S_n - P_ni``; one that is not
-    finite raises NumericalError."""
+    """The edges' padded ``S = S_n - P_ni``; one that is not finite raises
+    NumericalError."""
     out = _factor_sums(plan, plan.noise, s1.proj_cov)
-    edge = _first(plan, [~np.isfinite(x).all(axis=(1, 2)) for x in out])
+    edge = _first(plan, ~np.isfinite(out).all(axis=(1, 2)))
     if edge is not None:
         raise cones.NumericalError(f"factor {edge.factor} innovation covariance for edge "
                                    f"{tuple(edge)} has non-finite entries")
@@ -447,62 +422,63 @@ def _innovations(plan, s1):
 
 
 def _residuals(plan, proj_mean):
-    """Per group, the edges' padded residuals ``y_n - sum_{j != i} A_nj
-    m_{j->n}`` from the stage-1 projections ``A mean``."""
-    return _factor_sums(plan, plan.obs, [-x for x in proj_mean])
+    """The edges' padded residuals ``y_n - sum_{j != i} A_nj m_{j->n}``
+    from the stage-1 projections ``A mean``."""
+    return _factor_sums(plan, plan.obs, -proj_mean)
 
 
 def _factor_sums(plan, base, terms):
-    """Per group, ``base_n + sum_{j != i} term_nj`` for each edge (n, i), in
-    ascending j: the factor's total less the edge's own term.  ``base``
-    holds every factor's, padded to the largest p, and ``terms`` the edges',
-    grouped and padded to their group's.  A factor whose total is not
-    finite sums its edges' other terms directly, so that its overflow does
-    not spoil a sum that fits (S_n - P_ni is at most S_n in the PSD
-    order)."""
-    total, axes = base.copy(), base.ndim - 1
-    for by_group in plan.s_rounds:
-        for g, fac, rows in by_group:
-            total[(fac, *[slice(terms[g].shape[1])] * axes)] += terms[g][rows]
-    bad = ~np.isfinite(total).reshape(len(total), -1).all(axis=1)
-    out = []
-    for g, grp in enumerate(plan.groups):
-        big = [slice(terms[g].shape[1])] * axes
-        out.append(total[(grp.fac, *big)] - terms[g])
-        for k in np.flatnonzero(bad[grp.fac]):
-            f, cut = grp.fac[k], (slice(grp.p[k]),) * axes
-            out[-1][k] = base[(f, *big)]
-            for _, i, x in sorted((h.pos[x], i, x) for i, h in enumerate(plan.groups)
-                                  for x in np.flatnonzero(h.fac == f) if (i, x) != (g, k)):
-                out[-1][k][cut] += terms[i][x][cut]
+    """``base_n + sum_{j != i} term_nj`` for each edge (n, i), in ascending
+    j: the factor's total less the edge's own term.  A factor whose total
+    is not finite sums its edges' other terms directly, so that its
+    overflow does not spoil a sum that fits (S_n - P_ni is at most S_n in
+    the PSD order)."""
+    total = base.copy()
+    for fac, rows in plan.s_rounds:
+        total[fac] += terms[rows]
+    out, bad = total[plan.fac] - terms, ~np.isfinite(total).reshape(len(total), -1).all(axis=1)
+    for k in np.flatnonzero(bad[plan.fac]):
+        out[k] = base[plan.fac[k]]
+        for x in np.flatnonzero(plan.fac == plan.fac[k]):
+            if x != k:
+                out[k] += terms[x]
     return out
 
 
-def _solve_stage2(edges, groups):
-    """For groups of (S (n, P, P), A (n, P, d), p, B (n, P, q), positions
-    in ``edges``): the message infos ``A^T S^{-1} A`` and ``info^{-1} A^T
-    S^{-1} B``, by one batched Cholesky of S and one batched PD solve.  An
-    info that is not finite is not factorized; its solution is NaN."""
+def _solve_stage2(edges, s, a, p, d, b):
+    """For stacks S (n, P, P), A (n, P, D) and B (n, P, q) of ``edges``,
+    padded outside each edge's p observation rows and d variable columns:
+    the message infos ``A^T S^{-1} A`` and ``info^{-1} A^T S^{-1} B``, by
+    one batched Cholesky of S and one batched PD solve, with identity on
+    the padding of each info.  An info that is not finite is not
+    factorized; its solution is NaN.  On a NumericalError each edge reruns
+    alone in edge order, so the error names the first failing edge."""
 
-    def kernel(s, a, p, b, pos):
-        d = a.shape[2]
+    def kernel(s, a, p, d, b, edges):
+        big_d = a.shape[2]
         z = cones._forward_blocks(s, np.concatenate([a, b], axis=2), p, (
-            f"factor {edges[q].factor} innovation covariance (invariant breach)" for q in pos))
-        z_t = z[..., :d].swapaxes(1, 2)
-        info = cones._sym(z_t @ z[..., :d])
+            f"factor {n} innovation covariance (invariant breach)" for n, _ in edges))
+        z_t = z[..., :big_d].swapaxes(1, 2)
+        info = cones._sym(z_t @ z[..., :big_d])
         ok = np.isfinite(info).all(axis=(1, 2))
-        x = cones._solve_pd_blocks(np.where(ok[:, None, None], info, np.eye(d)), z_t @ z[..., d:], (
-            f"factor {edges[q].factor} -> variable {edges[q].variable} message information "
-            "(A block nearly rank deficient?)" for q in pos))
+        pad = np.eye(big_d) * (np.arange(big_d) >= d[:, None, None])
+        x = cones._solve_pd_blocks(np.where(ok[:, None, None], info + pad, np.eye(big_d)),
+                                   z_t @ z[..., big_d:], d, (
+            f"factor {n} -> variable {i} message information "
+            "(A block nearly rank deficient?)" for n, i in edges))
         x[~ok] = np.nan
         return info, x
 
-    return _in_edge_order(kernel, groups)
+    try:
+        return kernel(s, a, p, d, b, edges)
+    except cones.NumericalError:
+        for k in range(len(edges)):
+            kernel(*(x[k : k + 1] for x in (s, a, p, d, b, edges)))
+        raise
 
 
 def _check_messages(plan, infos, means):
-    edge = _first(plan, [~(np.isfinite(c).all(axis=(1, 2)) & np.isfinite(m).all(axis=1))
-                         for c, m in zip(infos, means)])
+    edge = _first(plan, ~(np.isfinite(infos).all(axis=(1, 2)) & np.isfinite(means).all(axis=1)))
     if edge is not None:
         raise cones.NumericalError(f"message on edge {tuple(edge)} has non-finite entries")
 
@@ -519,15 +495,14 @@ def var_to_factor(net, state, variable, factor):
         raise ValueError(f"variable {variable} does not feed factor {factor}")
     plan = _plan(net)
     s1 = state._cached(plan, "stage1", _stage1)
-    g, k = plan.where[(factor, variable)]
-    p = plan.groups[g].p[k]
-    return VarToFactorMessage(variable, factor, s1.info[g][k], s1.mean[g][k], s1.cov[g][k],
-                              s1.proj_cov[g][k][:p, :p], s1.proj_mean[g][k][:p])
+    square, vector, obs_square, obs_vector = plan.where[(factor, variable)]
+    return VarToFactorMessage(variable, factor, s1.info[square], s1.mean[vector], s1.cov[square],
+                              s1.proj_cov[obs_square], s1.proj_mean[obs_vector])
 
 
 class _Swept(dict):
     """A factor's stage-1 messages, by variable, after the sweep's stage 2:
-    ``rows`` is (plan, infos, means), every edge's new message, grouped."""
+    ``rows`` is (plan, infos, means), every edge's new message, padded."""
 
 
 def factor_to_var(net, incoming, factor, variable):
@@ -545,8 +520,8 @@ def factor_to_var(net, incoming, factor, variable):
     edge = DirectedEdge(factor, variable)
     if isinstance(incoming, _Swept):
         plan, infos, means = incoming.rows
-        g, k = plan.where[edge]
-        return EdgeMessage(edge, infos[g][k], means[g][k])
+        square, vector, _, _ = plan.where[edge]
+        return EdgeMessage(edge, infos[square], means[vector])
     others = [j for j in net.factor_scope(factor) if j != variable]
     missing = [j for j in others if j not in incoming]
     if missing:
@@ -561,7 +536,8 @@ def factor_to_var(net, incoming, factor, variable):
         raise cones.NumericalError(f"factor {factor} innovation covariance for edge "
                                    f"{tuple(edge)} has non-finite entries")
     a = node.coeff[variable]
-    [(info, x)] = _solve_stage2([edge], [(s[None], a[None], [len(s)], e[None, :, None], [0])])
+    info, x = _solve_stage2([edge], s[None], a[None], np.array([len(s)]), np.array([a.shape[1]]),
+                            e[None, :, None])
     return EdgeMessage(edge, info[0], x[0, :, 0])
 
 
@@ -570,19 +546,19 @@ def combined_update(net, state):
 
     Every update reads only the previous state (Jacobi schedule).  Each
     factor's inbox is filled by :func:`var_to_factor`; stage 2 runs once
-    for all edges, and :func:`factor_to_var` takes each edge's message.
-    NumericalError names the first edge whose stage-1 information, whose
-    innovation covariance (not finite, or not PD) or whose new message
-    (not finite: an overflow, say) fails.
+    for all edges, as one padded batch, and :func:`factor_to_var` takes
+    each edge's message from it.  NumericalError names the first edge
+    whose stage-1 information, whose innovation covariance (not finite, or
+    not PD) or whose new message (not finite: an overflow, say) fails.
     """
     plan = _plan(net)
     inboxes = {n: _Swept() for n in net.ids}
     for n, i in plan.edges:
         inboxes[n][i] = var_to_factor(net, state, i, n)
     s1 = state._cached(plan, "stage1", _stage1)
-    groups = [(s, g.a, g.p, e[..., None], g.pos) for g, s, e in
-              zip(plan.groups, _innovations(plan, s1), _residuals(plan, s1.proj_mean))]
-    infos, means = zip(*((c, x[..., 0]) for c, x in _solve_stage2(plan.edges, groups)))
+    infos, x = _solve_stage2(plan.edges, _innovations(plan, s1), plan.a, plan.p, plan.dim,
+                             _residuals(plan, s1.proj_mean)[..., None])
+    means = x[..., 0]
     _check_messages(plan, infos, means)
     for inbox in inboxes.values():
         inbox.rows = plan, infos, means
@@ -600,17 +576,14 @@ def mean_map(net, state):
     (y_n - sum_{j != i} A_nj mean_{j->n})``."""
     plan = _plan(net)
     s1, (infos, _) = state._cached(plan, "stage1", _stage1), state._cached(plan, "stacks", _stacks)
-    gains = [x for _, x in _solve_stage2(plan.edges, [
-        (s, g.a, g.p, np.broadcast_to(np.eye(s.shape[1]), s.shape), g.pos)
-        for g, s in zip(plan.groups, _innovations(plan, s1))])]
+    s = _innovations(plan, s1)
+    _, gains = _solve_stage2(plan.edges, s, plan.a, plan.p, plan.dim,
+                             np.broadcast_to(np.eye(s.shape[1]), s.shape))
 
     def step(flat):
-        means = [flat[at].reshape(-1, g.d) for g, at in zip(plan.groups, plan.flat_at[1])]
-        _, proj_mean = _stage1_means(plan, s1.cov, *_mean_totals(plan, infos, means))
-        out = np.empty(plan.sizes[1])
-        for at, k, e in zip(plan.flat_at[1], gains, _residuals(plan, proj_mean)):
-            out[at] = (k @ e[..., None]).ravel()
-        return out
+        _, proj_mean = _stage1_means(plan, s1.cov,
+                                     *_mean_totals(plan, infos, _padded(plan, flat)))
+        return np.take(gains @ _residuals(plan, proj_mean)[..., None], plan.flat_at[1])
 
     return step
 
@@ -619,16 +592,15 @@ def compute_belief(net, state, variable):
     """Posterior belief for one variable from the current messages."""
     plan = _plan(net)
     t, r, _ = state._cached(plan, "totals", _totals)
-    g, row = plan.var_at[variable]
-    cov = cones.inv_pd(t[g][row], context=f"belief information for variable {variable}")
-    return Belief(variable, cov @ r[g][row], cov)
+    square, vector = plan.var_at[variable]
+    cov = cones.inv_pd(t[square], context=f"belief information for variable {variable}")
+    return Belief(variable, cov @ r[vector], cov)
 
 
-def _flat(plan, stacks, which):
-    """Grouped infos (``which`` 0) or means (1) as one row in edge order."""
-    out = np.empty(plan.sizes[which])
-    for at, x in zip(plan.flat_at[which], stacks[which]):
-        out[at] = x.ravel()
+def _padded(plan, flat):
+    """Means in edge order, as one row, back to the padded (E, D) stack."""
+    out = np.zeros((len(plan.edges), plan.priors.shape[1]))
+    np.put(out, plan.flat_at[1], flat)
     return out
 
 
@@ -670,13 +642,13 @@ def run(net, config=None):
     tol, budget, dims = config.tol_frobenius, config.max_iterations, np.array(state.block_dims())
     records = [TraceRecord(0, np.nan, np.nan)]
     stacks = state._cached(plan, "stacks", _stacks)
-    infos, means = [_flat(plan, stacks, 0)], _flat(plan, stacks, 1)
+    infos, means = [np.take(stacks[0], plan.flat_at[0])], np.take(stacks[1], plan.flat_at[1])
     converged = mean_converged = False
     while state.iteration < budget and not converged:
         state = combined_update(net, state)
         stacks = state._cached(plan, "stacks", _stacks)
-        infos.append(_flat(plan, stacks, 0))
-        new = _flat(plan, stacks, 1)
+        infos.append(np.take(stacks[0], plan.flat_at[0]))
+        new = np.take(stacks[1], plan.flat_at[1])
         df = _max_block_norm(infos[-1] - infos[-2], dims * dims)
         dm = _max_block_norm(new - means, dims)
         records.append(TraceRecord(state.iteration, df, dm))
@@ -690,11 +662,10 @@ def run(net, config=None):
             dm = _max_block_norm(new - means, dims)
             iteration, means, mean_converged = iteration + 1, new, dm <= tol
             records.append(TraceRecord(iteration, 0.0, dm))
-        held = stacks[0], [means[at].reshape(-1, g.d)
-                           for g, at in zip(plan.groups, plan.flat_at[1])]
+        held = stacks[0], _padded(plan, means)
         _check_messages(plan, *held)
-        state = MessageState(iteration, {e: EdgeMessage(e, held[0][g][k], held[1][g][k])
-                                         for e, (g, k) in plan.where.items()})
+        state = MessageState(iteration, {e: EdgeMessage(e, held[0][at[0]], held[1][at[1]])
+                                         for e, at in plan.where.items()})
         state._cache = plan, {"stacks": held}
     beliefs = {i: compute_belief(net, state, i) for i in net.ids}
     info = np.array(infos)

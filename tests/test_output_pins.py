@@ -22,6 +22,9 @@ Paths are recorded relative to the run's temporary directory.  A change
 that moves an output on purpose rewrites the fixture, and says why, with
 
     PYTHONPATH=src python tests/test_output_pins.py
+
+which first prints every mismatch against the fixture it replaces, so
+that the values that moved can be named.
 """
 
 import contextlib
@@ -139,16 +142,20 @@ def pins():
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_outputs_match_the_pins(case, pins, tmp_path):
-    got, want = record(case, tmp_path), pins[case]
+def case_mismatches(got, want):
+    """Every mismatch of one recorded case against its pin."""
     problems = mismatches(sorted(got["files"]), sorted(want["files"]), 0.0, "files")
     for key in ("exit", "stdout", "stderr"):
         problems += mismatches(got[key], want[key], 0.0, key)
     for name in want["files"].keys() & got["files"].keys():
         problems += mismatches(got["files"][name], want["files"][name],
                                _largest(want["files"][name]), name)
-    assert problems == []
+    return problems
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_the_pins(case, pins, tmp_path):
+    assert case_mismatches(record(case, tmp_path), pins[case]) == []
 
 
 def test_mismatches_apply_the_rules():
@@ -167,6 +174,11 @@ def test_mismatches_apply_the_rules():
 def main():
     with tempfile.TemporaryDirectory() as root:
         pins = {case: record(case, root) for case in CASES}
+    old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
+    for case in CASES:
+        problems = case_mismatches(pins[case], old[case]) if case in old else ["new case"]
+        for problem in problems:
+            print(f"{case}: {problem}")
     FIXTURE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {FIXTURE} ({len(pins)} cases)")
 
