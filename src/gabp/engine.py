@@ -25,10 +25,10 @@ dimension P: identity on the padding of the priors, R_n, the stage-1
 infos and the stage-2 info solve, zeros on A, y and the means.  Stage 1
 takes one batched Cholesky and stage 2 one for S and one batched PD
 solve, each failure judged on its unpadded block; the sums are ordered
-scatter-adds.  The per-edge :func:`var_to_factor` and
-:func:`factor_to_var` return an edge's slices of the kernel's arrays (a
-plain dict of stage-1 messages runs the kernel on one edge), and
-:func:`combined_update` composes them.
+scatter-adds.  The per-edge :func:`var_to_factor` returns a lazy view of
+the kernel's arrays, its fields made only when read (a sweep reads none),
+:func:`factor_to_var` the edge's slices of stage 2 (a plain dict of stage-1
+messages runs the kernel on one edge), and :func:`combined_update` calls both.
 
 All factors update from the same previous state (Jacobi schedule), sums
 run in ascending node id order, and nothing here depends on wall clock,
@@ -78,21 +78,20 @@ class EdgeMessage:
     mean: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
-class VarToFactorMessage:
-    """Variable-to-factor message; covariance is kept alongside the
-    information matrix because stage 2 consumes the covariance form.
-    ``proj_cov`` and ``proj_mean`` are ``A cov A^T`` and ``A mean`` with
-    ``A = A[factor][variable]``: the message in the factor's observation
-    space, as stage 2 adds it up.  All are read-only stage-1 rows."""
+class VarToFactorMessage(collections.namedtuple("VarToFactorMessage",
+                                                 "variable factor stage1 where")):
+    """Variable-to-factor message: info, mean and, as stage 2 consumes it,
+    cov; ``proj_cov`` and ``proj_mean`` are ``A cov A^T`` and ``A mean``
+    with ``A = A[factor][variable]``.  Each is a read-only view of the
+    state's stage-1 arrays (``stage1``) at the edge's ``where`` index
+    tuples, made when it is read."""
 
-    variable: int
-    factor: int
-    info: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
-    proj_cov: np.ndarray
-    proj_mean: np.ndarray
+    __slots__ = ()
+    info = property(lambda m: m.stage1.info[m.where[1]])
+    mean = property(lambda m: m.stage1.mean[m.where[2]])
+    cov = property(lambda m: m.stage1.cov[m.where[1]])
+    proj_cov = property(lambda m: m.stage1.proj_cov[m.where[3]])
+    proj_mean = property(lambda m: m.stage1.proj_mean[m.where[4]])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,16 +225,13 @@ def initial_state(net, init="zero", scale=1.0):
     natural bottom element of the positive semidefinite order; "identity"
     starts at scale * I per block.
     """
+    if init not in ("zero", "identity"):
+        raise ValueError(f"unknown init {init!r}")
+    scale = float(scale) if init == "identity" else 0.0
     messages = {}
     for edge in net.directed_edges:
         d = net.var_dim(edge.variable)
-        if init == "zero":
-            info = np.zeros((d, d))
-        elif init == "identity":
-            info = float(scale) * np.eye(d)
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        messages[edge] = EdgeMessage(edge, info, np.zeros(d))
+        messages[edge] = EdgeMessage(edge, scale * np.eye(d), np.zeros(d))
     return MessageState(0, messages)
 
 
@@ -247,14 +243,10 @@ def check_init_state(net, state):
     then all blocks, in one batched pass, PSD within their own tolerance
     (``cones._geq_flags``).  Returns a normalized copy at iteration 0.
     """
-    required = set(net.directed_edges)
-    given = set(state.messages)
+    required, given = set(net.directed_edges), set(state.messages)
     if given != required:
-        missing = sorted(required - given)
-        extra = sorted(given - required)
-        raise ValueError(
-            f"init state does not match the factor graph: missing {missing}, extra {extra}"
-        )
+        raise ValueError(f"init state does not match the factor graph: missing "
+                         f"{sorted(required - given)}, extra {sorted(given - required)}")
     messages = {}
     for edge in net.directed_edges:
         msg = state.messages[edge]
@@ -262,13 +254,11 @@ def check_init_state(net, state):
         info = np.asarray(msg.info, dtype=float)
         mean = np.asarray(msg.mean, dtype=float).reshape(-1)
         if info.shape != (d, d):
-            raise ValueError(
-                f"init info for edge {tuple(edge)} has shape {info.shape}, expected {(d, d)}"
-            )
+            raise ValueError(f"init info for edge {tuple(edge)} has shape {info.shape}, "
+                             f"expected {(d, d)}")
         if mean.shape != (d,):
-            raise ValueError(
-                f"init mean for edge {tuple(edge)} has length {mean.shape[0]}, expected {d}"
-            )
+            raise ValueError(f"init mean for edge {tuple(edge)} has length {mean.shape[0]}, "
+                             f"expected {d}")
         if not np.all(np.isfinite(info)):
             raise ValueError(f"init info for edge {tuple(edge)} has non-finite entries")
         if not np.all(np.isfinite(mean)):
@@ -279,10 +269,9 @@ def check_init_state(net, state):
     infos = [m.info for m in messages.values()]
     bad = np.flatnonzero(~cones._geq_flags(infos, [np.zeros_like(x) for x in infos]))
     if bad.size:
-        raise ValueError(
-            f"init info for edge {tuple(net.directed_edges[bad[0]])} is not positive "
-            f"semidefinite (min eigenvalue {cones.min_eigenvalue_blocks([infos[bad[0]]]):.3e})"
-        )
+        raise ValueError(f"init info for edge {tuple(net.directed_edges[bad[0]])} is not positive "
+                         f"semidefinite (min eigenvalue "
+                         f"{cones.min_eigenvalue_blocks([infos[bad[0]]]):.3e})")
     return MessageState(0, messages)
 
 
@@ -310,10 +299,10 @@ class _Plan:
     factor R_n (F, P, P) and y_n (F, P), identity and zero on the padding.
     ``var`` and ``fac`` are an edge's variable and factor rows, and round r
     of a sum adds each variable's (``t_rounds``) or factor's (``s_rounds``)
-    r-th term, so sums run in ascending node id.  ``where`` holds an edge's
-    index tuples (info, mean, ``proj_cov``, ``proj_mean``), ``var_at`` a
-    variable's (info, mean), and ``flat_at`` places padded infos and means
-    in edge order."""
+    r-th term, so sums run in ascending node id.  ``where`` maps (n, i) to
+    the edge and its index tuples (info, mean, ``proj_cov``, ``proj_mean``),
+    ``var_at`` and ``var_dim`` give a variable's (info, mean) and dimension,
+    and ``flat_at`` places padded infos and means in edge order."""
 
     def __init__(self, net):
         ids, edges = net.ids, net.directed_edges
@@ -327,11 +316,12 @@ class _Plan:
             p = net.obs_dim(j)
             self.noise[k, :p, :p], self.obs[k, :p] = net.node(j).noise_cov, net.node(j).obs
         self.fac, self.var = (np.searchsorted(ids, x) for x in zip(*edges))
-        self.dim = np.array([net.var_dim(j) for _, j in edges])
+        self.var_dim = np.array([net.var_dim(j) for j in ids])
+        self.dim = self.var_dim[self.var]
         self.p = np.array([net.obs_dim(n) for n, _ in edges])
         self.a, self.where = np.zeros((len(edges), big_p, big_d)), {}
         for k, edge in enumerate(edges):
-            self.where[edge] = _cut(k, self.dim[k]) + _cut(k, self.p[k])
+            self.where[edge] = (edge, *_cut(k, self.dim[k]), *_cut(k, self.p[k]))
             self.a[k, : self.p[k], : self.dim[k]] = net.node(edge.factor).coeff[edge.variable]
         self.t_rounds, self.s_rounds = _rounds(self.var), _rounds(self.fac)
         inside = np.arange(big_d) < self.dim[:, None]
@@ -353,9 +343,8 @@ def _stacks(plan, state):
     """The state's infos (E, D, D) and means (E, D), zero on the padding."""
     big_d = plan.priors.shape[1]
     infos, means = np.zeros((len(plan.edges), big_d, big_d)), np.zeros((len(plan.edges), big_d))
-    for e in plan.edges:
-        at = plan.where[e]
-        infos[at[0]], means[at[1]] = state.messages[e].info, state.messages[e].mean
+    for e, square, vector, _, _ in plan.where.values():
+        infos[square], means[vector] = state.messages[e].info, state.messages[e].mean
     return infos, means
 
 
@@ -421,15 +410,10 @@ def _innovations(plan, s1):
     return out
 
 
-def _residuals(plan, proj_mean):
-    """The edges' padded residuals ``y_n - sum_{j != i} A_nj m_{j->n}``
-    from the stage-1 projections ``A mean``."""
-    return _factor_sums(plan, plan.obs, -proj_mean)
-
-
 def _factor_sums(plan, base, terms):
     """``base_n + sum_{j != i} term_nj`` for each edge (n, i), in ascending
-    j: the factor's total less the edge's own term.  A factor whose total
+    j: the factor's total less the edge's own term (S = S_n - P_ni, and the
+    residuals ``y_n - sum_{j != i} A_nj m_{j->n}``).  A factor whose total
     is not finite sums its edges' other terms directly, so that its
     overflow does not spoil a sum that fits (S_n - P_ni is at most S_n in
     the PSD order)."""
@@ -489,20 +473,19 @@ def var_to_factor(net, state, variable, factor):
     Combines the prior of the variable with all incoming factor messages
     except the one from ``factor`` itself.  The result is always positive
     definite because the prior information W^{-1} is and the message infos
-    are positive semidefinite.  Stage 1 runs once per state for all edges.
+    are positive semidefinite.  Stage 1 runs once per state for all edges,
+    and the message's fields are views of its arrays, made when read.
     """
-    if factor not in net.var_factors(variable):
-        raise ValueError(f"variable {variable} does not feed factor {factor}")
     plan = _plan(net)
-    s1 = state._cached(plan, "stage1", _stage1)
-    square, vector, obs_square, obs_vector = plan.where[(factor, variable)]
-    return VarToFactorMessage(variable, factor, s1.info[square], s1.mean[vector], s1.cov[square],
-                              s1.proj_cov[obs_square], s1.proj_mean[obs_vector])
+    at = plan.where.get((factor, variable))
+    if at is None:
+        raise ValueError(f"variable {variable} does not feed factor {factor}")
+    return VarToFactorMessage(variable, factor, state._cached(plan, "stage1", _stage1), at)
 
 
 class _Swept(dict):
     """A factor's stage-1 messages, by variable, after the sweep's stage 2:
-    ``rows`` is (plan, infos, means), every edge's new message, padded."""
+    ``rows`` is (infos, means), every edge's new message, padded."""
 
 
 def factor_to_var(net, incoming, factor, variable):
@@ -515,13 +498,13 @@ def factor_to_var(net, incoming, factor, variable):
     than a user error.  In a sweep this is the edge's row of the batched
     stage 2; a plain dict runs the kernel on this edge alone.
     """
-    if variable not in net.factor_scope(factor):
+    at = _plan(net).where.get((factor, variable))
+    if at is None:
         raise ValueError(f"variable {variable} is not in factor {factor}'s scope")
-    edge = DirectedEdge(factor, variable)
+    edge = at[0]
     if isinstance(incoming, _Swept):
-        plan, infos, means = incoming.rows
-        square, vector, _, _ = plan.where[edge]
-        return EdgeMessage(edge, infos[square], means[vector])
+        infos, means = incoming.rows
+        return EdgeMessage(edge, infos[at[1]], means[at[2]])
     others = [j for j in net.factor_scope(factor) if j != variable]
     missing = [j for j in others if j not in incoming]
     if missing:
@@ -557,11 +540,11 @@ def combined_update(net, state):
         inboxes[n][i] = var_to_factor(net, state, i, n)
     s1 = state._cached(plan, "stage1", _stage1)
     infos, x = _solve_stage2(plan.edges, _innovations(plan, s1), plan.a, plan.p, plan.dim,
-                             _residuals(plan, s1.proj_mean)[..., None])
+                             _factor_sums(plan, plan.obs, -s1.proj_mean)[..., None])
     means = x[..., 0]
     _check_messages(plan, infos, means)
     for inbox in inboxes.values():
-        inbox.rows = plan, infos, means
+        inbox.rows = infos, means
     new = MessageState(state.iteration + 1,
                        {e: factor_to_var(net, inboxes[e.factor], *e) for e in plan.edges})
     new._cache = plan, {"stacks": (infos, means)}
@@ -583,17 +566,34 @@ def mean_map(net, state):
     def step(flat):
         _, proj_mean = _stage1_means(plan, s1.cov,
                                      *_mean_totals(plan, infos, _padded(plan, flat)))
-        return np.take(gains @ _residuals(plan, proj_mean)[..., None], plan.flat_at[1])
+        return np.take(gains @ _factor_sums(plan, plan.obs, -proj_mean)[..., None],
+                       plan.flat_at[1])
 
     return step
 
 
+def _belief_covs(plan, state):
+    """Every variable's padded ``T_j^{-1}``, symmetrized, by one batched solve;
+    None if a T_j is not finite or not PD, or an inverse is not finite."""
+    t, _, _ = state._cached(plan, "totals", _totals)
+    labels = (f"belief information for variable {j}" for j in plan.var_at)
+    try:
+        cov = cones._sym(cones._solve_pd_blocks(
+            t, np.broadcast_to(np.eye(t.shape[1]), t.shape), plan.var_dim, labels))
+    except cones.NumericalError:
+        return None
+    return cov if np.isfinite(t).all() and np.isfinite(cov).all() else None
+
+
 def compute_belief(net, state, variable):
-    """Posterior belief for one variable from the current messages."""
+    """Posterior belief for one variable from the current messages: its
+    covariance is read from the state's batched ``T_j^{-1}``, or, if that
+    batch fails, ``cones.inv_pd`` inverts this variable's T_j alone."""
     plan = _plan(net)
     t, r, _ = state._cached(plan, "totals", _totals)
-    square, vector = plan.var_at[variable]
-    cov = cones.inv_pd(t[square], context=f"belief information for variable {variable}")
+    covs, (square, vector) = state._cached(plan, "beliefs", _belief_covs), plan.var_at[variable]
+    cov = covs[square].copy() if covs is not None else cones.inv_pd(
+        t[square], context=f"belief information for variable {variable}")
     return Belief(variable, cov @ r[vector], cov)
 
 
@@ -664,8 +664,8 @@ def run(net, config=None):
             records.append(TraceRecord(iteration, 0.0, dm))
         held = stacks[0], _padded(plan, means)
         _check_messages(plan, *held)
-        state = MessageState(iteration, {e: EdgeMessage(e, held[0][at[0]], held[1][at[1]])
-                                         for e, at in plan.where.items()})
+        state = MessageState(iteration, {e: EdgeMessage(e, held[0][square], held[1][vector])
+                                         for e, square, vector, _, _ in plan.where.values()})
         state._cache = plan, {"stacks": held}
     beliefs = {i: compute_belief(net, state, i) for i in net.ids}
     info = np.array(infos)

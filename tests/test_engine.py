@@ -200,8 +200,9 @@ class TestSingleSweep:
         # C_kj m_kj are summed once per state in ascending factor order.  Every
         # stage-1 message takes its own info out of T_j, bitwise; its
         # covariance is the kernel's batched Cholesky inverse, within 1e-14
-        # of cones.inv_pd.  Every belief reads T_j whole, bitwise.  The
-        # direct leave-one-out sums agree to rounding.
+        # of cones.inv_pd.  Every belief inverts T_j whole, in one batch for
+        # all variables, within 1e-15 of cones.inv_pd.  The direct
+        # leave-one-out sums agree to rounding.
         net = network.generate_random(8, 8, "er", dim_range=(1, 4))
         state = engine.initial_state(net)
         for _ in range(3):
@@ -232,7 +233,62 @@ class TestSingleSweep:
                     assert close([got], [want], 1e-14)
             cov = cones.inv_pd(total)
             belief = engine.compute_belief(net, state, j)
-            assert np.array_equal(belief.cov, cov) and close([belief.mean], [cov @ r], 1e-14)
+            assert close([belief.cov], [cov], 1e-15) and close([belief.mean], [cov @ r], 1e-14)
+
+    def test_var_to_factor_fields_are_lazy_read_only_views(self):
+        # A message holds the state's stage-1 stacks: every field is a view
+        # of them that cannot be written, and the message takes no new
+        # attribute value.
+        net = network.generate_random(5, 6, "er", er_prob=0.6, dim_range=(1, 3))
+        state = engine.combined_update(net, engine.initial_state(net))
+        stage1 = state._cached(engine._plan(net), "stage1", engine._stage1)
+        for n, j in net.directed_edges:
+            msg = engine.var_to_factor(net, state, j, n)
+            for field in stage1._fields:
+                view = getattr(msg, field)
+                assert np.shares_memory(view, getattr(stage1, field))
+                assert not view.flags.writeable
+            for name in (*stage1._fields, *msg._fields, "other"):
+                with pytest.raises(AttributeError):
+                    setattr(msg, name, 0)
+
+    def test_sweep_reads_no_stage1_view(self, monkeypatch):
+        # A sweep's stage 2 reads the batched stage-1 arrays, never a
+        # message's fields: with every field raising, it gives the same state.
+        net = network.generate_random(5, 6, "er", er_prob=0.6, dim_range=(1, 3))
+        state = engine.combined_update(net, engine.initial_state(net))
+        want = engine.combined_update(net, state)
+
+        def unread(msg):
+            raise AssertionError("a sweep read a stage-1 view")
+
+        for field in engine._Stage1._fields:
+            monkeypatch.setattr(engine.VarToFactorMessage, field, property(unread))
+        got = engine.combined_update(net, MessageState(state.iteration, state.messages))
+        for e in net.directed_edges:
+            assert np.array_equal(got.messages[e].info, want.messages[e].info)
+            assert np.array_equal(got.messages[e].mean, want.messages[e].mean)
+
+    def test_belief_error_names_its_variable_and_spares_the_others(self):
+        # One variable's T_j is not PD, so the batched belief solve fails:
+        # that variable raises what cones.inv_pd raises on its T_j, and
+        # every other variable still gets inv_pd's covariance.
+        net = network.generate_random(4, 6, "ring", dim_range=(1, 3))
+        msgs = dict(engine.initial_state(net).messages)
+        bad = net.ids[2]
+        edge = DirectedEdge(net.var_factors(bad)[0], bad)
+        msgs[edge] = engine.EdgeMessage(edge, -2.0 * net.prior_info(bad), msgs[edge].mean)
+        state = MessageState(0, msgs)
+        for j in net.ids:
+            if j != bad:
+                belief = engine.compute_belief(net, state, j)
+                assert close([belief.cov], [cones.inv_pd(net.prior_info(j))], 1e-15)
+        with pytest.raises(NumericalError) as want:
+            cones.inv_pd(-net.prior_info(bad), context=f"belief information for variable {bad}")
+        with pytest.raises(NumericalError, match=f"^belief information for variable {bad} "
+                           "is not positive definite") as got:
+            engine.compute_belief(net, state, bad)
+        assert str(got.value) == str(want.value)
 
     def test_var_to_factor_rejects_non_adjacent(self):
         net = two_node_chain()
@@ -248,6 +304,21 @@ class TestSingleSweep:
         net = two_node_chain()
         with pytest.raises(ValueError, match="scope"):
             engine.factor_to_var(net, {}, 2, 1)
+
+    def test_swept_factor_to_var_rejects_out_of_scope(self, monkeypatch):
+        # A sweep's inbox for factor 2 takes the plan's lookup, and it
+        # rejects variable 1 with the plain-dict path's text.
+        net = two_node_chain()
+        inboxes, real = {}, engine.factor_to_var
+        monkeypatch.setattr(engine, "factor_to_var", lambda net, inbox, n, i: (
+            inboxes.setdefault(n, inbox), real(net, inbox, n, i))[1])
+        engine.combined_update(net, engine.initial_state(net))
+        assert isinstance(inboxes[2], engine._Swept)
+        with pytest.raises(ValueError) as plain:
+            real(net, {}, 2, 1)
+        with pytest.raises(ValueError) as got:
+            real(net, inboxes[2], 2, 1)
+        assert str(got.value) == str(plain.value) == "variable 1 is not in factor 2's scope"
 
 
 class TestGoldenConvergence:
