@@ -20,18 +20,19 @@ F maps block diagonal C to block diagonal F(C), so it is evaluated block
 by block in two layers: T_nj = H_nj (Psi_j + Xi_nj C Xi_nj^T)^{-1}
 H_nj^T per (n, j), then A_ni^T (R_n + sum_{j != i} T_nj)^{-1} A_ni per
 edge (n, i), where Xi_nj C Xi_nj^T sums C's blocks of the other factors
-feeding j.  Only those blocks are stored.  Padding B with an identity
-block and G with zero rows and columns leaves G^T B^{-1} G unchanged, so
-each layer runs in a few padded batches, each one batched PD solve
-z = L^{-1} G in cones (B = L L^T) and z^T z: this module routes and pads,
-cones factorizes and names failures.  C and F(C) travel grouped by block
-size, ``{d: (E_d, d, d)}``.  The routing comes from this module's own
-scopes, not the engine's message loop, so agreement between the two is a
-real cross-check: this module imports only ``gabp.cones`` from the
-package.  ``rate_analysis`` fits a trace that ``annotate_trace`` filled.
+feeding j.  Only those blocks are stored.  C and F(C) are one padded
+(E, D, D) stack in edge order, zero past each block's size.  Padding B
+with identity and G with zero rows and columns leaves G^T B^{-1} G
+unchanged, so each layer is one padded batch: B is a base stack plus
+whole input blocks, gathered by one fancy index per source column, and
+one batched PD solve z = L^{-1} G in cones (B = L L^T) and z^T z give
+the layer's output.  This module routes and pads, cones factorizes and
+names failures.  The routing comes from this module's own scopes, not
+the engine's message loop, so agreement between the two is a real
+cross-check: this module imports only ``gabp.cones`` from the package.
+``rate_analysis`` fits a trace that ``annotate_trace`` filled.
 """
 
-import collections
 import csv
 import dataclasses
 import functools
@@ -62,31 +63,26 @@ __all__ = [
 ORDER_TOL = 1e-9
 SANDWICH_MAX_STEPS = 500
 
-# One layer of F (``_stage``): (count, P, Q) per padded batch, the input's
-# route into the padded B blocks, where the base store, identity padding and
-# operand store go, and each item's label and unpadded size p in store order.
-_Layer = collections.namedtuple("_Layer", "batches route base_at pad_at operand_at labels sizes")
-
 
 @dataclasses.dataclass(frozen=True)
 class StackedOperator:
     """The blocks of the stacked update, plus index bookkeeping.
 
     A, Omega, H, Psi and K (module docstring) define F; the operator
-    stores only the blocks F reads, each field flat (1-D) and unpadded,
-    in its layer's batch order:
-      a      A_ni per edge (n, i)                        middle operand
-      omega  R_n per edge                                middle base
-      h      H_nj^T per (factor n, variable j) key       inner operand
-      psi    W_j^{-1} per (n, j) key                     inner base
+    stores only the blocks F reads, each in the leading corner of its row
+    of a padded stack, zero past it (identity on a base's diagonal).  With
+    E edges, K (factor n, variable j) keys and D (P) the largest variable
+    (observation) dimension:
+      a      A_ni per edge (n, i)       (E, P, D)   middle operand
+      omega  R_n per edge               (E, P, P)   middle base
+      h      H_nj^T per key (n, j)      (K, D, P)   inner operand
+      psi    W_j^{-1} per key           (K, D, D)   inner base
+    ``c_sources`` (K, m) holds per key the ascending edge positions of the
+    C blocks that Xi_nj sums, ``t_sources`` (E, m') per edge the key
+    positions of the T_nj that it sums; E (K) fills a row: a zero block.
+    ``inner`` and ``middle`` are each layer's (B sizes, failure labels).
     ``dim_c`` is the size of C, the sum of ``block_dims``; ``phi`` counts
     K's replicas of C, one per entry of ``pair_order``.  Both are derived.
-
-    ``c_groups`` maps each block size d to the edge positions of C's
-    blocks of that size, the order of the grouped layout.  ``inner`` (one
-    item per (n, j)) and ``middle`` (one per edge) are F's layers;
-    ``out_index`` gathers F(C)'s groups from the middle layer's padded
-    output.
     """
 
     edge_order: tuple
@@ -96,10 +92,10 @@ class StackedOperator:
     omega: np.ndarray
     h: np.ndarray
     psi: np.ndarray
-    c_groups: dict
-    inner: _Layer
-    middle: _Layer
-    out_index: dict
+    c_sources: np.ndarray
+    t_sources: np.ndarray
+    inner: tuple
+    middle: tuple
 
     @property
     def phi(self):
@@ -110,14 +106,26 @@ class StackedOperator:
         return sum(self.block_dims)
 
     @functools.cached_property
+    def _padding(self):
+        """True past each block's size in the (E, D, D) stack of C."""
+        i, d = np.arange(self.a.shape[2]), np.array(self.block_dims)[:, None, None]
+        return (i[:, None] >= d) | (i >= d)
+
+    @functools.cached_property
+    def _size_index(self):
+        """Edge positions of C's blocks per size d, for the eigensolves."""
+        dims = np.array(self.block_dims)
+        return {d: np.flatnonzero(dims == d) for d in sorted(set(self.block_dims))}
+
+    @functools.cached_property
     def _bounds(self):
         """(U, L), computed and checked once (see ``bounds_ul``) by
         ``cones._pd_flags`` (L > 0) and ``cones._geq_flags`` (U >= L)."""
-        u = _middle(self, np.zeros(sum(n * q * q for n, _, q in self.inner.batches)))
-        l = apply_stacked_operator(self, _group(self, [np.zeros((d, d)) for d in self.block_dims]))
-        for x in (*u.values(), *l.values()):
+        u = _middle(self, np.zeros((len(self.psi) + 1, *self.omega.shape[1:])))
+        l = apply_stacked_operator(self, np.zeros(self._padding.shape))
+        for x in (u, l):
             x.setflags(write=False)
-        u_blocks, l_blocks = _blocks(self, u), _blocks(self, l)
+        u_blocks, l_blocks = _split(self, u), _split(self, l)
         bad = np.flatnonzero(~cones._pd_flags(l_blocks))
         if bad.size:
             raise cones.NumericalError(
@@ -141,177 +149,121 @@ def build_stacked(net):
     edges = net.directed_edges
     block_dims = tuple(net.var_dim(e.variable) for e in edges)
     pairs = [(e, j) for e in edges for j in net.factor_scope(e.factor) if j != e.variable]
-
-    # C's blocks per size: edge positions, and each block's (offset, row
-    # stride) in the grouped input (the size groups raveled in ascending
-    # size).
-    c_groups, c_at, width = {}, {}, 0
-    for d in sorted(set(block_dims)):
-        pos = [x for x, dx in enumerate(block_dims) if dx == d]
-        c_groups[d] = np.array(pos)
-        for x in pos:
-            c_at[edges[x]], width = (width, d), width + d * d
-
-    # Inner: one item per (n, j), fed by the C blocks that Xi_{n,j}
-    # selects (the other factors of j).  Middle: one item per edge (n, i),
-    # fed by the inner outputs T_nj of the factor's other variables.
-    keys = list(dict.fromkeys((e.factor, j) for e, j in pairs))
-    inner, psi, h, t_at = _stage(
-        [(net.prior_info(j), net.node(n).coeff[j].T) for n, j in keys],
-        [[c_at[(f, j)] for f in net.var_factors(j) if f != n] for n, j in keys],
-        [f"factor {n} / variable {j} inner matrix" for n, j in keys],
-    )
-    t_at = dict(zip(keys, t_at))
-    middle, omega, a, f_at = _stage(
-        [(net.node(e.factor).noise_cov, net.node(e.factor).coeff[e.variable]) for e in edges],
-        [[t_at[(e.factor, j)] for j in net.factor_scope(e.factor) if j != e.variable]
-         for e in edges],
-        [f"edge ({e.factor}, {e.variable}) middle matrix" for e in edges],
-    )
-    # F(C)'s groups: the d x d corner of each edge's padded middle output.
-    out_index = {}
-    for d, pos in c_groups.items():
-        offset, stride = np.array([f_at[x] for x in pos]).T[:, :, None, None]
-        out_index[d] = (offset + stride * np.arange(d)[:, None] + np.arange(d)).ravel()
+    at = {e: x for x, e in enumerate(edges)}
+    # Inner: one row per (n, j), fed by the C blocks that Xi_{n,j} selects
+    # (the other factors of j).  Middle: one row per edge (n, i), fed by
+    # the T_nj of the factor's other variables, summed in key order.  Keys
+    # sorted by (d_j, p_n) set that order, and with it F's rounding.
+    keys = sorted(dict.fromkeys((e.factor, j) for e, j in pairs),
+                  key=lambda k: (net.var_dim(k[1]), net.obs_dim(k[0])))
+    keys = {key: y for y, key in enumerate(keys)}
+    big_d, big_p = max(block_dims), max(net.obs_dim(e.factor) for e in edges)
     return StackedOperator(
-        edge_order=tuple(edges), block_dims=block_dims, pair_order=tuple(pairs), a=a,
-        omega=omega, h=h, psi=psi, c_groups=c_groups, inner=inner, middle=middle,
-        out_index=out_index,
+        edge_order=tuple(edges), block_dims=block_dims, pair_order=tuple(pairs),
+        a=_padded([net.node(e.factor).coeff[e.variable] for e in edges], big_p, big_d),
+        omega=_padded([net.node(e.factor).noise_cov for e in edges], big_p, big_p, base=True),
+        h=_padded([net.node(n).coeff[j].T for n, j in keys], big_d, big_p),
+        psi=_padded([net.prior_info(j) for _, j in keys], big_d, big_d, base=True),
+        c_sources=_sources([[at[(f, j)] for f in net.var_factors(j) if f != n] for n, j in keys],
+                           len(edges)),
+        t_sources=_sources([[keys[(e.factor, j)] for j in net.factor_scope(e.factor)
+                             if j != e.variable] for e in edges], len(keys)),
+        inner=([net.var_dim(j) for _, j in keys],
+               [f"factor {n} / variable {j} inner matrix" for n, j in keys]),
+        middle=([net.obs_dim(e.factor) for e in edges],
+                [f"edge ({e.factor}, {e.variable}) middle matrix" for e in edges]),
     )
 
 
-def _stage(blocks, sources, labels):
-    """One layer of F: out_k = G_k^T (B_k + S_k)^{-1} G_k for the (B_k, G_k)
-    pairs in ``blocks``, p x p and p x q, where S_k sums the p x p blocks
-    of a flat input listed in ``sources[k]`` as (offset, row stride).
-    Items sorted by size share padded (count, P, Q) batches,
-    a new one wherever p more than doubles the batch's first, so padding
-    costs at most 8 times an item's work.  Returns the layer, the flat
-    base and operand stores (unpadded, in batch order) and each item's
-    zero-padded output as (offset, row stride) in the layer's output."""
-    plan = []
-    for k in sorted(range(len(blocks)), key=lambda k: blocks[k][1].shape):
-        if plan and blocks[k][1].shape[0] <= 2 * blocks[plan[-1][0]][1].shape[0]:
-            plan[-1].append(k)
-        else:
-            plan.append([k])
-    order = [k for items in plan for k in items]
-    shapes, at, cell, out = [], ([], [], []), [], [None] * len(blocks)
-    ob = og = oo = 0  # offsets into the padded B, G and output buffers
-    for items in plan:
-        p, q = np.array([blocks[k][1].shape for k in items]).T[:, :, None, None]
-        n, big_p, big_q = len(items), int(p.max()), int(q.max())
-        i, j = np.arange(big_p)[:, None], np.arange(big_p)
-        at[0].append(ob + np.flatnonzero((i < p) & (j < p)))  # base store
-        at[1].append(ob + np.flatnonzero((i >= p) & (i == j)))  # identity padding
-        at[2].append(og + np.flatnonzero((i < p) & (np.arange(big_q) < q)))  # operand store
-        cell += [(ob + x * big_p * big_p, big_p) for x in range(n)]
-        for x, k in enumerate(items):
-            out[k] = (oo + x * big_q * big_q, big_q)
-        shapes.append((n, big_p, big_q))
-        ob, og, oo = ob + n * big_p * big_p, og + n * big_p * big_q, oo + n * big_q * big_q
-    # The route: each source block adds into the lower triangle of its
-    # item's B block, the only part the Cholesky factorization reads.
-    # Native-width indices: int32 ones made np.bincount 4x slower on er30.
-    p = [blocks[k][1].shape[0] for k in order]
-    pairs = np.array([(*cell[y], p[y], *s) for y, k in enumerate(order) for s in sources[k]])
-    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for d in np.unique(pairs.reshape(-1, 5)[:, 2]):
-        at_b, big_p, _, off, stride = pairs[pairs[:, 2] == d].T[:, :, None]
-        i, j = np.tril_indices(d)
-        rows.append((at_b + big_p * i + j).ravel())
-        cols.append((off + stride * i + j).ravel())
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    by_row = np.lexsort((cols, rows))  # each B entry sums its sources in ascending position
-    layer = _Layer(
-        shapes, (rows[by_row], cols[by_row]),
-        *(np.concatenate(x + [np.zeros(0, dtype=int)]) for x in at), [labels[k] for k in order], p,
-    )
-    base = _flat([cones._sym(np.asarray(blocks[k][0], dtype=float)) for k in order])
-    return layer, base, _flat([blocks[k][1] for k in order]), out
+def _padded(blocks, rows, cols, base=False):
+    """Blocks in the leading corners of a zero (n, rows, cols) stack; a
+    base is symmetrized and gets ones on the rest of the diagonal."""
+    out = np.zeros((len(blocks), rows, cols))
+    if base:
+        out[:] = np.eye(rows)
+    for x, b in zip(out, blocks):
+        x[: b.shape[0], : b.shape[1]] = cones._sym(b) if base else b
+    return out
 
 
-def _run_stage(layer, base, operand, src):
-    """Evaluate one layer of F on its stores, adding the flat input
-    ``src`` to the B blocks (lower triangles read); returns the padded
-    outputs, flat.  A B block that is not positive definite raises
-    NumericalError naming the first such block of its batch."""
-    rows, cols = layer.route
-    b_all = np.bincount(rows, src[cols], minlength=sum(n * p * p for n, p, _ in layer.batches))
-    b_all[layer.base_at] += base
-    b_all[layer.pad_at] = 1.0
-    g_all = np.zeros(sum(n * p * q for n, p, q in layer.batches))
-    g_all[layer.operand_at] = operand
-    out = []
-    ob = og = k = 0
-    for n, p, q in layer.batches:
-        b = b_all[ob : ob + n * p * p].reshape(n, p, p)
-        g = g_all[og : og + n * p * q].reshape(n, p, q)
-        ob, og, k = ob + n * p * p, og + n * p * q, k + n
-        z = cones._forward_blocks(b, g, layer.sizes[k - n : k], layer.labels[k - n : k])
-        out.append(z.swapaxes(1, 2) @ z)
-    return _flat(out)
+def _sources(rows, fill):
+    """Index rows, each sorted and filled up with ``fill`` to the longest."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=np.intp)
+    for x, r in zip(out, rows):
+        x[: len(r)] = sorted(r)
+    return out
+
+
+def _layer(src, sources, base, operand, sizes, labels):
+    """One layer of F: G_k^T (B_k + S_k)^{-1} G_k for every row k of the
+    ``base`` and ``operand`` stacks, where S_k sums, in column order, the
+    blocks of ``src`` that row k of ``sources`` lists, and B_k is added
+    last.  ``src`` ends with a zero block, the fill of short rows, and so
+    does the output.  A B block that is not PD raises NumericalError
+    naming the first such row (``cones._forward_blocks``)."""
+    b = src[sources[:, 0]] if sources.size else np.zeros(base.shape)
+    for col in sources.T[1:]:
+        b += src[col]
+    b += base
+    z = cones._forward_blocks(b, operand, sizes, labels)
+    out = np.zeros((len(z) + 1, z.shape[2], z.shape[2]))
+    np.matmul(z.swapaxes(1, 2), z, out=out[:-1])
+    return out
 
 
 def _middle(op, t):
-    """F's middle layer on the inner outputs ``t``, grouped (U at t = 0)."""
-    out = _run_stage(op.middle, op.omega, op.a, t)
-    return {d: cones._sym(out[idx].reshape(-1, d, d)) for d, idx in op.out_index.items()}
-
-
-def _flat(arrays):
-    return np.concatenate([np.ravel(x) for x in arrays] + [np.zeros(0)])
+    """F's middle layer on the inner outputs ``t``, which end with a zero
+    block (U at t = 0)."""
+    return cones._sym(_layer(t, op.t_sources, op.omega, op.a, *op.middle)[:-1])
 
 
 _LAYOUT = (
-    "C must be a block list in edge order or arrays grouped by block size, "
-    "{d: (E_d, d, d)}, in the operator's layout"
+    "C must be a block list in edge order or a padded stack in edge order, "
+    "(E, D, D) and zero past each block's size, in the operator's layout"
 )
 
 
-def _group(op, blocks):
-    """A block list in edge order, grouped by block size."""
+def _stack(op, blocks):
+    """A block list in edge order as the padded stack."""
     blocks = [np.asarray(b, dtype=float) for b in blocks]
     if [b.shape for b in blocks] != [(d, d) for d in op.block_dims]:
         raise ValueError(_LAYOUT)
-    return {d: np.stack([blocks[k] for k in pos]) for d, pos in op.c_groups.items()}
+    return _padded(blocks, *op._padding.shape[1:])
 
 
-def _blocks(op, groups):
-    """Grouped blocks as a list in edge order."""
-    at = {k: (d, y) for d, pos in op.c_groups.items() for y, k in enumerate(pos)}
-    return [groups[d][y] for d, y in map(at.get, range(len(op.block_dims)))]
+def _split(op, x):
+    """The padded stack as a block list in edge order (views)."""
+    return [y[:d, :d] for y, d in zip(x, op.block_dims)]
 
 
-def _as_groups(op, c):
-    """C, grouped or a block list, grouped by block size and symmetrized.
+def _by_size(op, x):
+    """The stack's blocks as ``{d: (E_d, d, d)}``, one eigensolve per size."""
+    return {d: x[pos, :d, :d] for d, pos in op._size_index.items()}
 
-    Either form must match the layout and be finite.  A dense stacked
-    matrix is neither: iterated, it yields rows, not blocks, so it is
-    rejected.
-    """
-    if isinstance(c, dict):
-        groups = {d: np.asarray(c.get(d), dtype=float) for d in op.c_groups}
-        if c.keys() != groups.keys() or any(
-            x.shape != (len(op.c_groups[d]), d, d) for d, x in groups.items()
-        ):
-            raise ValueError(_LAYOUT)
-    else:
-        groups = _group(op, c)
-    if not all(np.all(np.isfinite(x)) for x in groups.values()):
+
+def _as_stack(op, c):
+    """C, a block list or the padded stack, as the padded stack,
+    symmetrized.  Either form must match the layout and be finite; a dense
+    stacked matrix is neither (iterated, it yields rows, not blocks)."""
+    x = np.asarray(c, dtype=float) if isinstance(c, np.ndarray) and c.ndim == 3 else _stack(op, c)
+    if x.shape != op._padding.shape or np.any(x[op._padding]):
+        raise ValueError(_LAYOUT)
+    if not np.all(np.isfinite(x)):
         raise ValueError("C has non-finite entries")
-    return {d: cones._sym(x) for d, x in groups.items()}
+    return cones._sym(x)
 
 
 def apply_stacked_operator(op, c):
     """Evaluate F(C) for a stacked (block diagonal, PSD) C.
 
-    ``c`` is grouped by block size (``{d: (E_d, d, d)}`` in the edge order
-    of ``op.c_groups``) or a block list in edge order, and F(C) comes back
-    in the same form.
+    ``c`` is a block list in edge order or the padded (E, D, D) stack in
+    edge order, zero past each block's size, and F(C) comes back in the
+    same form.
     """
-    out = _middle(op, _run_stage(op.inner, op.psi, op.h, _flat(_as_groups(op, c).values())))
-    return out if isinstance(c, dict) else _blocks(op, out)
+    x = _as_stack(op, c)
+    out = _middle(op, _layer(np.concatenate([x, np.zeros_like(x[:1])]), op.c_sources, op.psi,
+                             op.h, *op.inner))
+    return out if isinstance(c, np.ndarray) and c.ndim == 3 else _split(op, out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -348,18 +300,17 @@ def find_fixed_point(op, tol=1e-13, max_iterations=20000):
     non-expansive in the part metric (Lemmens & Nussbaum 2012), so a
     d_T(C_{k+1}, C_k) that does not fall is rounding: it stops unconverged.
     """
-    c = apply_stacked_operator(op, _group(op, [np.zeros((d, d)) for d in op.block_dims]))
+    c = apply_stacked_operator(op, np.zeros(op._padding.shape))
     step = np.inf
     for it in range(1, max_iterations + 1):
         nxt = apply_stacked_operator(op, c)
-        delta = np.linalg.norm(_flat([nxt[d] - c[d] for d in c]))
-        if delta <= tol * np.linalg.norm(_flat(nxt.values())):
-            return _blocks(op, nxt), it, True
-        last, step = step, cones.part_metric_blocks(nxt, c)
+        if np.linalg.norm(nxt - c) <= tol * np.linalg.norm(nxt):
+            return _split(op, nxt), it, True
+        last, step = step, cones.part_metric_blocks(_by_size(op, nxt), _by_size(op, c))
         c = nxt
         if step >= last:
-            return _blocks(op, c), it, False
-    return _blocks(op, c), max_iterations, False
+            return _split(op, c), it, False
+    return _split(op, c), max_iterations, False
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +362,19 @@ def random_state_blocks(rng, dims, allow_singular=True):
 
 
 def scaling_margins(op, c, alpha):
-    """Blockwise min eigenvalue of alpha*F(C) - F(alpha*C), for C grouped
-    or a block list.
+    """Blockwise min eigenvalue of alpha*F(C) - F(alpha*C), for C a block
+    list or the padded stack.
 
     The scaling law says this is strictly positive for PSD C and
     alpha > 1 (subhomogeneity with slack, the source of contraction)."""
-    groups = _as_groups(op, c)
-    fc = apply_stacked_operator(op, groups)
-    fac = apply_stacked_operator(op, {d: alpha * x for d, x in groups.items()})
-    return _margin({d: alpha * x for d, x in fc.items()}, fac)
+    c = _as_stack(op, c)
+    fc = apply_stacked_operator(op, c)
+    return _margin(op, alpha * fc, apply_stacked_operator(op, alpha * c))
 
 
-def _margin(xs, ys):
-    """Smallest eigenvalue of X - Y over grouped blocks: >= 0 iff X >= Y."""
-    return cones.min_eigenvalue_blocks({d: xs[d] - ys[d] for d in xs})
+def _margin(op, xs, ys):
+    """Smallest eigenvalue of X - Y over padded stacks: >= 0 iff X >= Y."""
+    return cones.min_eigenvalue_blocks(_by_size(op, xs - ys))
 
 
 def property_harness(op, trials=100, seed=0):
@@ -440,22 +390,22 @@ def property_harness(op, trials=100, seed=0):
     if not trials >= 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
     bounds = bounds_ul(op)
-    lower, upper = _group(op, bounds.l_blocks), _group(op, bounds.u_blocks)
+    lower, upper = _stack(op, bounds.l_blocks), _stack(op, bounds.u_blocks)
     failures = []
     worst_mono = worst_scal = worst_bnds = np.inf
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
 
-        c1 = _group(op, random_state_blocks(rng, op.block_dims))
-        inc = _group(op, random_state_blocks(rng, op.block_dims))
+        c1 = _stack(op, random_state_blocks(rng, op.block_dims))
+        inc = _stack(op, random_state_blocks(rng, op.block_dims))
         f1 = apply_stacked_operator(op, c1)
-        f2 = apply_stacked_operator(op, {d: c1[d] + inc[d] for d in c1})
-        margin = _margin(f2, f1)
+        f2 = apply_stacked_operator(op, c1 + inc)
+        margin = _margin(op, f2, f1)
         worst_mono = min(worst_mono, margin)
         if margin < -ORDER_TOL:
             failures.append(f"trial {t}: monotonicity violated, margin {margin:.3e}")
 
-        pd = _group(op, random_state_blocks(rng, op.block_dims, allow_singular=False))
+        pd = _stack(op, random_state_blocks(rng, op.block_dims, allow_singular=False))
         alpha = max(1.0 + 9.0 * float(rng.random()), 1.0 + 1e-9)
         margin = scaling_margins(op, pd, alpha)
         worst_scal = min(worst_scal, margin)
@@ -464,7 +414,7 @@ def property_harness(op, trials=100, seed=0):
                             f"margin {margin:.3e}")
 
         for f, label in ((f1, "F(C1)"), (f2, "F(C2)")):
-            margin = min(_margin(f, lower), _margin(upper, f))
+            margin = min(_margin(op, f, lower), _margin(op, upper, f))
             worst_bnds = min(worst_bnds, margin)
             if margin < -ORDER_TOL:
                 failures.append(f"trial {t}: {label} escaped [L, U], margin {margin:.3e}")
@@ -502,8 +452,8 @@ class SandwichReport:
 def sandwich_sequences(op, c_star, alpha=2.0, target=1e-6):
     """Run the two monotone envelope sequences around the fixed point.
 
-    ``c_star`` is the stacked fixed point, grouped or a block list in edge
-    order.  The upper sequence starts at alpha * C*, the lower at
+    ``c_star`` is the stacked fixed point, a block list in edge order or
+    the padded stack.  The upper sequence starts at alpha * C*, the lower at
     L = F(0); both are driven by F alone, so their behavior is a property
     of the operator, not of the engine run that produced ``c_star``.  At
     most SANDWICH_MAX_STEPS steps; order margins below -ORDER_TOL fail.
@@ -512,19 +462,19 @@ def sandwich_sequences(op, c_star, alpha=2.0, target=1e-6):
         raise ValueError(f"alpha must exceed 1, got {alpha!r}")
     if not target >= 0.0:
         raise ValueError(f"target must be >= 0, got {target!r}")
-    star = _as_groups(op, c_star)
-    upper = {d: alpha * b for d, b in star.items()}
-    lower = _group(op, bounds_ul(op).l_blocks)
-    upper_d = [cones.part_metric_blocks(upper, star)]
-    lower_d = [cones.part_metric_blocks(lower, star)]
+    star = _as_stack(op, c_star)
+    upper, lower = alpha * star, _stack(op, bounds_ul(op).l_blocks)
+    star_d = _by_size(op, star)
+    upper_d = [cones.part_metric_blocks(_by_size(op, upper), star_d)]
+    lower_d = [cones.part_metric_blocks(_by_size(op, lower), star_d)]
     failures = []
     upper_mono = lower_mono = contains = True
     steps = 0
     for step in range(1, SANDWICH_MAX_STEPS + 1):
         new_upper = apply_stacked_operator(op, upper)
         new_lower = apply_stacked_operator(op, lower)
-        m_up = _margin(upper, new_upper)
-        m_lo = _margin(new_lower, lower)
+        m_up = _margin(op, upper, new_upper)
+        m_lo = _margin(op, new_lower, lower)
         if m_up < -ORDER_TOL:
             upper_mono = False
             failures.append(f"step {step}: upper sequence increased, margin {m_up:.3e}")
@@ -532,14 +482,14 @@ def sandwich_sequences(op, c_star, alpha=2.0, target=1e-6):
             lower_mono = False
             failures.append(f"step {step}: lower sequence decreased, margin {m_lo:.3e}")
         upper, lower = new_upper, new_lower
-        m_in_up = _margin(upper, star)
-        m_in_lo = _margin(star, lower)
+        m_in_up = _margin(op, upper, star)
+        m_in_lo = _margin(op, star, lower)
         if min(m_in_up, m_in_lo) < -ORDER_TOL:
             contains = False
             failures.append(f"step {step}: fixed point escaped the sandwich, "
                             f"margins ({m_in_up:.3e}, {m_in_lo:.3e})")
-        upper_d.append(cones.part_metric_blocks(upper, star))
-        lower_d.append(cones.part_metric_blocks(lower, star))
+        upper_d.append(cones.part_metric_blocks(_by_size(op, upper), star_d))
+        lower_d.append(cones.part_metric_blocks(_by_size(op, lower), star_d))
         steps = step
         if upper_d[-1] < target and lower_d[-1] < target:
             break

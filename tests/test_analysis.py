@@ -83,9 +83,13 @@ def split(c, dims):
     return [c[a:b, a:b] for a, b in zip(at[:-1], at[1:])]
 
 
-def group(op, blocks):
-    """A block list grouped by size, in the edge order of ``op.c_groups``."""
-    return {d: np.stack([blocks[k] for k in pos]) for d, pos in op.c_groups.items()}
+def padded(op, blocks):
+    """A block list as the padded (E, D, D) stack, zero past each block."""
+    big = max(op.block_dims)
+    x = np.zeros((len(blocks), big, big))
+    for y, b in zip(x, blocks):
+        y[: len(b), : len(b)] = b
+    return x
 
 
 def zeros(op):
@@ -111,13 +115,12 @@ def dense_u(ref):
     return ref.a.T @ scipy.linalg.solve(ref.omega, ref.a, assume_a="pos")
 
 
-def tamper(op, layer, store, label, block):
-    """Overwrite the base block labelled ``label`` of a layer in its flat
-    store, which holds one unpadded p x p block per item in the layer's
-    label order."""
-    k = layer.labels.index(label)
-    start = sum(p * p for p in layer.sizes[:k])
-    store[start : start + block.size] = np.ravel(block)
+def tamper(op, layer, label, block):
+    """Overwrite the base block labelled ``label`` of a layer ("inner" or
+    "middle") in the leading corner of its row of the padded base stack."""
+    store = op.psi if layer == "inner" else op.omega
+    k = getattr(op, layer)[1].index(label)
+    store[k, : len(block), : len(block)] = block
 
 
 def oracle_instances():
@@ -148,15 +151,11 @@ def padded_instances():
     ]
 
 
-def padded_items(layer):
-    """(label, size, padded size) of the items whose block a batch pads."""
-    sizes = iter(zip(layer.labels, layer.sizes))
-    return [
-        (label, p, big_p)
-        for n, big_p, _ in layer.batches
-        for label, p in (next(sizes) for _ in range(n))
-        if p < big_p
-    ]
+def padded_items(op, layer):
+    """(label, size, padded size) of the rows whose B block a layer ("inner"
+    or "middle") pads."""
+    big_p = (op.psi if layer == "inner" else op.omega).shape[1]
+    return [(label, p, big_p) for p, label in zip(*getattr(op, layer)) if p < big_p]
 
 
 def part_metric_pencil(x, y):
@@ -203,7 +202,11 @@ class TestBuildStacked:
         assert op.phi == 4
         assert op.dim_c == 4
         assert op.block_dims == (1, 1, 1, 1)
-        assert op.c_groups.keys() == {1} and np.array_equal(op.c_groups[1], np.arange(4))
+        assert all(x.shape == (4, 1, 1) for x in (op.a, op.omega, op.h, op.psi))
+        # Keys (1, 2), (1, 1), (2, 2), (2, 1); each sums the one C block of the
+        # other factor, and each edge's middle block the T of its one key.
+        assert op.c_sources.tolist() == [[3], [2], [1], [0]]
+        assert op.t_sources.tolist() == [[0], [1], [2], [3]]
         assert len(op.pair_order) == 4
 
     def test_star_replica_count(self):
@@ -219,27 +222,42 @@ class TestBuildStacked:
         # All unit coefficients: A is exactly the identity on this instance.
         assert np.array_equal(ref.a, np.eye(4))
         assert np.array_equal(ref.h, np.eye(4))
-        # The operator keeps only the blocks: four scalars per store.
+        # The operator keeps only the blocks: four 1 x 1 blocks per store.
         for store in (golden_op.a, golden_op.omega, golden_op.h, golden_op.psi):
-            assert np.array_equal(store, np.ones(4))
+            assert np.array_equal(store, np.ones((4, 1, 1)))
 
     def test_stores_hold_only_the_blocks(self):
         # F reads A_ni and R_n per edge and H_nj^T and W_j^{-1} per
-        # (factor, variable) key; no dense matrix may come back.
+        # (factor, variable) key, each in the leading corner of its row of a
+        # padded stack: zero past it, identity on a base's diagonal.  No
+        # dense matrix may come back.
         nets = [
             network.generate_random(1, 30, "er", er_prob=0.2),
             network.generate_random(1, 16, "grid", grid_shape=(4, 4)),
         ]
         for net in nets:
             op = analysis.build_stacked(net)
-            keys = {(e.factor, j) for e, j in op.pair_order}
-            size = sum(
-                net.obs_dim(e.factor) * (net.var_dim(e.variable) + net.obs_dim(e.factor))
-                for e in net.directed_edges
-            ) + sum(net.var_dim(j) * (net.obs_dim(n) + net.var_dim(j)) for n, j in keys)
-            stores = (op.a, op.omega, op.h, op.psi)
-            assert all(x.ndim == 1 for x in stores)
-            assert sum(x.nbytes for x in stores) == 8 * size
+            # One row per key, keys sorted by (d_j, p_n).
+            keys = sorted(dict.fromkeys((e.factor, j) for e, j in op.pair_order),
+                          key=lambda k: (net.var_dim(k[1]), net.obs_dim(k[0])))
+            big_d = max(op.block_dims)
+            big_p = max(net.obs_dim(e.factor) for e in op.edge_order)
+            rows = [
+                (op.a, [net.node(e.factor).coeff[e.variable] for e in op.edge_order], False),
+                (op.omega, [net.node(e.factor).noise_cov for e in op.edge_order], True),
+                (op.h, [net.node(n).coeff[j].T for n, j in keys], False),
+                (op.psi, [net.prior_info(j) for _, j in keys], True),
+            ]
+            for store, blocks, base in rows:
+                want = np.zeros(store.shape)
+                for x, b in zip(want, blocks, strict=True):
+                    if base:
+                        x[:] = np.eye(len(x))
+                    x[: b.shape[0], : b.shape[1]] = b
+                assert np.array_equal(store, want)
+            assert [x.shape[1:] for x, _, _ in rows] == [
+                (big_p, big_d), (big_p, big_p), (big_d, big_p), (big_d, big_d)
+            ]
         names = {f.name for f in dataclasses.fields(analysis.StackedOperator)}
         assert not names & {"k", "xi"}
 
@@ -332,7 +350,7 @@ class TestApplyOperator:
         off_block[0, 3] = off_block[3, 0] = 0.2
         for o, c in ((op, dense), (golden_op, np.eye(4)), (golden_op, off_block)):
             assert c.shape == (o.dim_c, o.dim_c)
-            with pytest.raises(ValueError, match=r"block list in edge order or .* grouped"):
+            with pytest.raises(ValueError, match=r"block list in edge order or a padded stack"):
                 analysis.apply_stacked_operator(o, c)
             with pytest.raises(ValueError, match="block list"):
                 analysis.scaling_margins(o, c, 2.0)
@@ -356,7 +374,7 @@ class TestApplyOperator:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_block_list_in_block_list_out(self):
-        # The same F(C) bit for bit, whether C comes grouped or as blocks.
+        # The same F(C) bit for bit, whether C comes padded or as blocks.
         net = network.generate_random(64, 7, "er", dim_range=(1, 3))
         op = analysis.build_stacked(net)
         rng = np.random.default_rng(13)
@@ -364,19 +382,25 @@ class TestApplyOperator:
         got = analysis.apply_stacked_operator(op, blocks)
         assert isinstance(got, list)
         assert [b.shape for b in got] == [(d, d) for d in op.block_dims]
-        grouped = analysis.apply_stacked_operator(op, group(op, blocks))
-        for d, x in group(op, got).items():
-            assert np.array_equal(x, grouped[d])
+        padded_out = analysis.apply_stacked_operator(op, padded(op, blocks))
+        assert np.array_equal(padded(op, got), padded_out)
         assert analysis.scaling_margins(op, blocks, 3.0) == analysis.scaling_margins(
-            op, group(op, blocks), 3.0
+            op, padded(op, blocks), 3.0
         )
 
-    def test_padded_batches_match_dense_oracle(self):
+    def test_padded_batches_match_dense_oracle(self, monkeypatch):
         rng = np.random.default_rng(14)
         for net in padded_instances():
             op = analysis.build_stacked(net)
-            assert padded_items(op.inner) and padded_items(op.middle)
-            assert len(op.inner.batches) + len(op.middle.batches) <= 4
+            assert padded_items(op, "inner") and padded_items(op, "middle")
+            # One padded batch per layer: a row per (n, j) key, then per edge.
+            batches = []
+            real = cones._forward_blocks
+            with monkeypatch.context() as m:
+                m.setattr(cones, "_forward_blocks",
+                          lambda b, *a: batches.append(b.shape) or real(b, *a))
+                analysis.apply_stacked_operator(op, zeros(op))
+            assert batches == [op.psi.shape, op.omega.shape]
             ref = dense_operator(net)
             for _ in range(3):
                 blocks = analysis.random_state_blocks(rng, op.block_dims)
@@ -387,35 +411,74 @@ class TestApplyOperator:
             want = dense_f(ref, np.zeros((op.dim_c, op.dim_c)))
             assert np.max(np.abs(f0 - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_grouped_in_grouped_out(self):
-        # Grouped arrays hold each size's blocks in c_groups' edge order and
-        # give the same F(C) bit for bit as a block list.
+    def test_padded_in_padded_out(self):
+        # The padded stack holds C's blocks in edge order, zero past each
+        # block's size, and gives the same F(C) bit for bit as a block list,
+        # padded the same way.  Grouped arrays, a short stack and content
+        # in the padding are not the layout.
         net = network.generate_random(94, 8, "er", dim_range=(1, 4))
         op = analysis.build_stacked(net)
         blocks = analysis.random_state_blocks(np.random.default_rng(15), op.block_dims)
-        grouped = group(op, blocks)
-        assert sorted(grouped) == sorted(set(op.block_dims))
-        got = analysis.apply_stacked_operator(op, grouped)
+        got = analysis.apply_stacked_operator(op, padded(op, blocks))
         want = analysis.apply_stacked_operator(op, blocks)
-        assert got.keys() == grouped.keys()
-        for d, pos in op.c_groups.items():
-            assert got[d].shape == (len(pos), d, d)
-            assert all(np.array_equal(g, want[k]) for g, k in zip(got[d], pos))
-        with pytest.raises(ValueError, match="layout"):
-            analysis.apply_stacked_operator(op, {d: x[1:] for d, x in grouped.items()})
-        with pytest.raises(ValueError, match="layout"):
-            analysis.apply_stacked_operator(op, {1: grouped[1]})
+        assert got.shape == (len(op.block_dims), 4, 4)
+        assert np.array_equal(got, padded(op, want))
+        grouped = {d: np.stack([b for b in blocks if len(b) == d]) for d in set(op.block_dims)}
+        leaky = padded(op, blocks)
+        leaky[op.block_dims.index(1), 1, 1] = 1.0
+        for c in (grouped, padded(op, blocks)[1:], leaky):
+            with pytest.raises(ValueError, match="layout"):
+                analysis.apply_stacked_operator(op, c)
+
+    def test_output_padding_is_exactly_zero(self):
+        rng = np.random.default_rng(16)
+        for net in padded_instances():
+            op = analysis.build_stacked(net)
+            for blocks in (zeros(op), analysis.random_state_blocks(rng, op.block_dims)):
+                out = analysis.apply_stacked_operator(op, padded(op, blocks))
+                for x, d in zip(out, op.block_dims, strict=True):
+                    assert not x[d:].any() and not x[:, d:].any()
+
+    @pytest.mark.parametrize("layer", ["inner", "middle"])
+    def test_padding_never_leaks_into_a_located_error(self, layer):
+        # A 1 x 1 base block that is not PD, in a layer padded to 3 or 4,
+        # raises exactly the error of cones.cho_factor_pd on that block with
+        # its label, condition estimate included: a factorization at the
+        # padded size would report the padding's condition.
+        # Node 1 (dim 1) is alone; nodes 2 (dim 3) and 3 (dim 1) observe both.
+        coeff = {2: np.eye(4, 3), 3: np.eye(4, 1)}
+        net = network.GaussianNetwork([
+            network.NodeSpec(1, 1, np.eye(1), np.eye(1), [0.0], {1: np.eye(1)}),
+            network.NodeSpec(2, 3, np.eye(3), np.eye(4), np.zeros(4), coeff),
+            network.NodeSpec(3, 1, np.eye(1), np.eye(4), np.zeros(4), coeff),
+        ], [(2, 3)])
+        op = analysis.build_stacked(net)
+        label, big = {"inner": ("factor 2 / variable 3 inner matrix", 3),
+                      "middle": ("edge (1, 1) middle matrix", 4)}[layer]
+        assert (label, 1, big) in padded_items(op, layer)
+        bad = -1e-3 * np.eye(1)
+        tamper(op, layer, label, bad)
+        with pytest.raises(cones.NumericalError) as want:
+            cones.cho_factor_pd(bad, context=label)
+        with pytest.raises(cones.NumericalError) as got:
+            if layer == "inner":
+                analysis.apply_stacked_operator(op, zeros(op))
+            else:
+                analysis.bounds_ul(op)
+        assert type(got.value) is cones.NumericalError
+        assert str(got.value) == str(want.value)
+        assert got.value.condition == want.value.condition == 1.0
 
     def test_names_non_pd_block_inside_padded_batch(self):
         # An indefinite block that its batch pads is still named by its own
         # slot, in either layer, while every other block stays PD.
         net = network.generate_random(94, 8, "er", dim_range=(1, 4))
-        for layer, store, run in (("inner", "psi", "apply"), ("middle", "omega", "bounds")):
+        for layer, run in (("inner", "apply"), ("middle", "bounds")):
             op = analysis.build_stacked(net)
-            label, p, big_p = padded_items(getattr(op, layer))[-1]
+            label, p, big_p = padded_items(op, layer)[-1]
             bad = np.eye(p)
             bad[-1, -1] = -1.0
-            tamper(op, getattr(op, layer), getattr(op, store), label, bad)
+            tamper(op, layer, label, bad)
             with pytest.raises(cones.NumericalError, match=re.escape(label)):
                 if run == "apply":
                     analysis.apply_stacked_operator(op, zeros(op))
@@ -434,7 +497,7 @@ class TestApplyOperator:
         # W_j^{-1} of the last pair's (factor, variable) key
         e, j = op.pair_order[-1]
         label = f"factor {e.factor} / variable {j} inner matrix"
-        tamper(op, op.inner, op.psi, label, -np.eye(net.var_dim(j)))
+        tamper(op, "inner", label, -np.eye(net.var_dim(j)))
         with pytest.raises(cones.NumericalError, match=label):
             analysis.apply_stacked_operator(op, zeros(op))
 
@@ -444,7 +507,7 @@ class TestApplyOperator:
         with pytest.raises(ValueError, match="non-finite"):
             analysis.apply_stacked_operator(golden_op, c)
         with pytest.raises(ValueError, match="non-finite"):
-            analysis.apply_stacked_operator(golden_op, group(golden_op, c))
+            analysis.apply_stacked_operator(golden_op, padded(golden_op, c))
 
 
 class TestBounds:
@@ -486,7 +549,7 @@ class TestBounds:
         e = op.edge_order[3]
         bad = np.eye(net.obs_dim(e.factor))
         bad[-1, -1] = -1.0
-        tamper(op, op.middle, op.omega, f"edge ({e.factor}, {e.variable}) middle matrix", bad)
+        tamper(op, "middle", f"edge ({e.factor}, {e.variable}) middle matrix", bad)
         with pytest.raises(
             cones.NumericalError, match=rf"edge \({e.factor}, {e.variable}\) middle matrix"
         ):
@@ -503,6 +566,19 @@ class TestBounds:
         with pytest.raises(cones.NumericalError,
                            match=r"lower bound on edge \(1, 1\) is not positive definite"):
             analysis.bounds_ul(analysis.build_stacked(net))
+
+    def test_one_node_bounds_coincide(self):
+        # phi = 0: no (factor, variable) key, so the middle block is R_n
+        # alone for every C and U = L = A^T R^{-1} A.
+        net = network.generate_random(1, 1, "er")
+        op = analysis.build_stacked(net)
+        assert op.phi == 0 and op.psi.shape[0] == op.c_sources.size == op.t_sources.size == 0
+        [e] = op.edge_order
+        node = net.node(e.factor)
+        want = node.coeff[e.variable].T @ np.linalg.solve(node.noise_cov, node.coeff[e.variable])
+        b = analysis.bounds_ul(op)
+        for got in b.u_blocks + b.l_blocks:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_computed_once_per_operator(self):
         op = analysis.build_stacked(network.generate_random(75, 6, "er", dim_range=(1, 3)))
@@ -672,7 +748,7 @@ class TestSandwich:
         assert ok
         rep = analysis.sandwich_sequences(op, c, alpha=2.0, target=1e-6)
         assert rep.failures == []
-        same = analysis.sandwich_sequences(op, group(op, c), alpha=2.0, target=1e-6)
+        same = analysis.sandwich_sequences(op, padded(op, c), alpha=2.0, target=1e-6)
         assert same.upper_distances == rep.upper_distances
         assert same.lower_distances == rep.lower_distances
 

@@ -431,6 +431,18 @@ class TestAnalyze:
         assert bounds["l_min_eig"] == pytest.approx(l_min, rel=1e-12)
         assert abs(u_max - np.max(np.abs(u))) > 1e-3 * u_max
 
+    def test_one_node_instance(self, tmp_path):
+        # One node is its own only factor, so phi = 0: F has no inner row
+        # and both commands run on the middle layer alone.
+        inst = tmp_path / "one.json"
+        assert run_cli("gen", "--out", str(inst), "--seed", "1", "--nodes", "1") == 0
+        assert run_cli("run", "--instance", str(inst), "--out-dir", str(tmp_path / "run")) == 0
+        out = tmp_path / "analyze"
+        code = run_cli("analyze", "--instance", str(inst), "--out-dir", str(out), "--trials", "3")
+        assert code == 0
+        doc = read_json(out / "analysis.json")
+        assert doc["phi"] == 0 and doc["quantitative_failures"] == []
+
     def test_quantitative_failure_exit_2(self, golden_instance, tmp_path, capsys):
         # Rounding keeps the sandwich distances just above 0.
         out = tmp_path / "out"
@@ -444,8 +456,8 @@ class TestAnalyze:
         assert listed.startswith("distances (") and listed.endswith(failure)
 
     # Every check below holds on every instance.  Each case runs one part of
-    # analyze on a broken F'(C) = rule(F(C), C, L, U) (grouped blocks; the
-    # golden instance's are 1x1 and L = 1/2, U = 1), and the rest of the
+    # analyze on a broken F'(C) = rule(F(C), C, L, U) (padded stacks; the
+    # golden instance's blocks are 1x1 and L = 1/2, U = 1), and the rest of the
     # command on the real F.
     @pytest.mark.parametrize("section,rule,failure", [
         # Antitone, but inside [L, U] and strictly subhomogeneous.
@@ -472,10 +484,10 @@ class TestAnalyze:
 
         def broken_stage(op, *args, **kwargs):
             bounds = analysis.bounds_ul(op)
-            l, u = (analysis._group(op, b) for b in (bounds.l_blocks, bounds.u_blocks))
+            l, u = (analysis._stack(op, b) for b in (bounds.l_blocks, bounds.u_blocks))
 
             def broken_f(op, c):
-                return {d: rule(x, c[d], l[d], u[d]) for d, x in real_f(op, c).items()}
+                return rule(real_f(op, c), c, l, u)
 
             with monkeypatch.context() as m:
                 m.setattr(analysis, "apply_stacked_operator", broken_f)

@@ -540,7 +540,7 @@ class TestOneBoundary:
         u = np.tile(np.diag([scale, scale / 2]), (len(op.edge_order), 1, 1))
         low = u.copy()
         low[0, 1, 1] += t / margin
-        outputs = iter([{2: u}, {2: low}])
+        outputs = iter([u, low])
         monkeypatch.setattr(analysis, "_middle", lambda op, t: next(outputs))
         try:
             analysis.bounds_ul(op)
