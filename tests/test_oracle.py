@@ -1,11 +1,12 @@
 import dataclasses
+import time
 import types
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gabp import cli, engine, network, oracle
+from gabp import cli, cones, engine, network, oracle
 from gabp.cones import NumericalError
 from gabp.engine import ScheduleConfig
 from conftest import two_node_chain
@@ -56,6 +57,7 @@ def posterior_instances():
         "grid16": network.generate_random(1, 16, "grid", grid_shape=(4, 4)),
         "er30": network.generate_random(1, 30, "er", er_prob=0.2, dim_range=(1, 3)),
         "tree": network.generate_random(7, 12, "tree", dim_range=(1, 3)),
+        "grid144": network.generate_random(1, 144, "grid", grid_shape=(12, 12)),
     }
 
 
@@ -164,6 +166,59 @@ class TestCentralizedPosterior:
         broken = network.GaussianNetwork(nodes, net.edges)
         with pytest.raises(NumericalError, match=rf"^node 4 {what} covariance is not positive"):
             oracle.marginals(broken)
+
+
+class TestTiledFactor:
+    """``cones._tiled_inverse_factor``, the oracle's factorization of J."""
+
+    def test_grid144_tiles_cut_variable_blocks(self):
+        # J has n = 298 on grid144: more than two tiles, and tile boundaries
+        # fall inside variable blocks, so the dense-reference comparison
+        # above crosses tiles within a block.
+        spans, total = oracle._var_spans(posterior_instances()["grid144"])
+        cuts = range(cones.TILE, total, cones.TILE)
+        assert len(cuts) >= 2
+        assert any(s.start < k < s.stop for k in cuts for s in spans.values())
+
+    @pytest.mark.parametrize("n", [1, cones.TILE - 1, cones.TILE, cones.TILE + 1,
+                                   2 * cones.TILE + 5, 3 * cones.TILE])
+    def test_matches_the_substitution(self, n):
+        # Only the lower triangle is read; the last tile may be short.
+        rng = np.random.default_rng(53)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        x = cones.symmetrize(q @ np.diag(rng.uniform(1e-3, 1e3, n)) @ q.T)
+        want = cones._inverse_factor(x, "x")
+        got = cones._tiled_inverse_factor(x + np.triu(rng.standard_normal((n, n)), 1), "x")
+        assert np.array_equal(got, np.tril(got))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_non_pd_minor_in_a_later_tile_raises_as_inv_pd(self):
+        # x = L D L^T with D = I but for one -1: its leading minors are PD up
+        # to order k - 1 and the k-th is not, with k in the third tile.
+        rng = np.random.default_rng(5)
+        n, k = 3 * cones.TILE, 2 * cones.TILE + 7
+        low = np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n) + np.eye(n)
+        x = cones.symmetrize((low * np.where(np.arange(n) == k - 1, -1.0, 1.0)) @ low.T)
+        with pytest.raises(NumericalError) as want:
+            cones.inv_pd(x, context="joint posterior precision")
+        with pytest.raises(NumericalError) as got:
+            cones._tiled_inverse_factor(x, "joint posterior precision")
+        assert str(want.value).startswith(
+            f"joint posterior precision is not positive definite: {k}-th leading minor")
+        assert str(got.value) == str(want.value)
+        assert got.value.condition == want.value.condition
+
+    def test_marginals_leave_no_blas_thread_spinning(self):
+        # OpenBLAS runs a large enough call on its worker threads, which then
+        # busy-wait for about 80 ms after it returns.  The CPU time of the
+        # threads other than this one, over marginals and the 0.3 s after,
+        # shows whether it made such a call; on one CPU it reads 0.
+        net = network.generate_random(1, 144, "grid", grid_shape=(12, 12))
+        time.sleep(0.3)  # let the spin of an earlier test's call end
+        before = time.process_time() - time.thread_time()
+        oracle.marginals(net)
+        time.sleep(0.3)
+        assert time.process_time() - time.thread_time() - before < 0.02
 
 
 class TestTreeDetection:
