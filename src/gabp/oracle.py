@@ -17,8 +17,8 @@ A_n^T R_n^{-1} A_n on the variables of its scope and A_n^T R_n^{-1} y_n,
 where A_n = [A_nj]_{j in scope} is factor n's row block of A_bar.  The
 oracle assembles them factor by factor, never forming A_bar or R_bar, and
 of the variable-sized precision's inverse forms only the diagonal blocks
-(selected inversion, Takahashi, Fagan & Chin 1973).  It calls no engine code, so it
-stays an independent cross-check.
+(selected inversion, Takahashi, Fagan & Chin 1973).  It calls no engine
+code, so it stays an independent cross-check.
 
 On a cycle-free factor graph the message passing fixed point reproduces
 these marginals exactly; on loopy graphs the means still agree at the
